@@ -30,6 +30,7 @@ from oracle import ONE, ZERO, apply_table, mat_mul, transpose, unit_lower_invers
 INFER_STRUCTURE_SEED = 404  # criterion 4's seed: the same stream of shapes
 PROBE_STRUCTURE_SEED = 505
 NILPOTENT_STRUCTURE_SEED = 707
+NILPOTENT_MAX_DIM = 9
 CLI_STRUCTURE_SEED = 1414
 
 
@@ -62,6 +63,14 @@ def unipoly(rng: random.Random, degree: int, complex_share: float = 0.3):
     return coeffs + [lead]
 
 
+def masked_unipoly(rng: random.Random, mask):
+    """Like unipoly, with `mask` (one flag per power, from a structure seed)
+    saying which coefficients have an imaginary part."""
+    coeffs = [(rational(rng), rational(rng) if flag else Fraction(0)) for flag in mask[:-1]]
+    lead = (nonzero_rational(rng), rational(rng) if mask[-1] else Fraction(0))
+    return coeffs + [lead]
+
+
 def bipoly(rng: random.Random, max_dx: int, max_dy: int, complex_share: float = 0.3):
     ncoords = rng.randint(1, max_dy + 1)
     return [unipoly(rng, rng.randint(0, max_dx), complex_share) for _ in range(ncoords)]
@@ -88,6 +97,7 @@ def recursion_length(s: int, support, degree: int = 8) -> int:
 
 
 LONG_RECURSION = 15  # shapes at or above this length dominate the cost
+LONG_MAX_WIDTH = 2  # long recursions of width 3 take 1-5 s each: too slow to repeat
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,12 +105,14 @@ def infer_shapes(light: int, long: int, bound: int = 8):
     """(s, support) from the criterion-4 stream of tables (s in 1..3, each
     slot (i, j <= bound) present with probability 1/4), in stream order,
     keeping the first `light` shorter-recursion and the first `long`
-    long-recursion shapes.
+    long-recursion shapes of width at most LONG_MAX_WIDTH.
 
-    Long recursions (>= LONG_RECURSION coordinates) take 0.2-3.6 s per task,
-    the rest at most 0.11 s, and they are about a quarter of the stream; a
-    fixed count of each keeps the p75 task inside the long group instead of
-    on the boundary between the groups, where it would jump between seeds."""
+    Long recursions (>= LONG_RECURSION coordinates) of width 2 take
+    0.2-1.2 s per task, the rest at most 0.13 s; width-3 long recursions
+    (1-5 s each) are skipped so that a pass stays short enough to repeat
+    every task several times in one run. A fixed count of each group keeps
+    the median and the p75 task inside the short group, away from the
+    jump to the long one."""
     rng = random.Random(INFER_STRUCTURE_SEED)
     shapes = []  # a constant of the benchmark: cached, so set-up times only the seeded part
     left = {False: light, True: long}
@@ -114,6 +126,8 @@ def infer_shapes(light: int, long: int, bound: int = 8):
                         support.append((i, j))
                         rational(rng)  # keep the criterion-4 stream aligned
         is_long = recursion_length(s, support, bound) >= LONG_RECURSION
+        if is_long and s > LONG_MAX_WIDTH:
+            continue
         if left[is_long]:
             left[is_long] -= 1
             shapes.append((s, tuple(support)))
@@ -129,8 +143,13 @@ def infer_tables(seed: int, light: int, long: int):
 
 def probe_shapes(count: int):
     """Width s cycles 1..3, the Md degree d cycles 0..3; support j <= 4 with
-    probability 0.4 per slot; seed degrees up to 12."""
+    probability 0.4 per slot; seed degrees up to 12; each seed coefficient
+    complex with probability 0.3.
+
+    Which coefficients are complex is part of the shape: drawn per seed, it
+    moved the median task by 10 % between seeds."""
     rng = random.Random(PROBE_STRUCTURE_SEED)
+    mask_rng = random.Random(PROBE_STRUCTURE_SEED + 1)  # leaves the other shapes as they were
     shapes = []
     for k in range(count):
         s = 1 + k % 3
@@ -139,20 +158,21 @@ def probe_shapes(count: int):
         if not support:
             support = [(1, 1)]
         degrees = [rng.randint(0, 12) for _ in range(s)]
-        shapes.append((s, d, tuple(support), tuple(degrees)))
+        masks = tuple(tuple(mask_rng.random() < 0.3 for _ in range(deg + 1)) for deg in degrees)
+        shapes.append((s, d, tuple(support), masks))
     return shapes
 
 
 def probe_cases(seed: int, count: int):
     rng = random.Random(seed)
     cases = []
-    for s, d, support, degrees in probe_shapes(count):
+    for s, d, support, masks in probe_shapes(count):
         cases.append(
             {
                 "s": s,
                 "d": d,
                 "table": real_values(rng, support),
-                "seeds": [unipoly(rng, deg) for deg in degrees],
+                "seeds": [masked_unipoly(rng, mask) for mask in masks],
                 "shift": (strictly_gaussian(rng), strictly_gaussian(rng)),
                 "point": (gaussian(rng, 1.0), gaussian(rng, 1.0)),
             }
@@ -163,13 +183,13 @@ def probe_cases(seed: int, count: int):
 # -- nilpotent-chains -----------------------------------------------------------
 
 def nilpotent_shapes(count: int):
-    """Dimension cycles 1..12; every third matrix (k % 3 == 2) is conjugated
+    """Dimension cycles 1..NILPOTENT_MAX_DIM; every third matrix (k % 3 == 2) is conjugated
     by a Gaussian-integer matrix, the rest by an integer one. The strictly
     upper part of N has density 0.6; the triangular factors of P, 0.8."""
     rng = random.Random(NILPOTENT_STRUCTURE_SEED)
     shapes = []
     for k in range(count):
-        dim = 1 + k % 12
+        dim = 1 + k % NILPOTENT_MAX_DIM
         upper = [(r, c) for r in range(dim) for c in range(r + 1, dim) if rng.random() < 0.6]
         low = [(r, c) for r in range(dim) for c in range(r) if rng.random() < 0.8]
         up = [(r, c) for r in range(dim) for c in range(r + 1, dim) if rng.random() < 0.8]

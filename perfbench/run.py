@@ -6,10 +6,12 @@ Usage (from the root of a polymod checkout):
 
 Every workload is a closed loop with one client: tasks run one after another
 in this process (the CLI workload starts one child process at a time). The
-timed phase runs one whole pass over the seeded tasks, then goes on task by
-task until ``--seconds`` have elapsed. Between tasks, outside their
-latency, each repeat's answer is compared with the task's first answer; the
-first answers are checked after the timed phase. The last line of stdout is
+timed phase runs whole passes over the seeded tasks, at least MIN_PASSES and
+as many as fit in ``--seconds``. Every latency is scaled to a reference host
+speed (see ``hostspeed``), and a task's latency is the median of its
+repeats. Between tasks, outside their latency, the reference kernel is
+timed and each repeat's answer is compared with the task's first answer;
+the first answers are checked after the timed phase. The last line of stdout is
 the JSON result; the lines before it repeat every metric by name with its
 unit, plus the run record.
 
@@ -33,16 +35,22 @@ import traceback
 from pathlib import Path
 from time import perf_counter
 
+import hostspeed
 import tracing
 
 SETUP_REPEATS = 3
+MIN_PASSES = 3
 PROBE_REPEATS = 7
 TAIL_LADDER = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 TAIL_BEYOND = 10
 
 
 def _child_env(root: Path) -> dict:
+    """Children import polymod from src/ and cache its bytecode there (as an
+    installed package has it), so a CLI task does not pay for compiling
+    polymod, whatever PYTHONDONTWRITEBYTECODE the caller has set."""
     env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
@@ -57,14 +65,21 @@ def _child_seconds(root: Path, code: str) -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
-def import_seconds(root: Path, module: str) -> float:
+def import_seconds(root: Path, module: str, refs=None) -> float:
+    """Median import time in fresh interpreters; a reference kernel time
+    is appended to `refs` after each."""
     code = (
         "import sys, time\n"
         "t = time.perf_counter()\n"
         f"import {module}\n"
         "sys.stdout.write(repr(time.perf_counter() - t))\n"
     )
-    return statistics.median(_child_seconds(root, code) for _ in range(PROBE_REPEATS))
+    samples = []
+    for _ in range(PROBE_REPEATS):
+        samples.append(_child_seconds(root, code))
+        if refs is not None:
+            refs.append(hostspeed.sample())
+    return statistics.median(samples)
 
 
 def interpreter_seconds(root: Path) -> float:
@@ -105,43 +120,61 @@ def run_record(root: Path, seed: int) -> dict:
 # -- timed phases -----------------------------------------------------------------
 
 class Phase:
-    """Whole passes over the tasks: per-task latencies, and the fingerprint of
-    each task's first answer. Later repeats are compared with it between
-    tasks and dropped, so memory does not grow with the number of passes."""
+    """Whole passes over the tasks: per-task latencies, the reference kernel
+    time after each task, and the fingerprint of each task's first answer.
+    Later repeats are compared with it between tasks and dropped, so memory
+    does not grow with the number of passes."""
 
     def __init__(self, n: int):
-        self.samples = [[] for _ in range(n)]
+        self.n = n
         self.first = [None] * n
         self.ok = [0] * n  # attempts whose answer equals the task's first one
         self.failed = 0  # attempts that raised or differed from the first answer
         self.problems = []
+        self.timeline = []  # (task, latency, reference kernel time after it), in run order
         self.passes = 0
         self.elapsed = 0.0
 
     @property
     def attempted(self) -> int:
-        return sum(len(s) for s in self.samples)
+        return len(self.timeline)
 
-    def per_task(self):
-        """Each task's latency: the median of its repeats."""
-        return [statistics.median(s) for s in self.samples]
+    def per_task(self, scale=True):
+        """Each task's latency: the median of its repeats, each scaled to the
+        reference host speed (or as measured, with scale=False)."""
+        tasks, latencies, refs = zip(*self.timeline)
+        values = hostspeed.scaled(latencies, refs) if scale else latencies
+        repeats = [[] for _ in range(self.n)]
+        for k, v in zip(tasks, values):
+            repeats[k].append(v)
+        return [statistics.median(r) for r in repeats]
 
     def tasks_per_s(self) -> float:
         """Tasks completed per second of time spent in tasks (the checks run
-        between tasks are not counted)."""
-        return self.attempted / sum(map(sum, self.samples))
+        between tasks are not counted), as measured."""
+        return self.attempted / sum(t for _k, t, _r in self.timeline)
+
+    def scaled_tasks_per_s(self) -> float:
+        """A pass's tasks per second of their scaled latencies."""
+        per_task = self.per_task()
+        return len(per_task) / sum(per_task)
+
+    def reference_s(self) -> float:
+        return statistics.median(r for _k, _t, r in self.timeline)
 
 
 def _run_one(workload, task, k: int, phase: Phase) -> None:
     t0 = perf_counter()
+    error = None
     try:
         answer = workload.run(task)
     except Exception:  # a failed task is counted, and the loop goes on
-        phase.samples[k].append(perf_counter() - t0)
+        error = traceback.format_exc()
+    phase.timeline.append((k, perf_counter() - t0, hostspeed.sample()))
+    if error is not None:
         phase.failed += 1
-        phase.problems.append(traceback.format_exc())
+        phase.problems.append(error)
         return
-    phase.samples[k].append(perf_counter() - t0)
     fp = workload.fingerprint(answer)
     if phase.first[k] is None:
         phase.first[k] = fp
@@ -152,20 +185,21 @@ def _run_one(workload, task, k: int, phase: Phase) -> None:
     phase.ok[k] += 1
 
 
-def run_phase(workload, tasks, min_seconds=None, passes=None) -> Phase:
-    """Run `passes` whole passes, or one whole pass and then on, task by task,
-    until `min_seconds` have elapsed. The latency metrics use per-task
-    medians, so a partial last pass does not change the mix they describe."""
+def run_phase(workload, tasks, seconds=0.0, passes=None) -> Phase:
+    """Run `passes` whole passes, or at least MIN_PASSES and then as many
+    more as the mean pass so far says will end within `seconds`. Every task
+    runs once per pass, so all have the same number of repeats."""
     phase = Phase(len(tasks))
     start = perf_counter()
     while True:
         for k, task in enumerate(tasks):
-            if phase.passes and passes is None and perf_counter() - start >= min_seconds:
-                phase.elapsed = perf_counter() - start
-                return phase
             _run_one(workload, task, k, phase)
         phase.passes += 1
-        if passes is not None and phase.passes >= passes:
+        elapsed = perf_counter() - start
+        if passes is not None:
+            if phase.passes >= passes:
+                break
+        elif phase.passes >= MIN_PASSES and elapsed * (phase.passes + 1) / phase.passes > seconds:
             break
     phase.elapsed = perf_counter() - start
     return phase
@@ -243,15 +277,20 @@ def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def end_to_end(phase: Phase, setup_s: float, peak_rss_mb: float, lines: list) -> dict:
-    per_task = phase.per_task()
+def end_to_end(phase: Phase, setup_s: float, setup_wall: float, peak_rss_mb: float, lines: list) -> dict:
+    per_task, wall = phase.per_task(), phase.per_task(scale=False)
     tail_value, tail_p, beyond = tail(per_task)
-    tasks_per_s = phase.tasks_per_s()
+    tasks_per_s = phase.scaled_tasks_per_s()
     lines += [
-        f"setup_s {setup_s:.6f} s",
-        f"tasks_per_s {tasks_per_s:.6f} 1/s ({phase.attempted} tasks, {phase.passes} whole passes, {phase.elapsed:.3f} s)",
-        f"task_p50_ms {statistics.median(per_task) * 1e3:.4f} ms (over {len(per_task)} tasks, each the median of its repeats)",
-        f"task_tail_ms {tail_value * 1e3:.4f} ms (p{tail_p:g}, {beyond} of {len(per_task)} tasks beyond it)",
+        f"host: reference kernel {phase.reference_s() * 1e3:.4f} ms median after tasks, "
+        f"scaled to {hostspeed.REFERENCE_S * 1e3:g} ms; figures in brackets are as measured",
+        f"setup_s {setup_s:.6f} s ([{setup_wall:.6f} s])",
+        f"tasks_per_s {tasks_per_s:.6f} 1/s ({phase.attempted} tasks in {phase.passes} passes, {phase.elapsed:.3f} s; "
+        f"[{phase.tasks_per_s():.6f} 1/s])",
+        f"task_p50_ms {statistics.median(per_task) * 1e3:.4f} ms (over {len(per_task)} tasks, each the median of "
+        f"{phase.passes} repeats; [{statistics.median(wall) * 1e3:.4f} ms])",
+        f"task_tail_ms {tail_value * 1e3:.4f} ms (p{tail_p:g}, {beyond} of {len(per_task)} tasks beyond it; "
+        f"[{tail(wall)[0] * 1e3:.4f} ms])",
         f"peak_rss_mb {peak_rss_mb:.3f} MB",
     ]
     return {
@@ -329,17 +368,13 @@ def largest_self_time(timed) -> str:
     return max(timed.spans, key=lambda n: timed.spans[n][2]) if timed.spans else "-"
 
 
-def end_to_end_run(workload, tasks, checker, seconds, setup_s, lines):
-    phase = run_phase(workload, tasks, min_seconds=seconds)
+def end_to_end_run(workload, tasks, checker, seconds, setup_s, setup_wall, lines):
+    # MIN_PASSES >= 2 also runs every CLI subcommand twice, for byte-identical output
+    phase = run_phase(workload, tasks, seconds=seconds)
     in_process = getattr(workload, "in_process", True)
     usage = resource.RUSAGE_SELF if in_process else resource.RUSAGE_CHILDREN
     peak_rss_mb = resource.getrusage(usage).ru_maxrss / 1024.0
-    failed, attempted = checker.failures(phase), phase.attempted
-    if not in_process and min(map(len, phase.samples)) < 2:
-        # byte-identical output needs every subcommand run at least twice
-        extra = run_phase(workload, tasks, passes=1)
-        failed, attempted = failed + checker.failures(extra), attempted + extra.attempted
-    return attempted, failed, end_to_end(phase, setup_s, peak_rss_mb, lines)
+    return phase.attempted, checker.failures(phase), end_to_end(phase, setup_s, setup_wall, peak_rss_mb, lines)
 
 
 def traced_run(workload, tasks, checker, seconds, probes, lines):
@@ -373,7 +408,7 @@ def traced_run(workload, tasks, checker, seconds, probes, lines):
     else:
         for line in workload.exports:
             timed.add(json.loads(line))
-    overhead = traced.tasks_per_s() / plain.tasks_per_s()
+    overhead = traced.scaled_tasks_per_s() / plain.scaled_tasks_per_s()
     metrics = per_layer(counted, timed, traced.attempted, overhead, probes)
     lines.append(
         f"trace: {plain.passes} passes, {plain.attempted / plain.tasks_per_s():.3f} s in tasks untraced, "
@@ -402,7 +437,8 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(root / "src"))
 
-    import_s = import_seconds(root, "polymod")
+    setup_refs = []
+    import_s = import_seconds(root, "polymod", setup_refs)
     import workloads  # imports polymod from src/
 
     if args.workload not in workloads.NAMES:
@@ -416,7 +452,9 @@ def main(argv=None) -> int:
         t0 = perf_counter()
         tasks = workload.build(args.seed)
         builds.append(perf_counter() - t0)
-    setup_s = import_s + statistics.median(builds)
+        setup_refs.append(hostspeed.sample())
+    setup_wall = import_s + statistics.median(builds)
+    setup_s = setup_wall * hostspeed.REFERENCE_S / statistics.median(setup_refs)
 
     record = run_record(root, args.seed)
     lines = [
@@ -431,7 +469,7 @@ def main(argv=None) -> int:
 
     checker = Checker(workload, tasks)
     if args.trace == 0:
-        attempted, failed, metrics = end_to_end_run(workload, tasks, checker, args.seconds, setup_s, lines)
+        attempted, failed, metrics = end_to_end_run(workload, tasks, checker, args.seconds, setup_s, setup_wall, lines)
     else:
         attempted, failed, metrics = traced_run(workload, tasks, checker, args.seconds, probes, lines)
         if args.workload == "infer-roundtrip" and not all(

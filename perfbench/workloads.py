@@ -57,7 +57,7 @@ class InferRoundtrip:
     """generate a monomial-seed basis from a drawn table, then infer_L it back."""
 
     name = "infer-roundtrip"
-    light, long = 26, 14  # 40 tasks per pass
+    light, long = 32, 8  # 40 tasks per pass
     bound = 8
 
     def build(self, seed: int):
@@ -136,7 +136,7 @@ class NilpotentChains:
     """nilpotent_chains on conjugated strictly upper triangular matrices."""
 
     name = "nilpotent-chains"
-    tasks_per_pass = 48
+    tasks_per_pass = 45  # five of each dimension 1..9
 
     def build(self, seed: int):
         return [
