@@ -14,7 +14,7 @@ makes a subspace translation invariant. Around that core it provides:
   recursion module with doubly-exponential coefficients is not closed
 """
 
-from .cancel import NO_CANCEL, CancelToken
+from .cancel import CancelToken
 from .errors import (
     ArityMismatch,
     Cancelled,
@@ -79,7 +79,6 @@ from .operators import (
     infer_L,
     nilpotent_chains,
     order_of_module,
-    order_of_sum,
     order_of_sum_report,
     quotient_derivation,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "Md",
     "MGamma",
     "MembershipResult",
-    "NO_CANCEL",
     "NotAnLModule",
     "NotNilpotent",
     "ParseError",
@@ -136,7 +134,6 @@ __all__ = [
     "mgamma_contains",
     "nilpotent_chains",
     "order_of_module",
-    "order_of_sum",
     "order_of_sum_report",
     "phi",
     "poly_membership",

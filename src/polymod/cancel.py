@@ -19,6 +19,3 @@ class CancelToken:
     def check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Cancelled("computation cancelled by timeout")
-
-
-NO_CANCEL = CancelToken(None)

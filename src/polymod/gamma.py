@@ -84,10 +84,8 @@ def apply_L(g: GammaTable, window) -> UniPoly:
     out = UniPoly.zero()
     for (i, j), a in g.items():
         f = window[i - 1]
-        if f.degree != float("-inf") and f.degree >= j:
+        if f.degree >= j:
             out = out + f.derivative(j).scale(a)
-        elif f.degree == float("-inf"):
-            continue
     return out
 
 

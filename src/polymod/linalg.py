@@ -1,8 +1,17 @@
 """Exact linear algebra over Gaussian rationals.
 
 Matrices are lists of row lists of CoeffQ. Reduction is fully deterministic:
-columns are scanned left to right and the pivot is the first row with a
-nonzero entry (no magnitude heuristics, so reruns are byte-identical).
+columns are scanned left to right and the pivot is the first remaining row
+with a nonzero entry (no magnitude heuristics, so reruns are byte-identical).
+The reduced row echelon form is unique for a fixed column order, so no output
+can depend on which row supplies a pivot.
+
+``rref`` eliminates on sparse rows, ``{column: value}`` dicts: zero entries
+are never stored or touched, and rows that reduce to zero are dropped. When
+every input entry is real, the values are plain ``Fraction`` and a product
+costs one ``Fraction`` product instead of four; otherwise they are ``CoeffQ``.
+The field is chosen once per call and both run the same loop. ``mat_vec``,
+``mat_mul`` and ``reduce_against`` likewise skip zero operands.
 """
 
 from __future__ import annotations
@@ -15,35 +24,56 @@ _O = CoeffQ(1)
 
 def rref(rows, cancel=None):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         return [], []
     ncols = len(rows[0])
+    real = not any(c.im for r in rows for c in r)
+    if real:
+        pending = [{j: c.re for j, c in enumerate(r) if c.re} for r in rows]
+    else:
+        pending = [{j: c for j, c in enumerate(r) if c} for r in rows]
+    pending = [r for r in pending if r]
+    done = []
     pivots = []
-    r = 0
     for col in range(ncols):
         if cancel is not None:
             cancel.check()
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
+        if not pending:
+            break
+        piv = next((i for i, r in enumerate(pending) if col in r), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col]
-        if inv != _O:
-            rows[r] = [c / inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        # the pivot row leaves its unit pivot entry implicit until the end
+        prow = pending.pop(piv)
+        inv = prow.pop(col)
+        if inv != 1:
+            prow = {j: v / inv for j, v in prow.items()}
+        for row in done + pending:
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for j, b in prow.items():
+                v = row.get(j)
+                if v is None:
+                    row[j] = -f * b
+                else:
+                    v = v - f * b
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        done.append(prow)
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        pending = [r for r in pending if r]
+    out = []
+    for row, col in zip(done, pivots):
+        dense = [_Z] * ncols
+        dense[col] = _O
+        for j, v in row.items():
+            dense[j] = CoeffQ(v) if real else v
+        out.append(dense)
+    return out, pivots
 
 
 def reduce_against(vec, basis_rows, pivots):
@@ -56,10 +86,11 @@ def reduce_against(vec, basis_rows, pivots):
     combo = [_Z] * len(basis_rows)
     for r, col in enumerate(pivots):
         f = vec[col]
-        if not f.is_zero():
+        if f:
             combo[r] = f
-            row = basis_rows[r]
-            vec = [a - f * b for a, b in zip(vec, row)]
+            for j, b in enumerate(basis_rows[r]):
+                if b:
+                    vec[j] = vec[j] - f * b
     return vec, combo
 
 
@@ -110,14 +141,24 @@ def solve(rows, rhs):
 
 
 def mat_vec(rows, v):
-    return [sum((a * b for a, b in zip(r, v)), _Z) for r in rows]
+    nz = [(k, b) for k, b in enumerate(v) if b]
+    return [sum((r[k] * b for k, b in nz if r[k]), _Z) for r in rows]
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
     n = len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), _Z) for j in range(n)] for i in range(len(a))]
+    out = []
+    for row in a:
+        acc = [_Z] * n
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def identity(n):

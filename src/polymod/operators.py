@@ -182,10 +182,6 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     raise AssertionError("unreachable: K above the top coordinate always pins the sum")
 
 
-def order_of_sum(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: CancelToken | None = None) -> int:
-    return order_of_sum_report(g1, g2, deg_bound, cancel=cancel).order
-
-
 @dataclass(frozen=True)
 class ChainDecomposition:
     dim: int

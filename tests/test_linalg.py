@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polymod import CoeffQ
+from polymod import Cancelled, CoeffQ
 from polymod.linalg import (
     identity,
     is_zero_matrix,
@@ -16,6 +17,8 @@ from polymod.linalg import (
     solve,
     transpose,
 )
+
+from conftest import rand_scalar
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=3).map(CoeffQ.of)
 
@@ -119,3 +122,47 @@ def test_mat_mul_associates():
     b = [[CoeffQ.of(3), CoeffQ.of(0)], [CoeffQ.of(1), CoeffQ.of(1)]]
     c = [[CoeffQ.of(1), CoeffQ.of(1)], [CoeffQ.of(1), CoeffQ.of(0)]]
     assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+class _CountingToken:
+    """Cancel token stub: counts polls and fires on poll number fire_at."""
+
+    def __init__(self, fire_at=None):
+        self.calls = 0
+        self.fire_at = fire_at
+
+    def check(self):
+        self.calls += 1
+        if self.calls == self.fire_at:
+            raise Cancelled("stub token fired")
+
+
+def _cancel_corpus():
+    rng = random.Random(11)
+    out = []
+    shapes = ((6, 6, 1.0, False), (5, 8, 1.0, True), (12, 40, 0.1, False), (12, 40, 0.1, True))
+    for nrows, ncols, density, complex_ok in shapes:
+        m = [
+            [rand_scalar(rng, complex_ok) if rng.random() < density else CoeffQ(0) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        m.append([CoeffQ(0)] * ncols)
+        out.append(m)
+    return out
+
+
+def test_rref_polls_once_per_pivot_and_cancels_cleanly():
+    for m in _cancel_corpus():
+        snapshot = [list(r) for r in m]
+        token = _CountingToken()
+        rows, pivots = rref(m, cancel=token)
+        assert pivots and token.calls >= len(pivots)
+        # one poll per pivot at least: a token firing on any of the first
+        # len(pivots) polls stops rref with no result and the input untouched
+        for n in range(1, len(pivots) + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                rref(m, cancel=stub)
+            assert stub.calls == n
+            assert m == snapshot
+        assert rref(m, cancel=_CountingToken(fire_at=token.calls + 1)) == (rows, pivots)

@@ -1,0 +1,140 @@
+"""Differential test of the exact kernels against sympy's DomainMatrix.
+
+sympy's QQ and QQ_I matrices are an independent implementation of exact
+elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
+(5-10 % density, up to the 27x243 shape that infer_L builds) and dense, and
+rank-deficient with zero rows. No timing is asserted.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+from polymod import CoeffQ
+from polymod.linalg import kernel_basis, mat_mul, mat_vec, rref, solve
+
+# (name, rows, cols, density, gaussian, deficient)
+SHAPES = [
+    ("sparse-real-infer", 27, 243, 0.06, False, False),
+    ("sparse-real-tall", 40, 30, 0.08, False, False),
+    ("sparse-gauss-infer", 27, 243, 0.05, True, False),
+    ("sparse-gauss-square", 20, 20, 0.1, True, False),
+    ("dense-real", 7, 9, 1.0, False, False),
+    ("dense-gauss", 8, 6, 1.0, True, False),
+    ("deficient-real-sparse", 24, 80, 0.08, False, True),
+    ("deficient-real-dense", 9, 7, 1.0, False, True),
+    ("deficient-gauss-sparse", 24, 80, 0.08, True, True),
+    ("deficient-gauss-dense", 9, 9, 1.0, True, True),
+]
+SEEDS = range(3)
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def _scalar(rng, gaussian):
+    im = _rational(rng) if gaussian and rng.random() < 0.5 else 0
+    return CoeffQ(_rational(rng), im)
+
+
+def _row(rng, ncols, density, gaussian):
+    return [_scalar(rng, gaussian) if rng.random() < density else CoeffQ(0) for _ in range(ncols)]
+
+
+def _matrix(rng, nrows, ncols, density, gaussian, deficient):
+    if not deficient:
+        rows = [_row(rng, ncols, density, gaussian) for _ in range(nrows)]
+    else:
+        # a third independent rows, a third combinations of two of them, the rest zero
+        base = [_row(rng, ncols, density, gaussian) for _ in range(nrows // 3)]
+        rows = list(base)
+        for _ in range(nrows // 3):
+            a, b = rng.sample(base, 2)
+            fa, fb = _scalar(rng, gaussian), _scalar(rng, gaussian)
+            rows.append([fa * x + fb * y for x, y in zip(a, b)])
+        rows += [[CoeffQ(0)] * ncols for _ in range(nrows - len(rows))]
+        rng.shuffle(rows)
+    if gaussian and all(c.im == 0 for r in rows for c in r):
+        rows[0][0] = CoeffQ(1, 1)  # keep the Gaussian cases off the real path
+    return rows
+
+
+def _cases():
+    for name, nrows, ncols, density, gaussian, deficient in SHAPES:
+        for seed in SEEDS:
+            yield pytest.param(name, seed, nrows, ncols, density, gaussian, deficient, id=f"{name}-{seed}")
+
+
+def _q(x: Fraction):
+    return QQ(x.numerator, x.denominator)
+
+
+def _to_domain(rows, domain):
+    if domain is QQ:
+        elems = [[_q(c.re) for c in r] for r in rows]
+    else:
+        elems = [[QQ_I(_q(c.re), _q(c.im)) for c in r] for r in rows]
+    return DomainMatrix(elems, (len(rows), len(rows[0])), domain)
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _from_domain(m, domain):
+    if domain is QQ:
+        return [[CoeffQ(_fraction(e)) for e in r] for r in m.to_list()]
+    return [[CoeffQ(_fraction(e.x), _fraction(e.y)) for e in r] for r in m.to_list()]
+
+
+def _column(vec, domain):
+    return _to_domain([[c] for c in vec], domain)
+
+
+@pytest.mark.parametrize("name, seed, nrows, ncols, density, gaussian, deficient", _cases())
+def test_kernels_match_sympy(name, seed, nrows, ncols, density, gaussian, deficient):
+    rng = random.Random(f"{name}-{seed}")
+    A = _matrix(rng, nrows, ncols, density, gaussian, deficient)
+    domain = QQ_I if gaussian else QQ
+    dA = _to_domain(A, domain)
+
+    # rref: identical rows and pivots
+    red, pivots = rref(A)
+    s_red, s_pivots = dA.rref()
+    rank = len(s_pivots)
+    assert pivots == list(s_pivots)
+    assert red == _from_domain(s_red, domain)[:rank]
+    if deficient:
+        assert rank < nrows
+
+    # kernel_basis: ncols - rank vectors, each annihilated (checked by sympy)
+    kernel = kernel_basis(A, ncols=ncols)
+    assert len(kernel) == ncols - rank
+    if kernel:
+        columns = _to_domain([list(c) for c in zip(*kernel)], domain)
+        assert (dA.to_sparse() * columns.to_sparse()).is_zero_matrix
+
+    # solve: consistent exactly when sympy's rank of [A | b] equals rank(A)
+    x = _row(rng, ncols, 0.5, gaussian)
+    in_range = [r[0] for r in _from_domain(dA * _column(x, domain), domain)]
+    for rhs in (in_range, [_scalar(rng, gaussian) for _ in range(nrows)]):
+        consistent = _to_domain([r + [b] for r, b in zip(A, rhs)], domain).rank() == rank
+        if deficient and rhs is not in_range:
+            assert not consistent  # a zero row of A meets a nonzero entry of rhs
+        sol = solve(A, rhs)
+        assert (sol is not None) == consistent
+        if sol is not None:
+            values, free = sol
+            assert len(free) == ncols - rank
+            assert _from_domain(dA * _column(values, domain), domain) == [[b] for b in rhs]
+
+    # mat_vec and mat_mul: sympy's products
+    assert mat_vec(A, x) == in_range
+    B = _matrix(rng, ncols, 5, density, gaussian, False)
+    assert mat_mul(A, B) == _from_domain(dA * _to_domain(B, domain), domain)

@@ -20,7 +20,6 @@ from polymod import (
     infer_L,
     nilpotent_chains,
     order_of_module,
-    order_of_sum,
     order_of_sum_report,
     quotient_derivation,
     shift_invariance_table,
@@ -136,12 +135,12 @@ def test_order_of_sum_shift_vs_dilated():
     for K, w in rep.refuted:
         assert all(w.coord(n).is_zero() for n in range(K))
         assert not w.is_zero()
-    assert order_of_sum(GS, dilated_shift_table(2), 4) == 2
+    assert order_of_sum_report(GS, dilated_shift_table(2), 4).order == 2
 
 
 def test_order_of_sum_validation():
     with pytest.raises(ValueError):
-        order_of_sum(GS, GS, 0)
+        order_of_sum_report(GS, GS, 0).order
 
 
 def _rank_profile_lengths(D):
