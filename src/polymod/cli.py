@@ -169,7 +169,7 @@ def _cmd_order(args) -> int:
     bound = _deg_bound(args)
     if bound is None:
         bound = FALLBACK_DEG_BOUND
-    result = order_of_module(basis, bound)
+    result = order_of_module(basis, bound, CancelToken(args.timeout))
     return _emit(args, {"order": result}, [f"order: {result}"])
 
 

@@ -115,6 +115,19 @@ def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
     return BiPoly.from_coords(coords)
 
 
+def monomial_seed_elements(g: GammaTable, bound: int, cancel=None) -> list:
+    """generate(g, seeds) for each seed tuple with x^m in slot i and zero
+    elsewhere, slot-major with m ascending, i = 1..s and m < bound. These span
+    the elements of M_g whose seeds have degree < bound."""
+    out = []
+    for i in range(g.s):
+        for m in range(bound):
+            seeds = [UniPoly.zero()] * g.s
+            seeds[i] = UniPoly.monomial(m)
+            out.append(generate(g, seeds, cancel=cancel))
+    return out
+
+
 def mgamma_contains(g: GammaTable, F: BiPoly):
     """Exact membership of F in the generated space M_g.
 

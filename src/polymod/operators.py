@@ -3,10 +3,12 @@
 Inference inverts generation: a differentiation-closed span whose elements
 are pinned by their first s coordinates admits at most one operator table of
 support j <= deg_bound reproducing coordinate s, and an exact linear solve
-recovers it layer by derivative layer. Order probes search for the smallest
-prefix length that pins elements, for a single space or for a sum of two
-generated spaces. The nilpotent machinery decomposes the coordinatewise
-derivative acting on truncated seed-tuple quotients into shift chains.
+recovers it layer by derivative layer. One search computes the paper's
+L-module order, the smallest K such that a span element vanishing in its
+first K coordinates is zero, with a witness for each smaller K; the module
+order, the sum order and inference's prefix check all call it. The nilpotent
+machinery decomposes the coordinatewise derivative acting on truncated
+seed-tuple quotients into shift chains.
 """
 
 from __future__ import annotations
@@ -14,47 +16,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cancel import CancelToken
-from .errors import ArityMismatch, NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
-from .gamma import GammaTable, generate
+from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
+from .gamma import GammaTable, monomial_seed_elements
 from .linalg import identity, is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
 from .modules import MGamma, Md, Sum, contains, phi
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly
 from .scalars import CoeffQ
-from .spans import PolyFrame, span_reduce
+from .spans import PolyFrame, span_reduce, vanishing_part
 
 _Z = CoeffQ(0)
 
 
-def _prefix_kernel_witness(basis, s: int):
-    """A nonzero span element vanishing in coordinates 0..s-1, or None."""
-    basis = [b for b in basis if not b.is_zero()]
-    if not basis:
-        return None
-    frame = PolyFrame(basis)
-    vecs = [frame.to_vec(b) for b in basis]
-    prefix_pos = [k for (_i, n), k in frame.index.items() if n < s]
-    eqs = [[v[k] for v in vecs] for k in prefix_pos]
-    combos = kernel_basis(eqs, ncols=len(vecs))
-    for c in combos:
-        elem = BiPoly.zero()
-        for ci, b in zip(c, basis):
-            if not ci.is_zero():
-                elem = elem + b.scale(ci)
-        if not elem.is_zero():
-            return elem
-    return None
+def _pinning_order(polys, ks, cancel=None):
+    """The paper's L-module order of span(polys): the smallest K in ks such
+    that every span element vanishing in coordinates 0..K-1 is zero.
+
+    Returns (K, kernel dimension at K, ((K', witness) for each K' in ks before
+    K)); the dimension counts the combinations of polys that vanish at K, so
+    it is 0 for an independent list. K and the dimension are None when no K
+    in ks pins the span.
+    """
+    frame = PolyFrame(polys)
+    vecs = [frame.to_vec(p) for p in polys]
+    refuted = []
+    for K in ks:
+        if cancel is not None:
+            cancel.check()
+        prefix = [k for (_i, n), k in frame.index.items() if n < K]
+        kernel = vanishing_part(vecs, prefix)
+        witness = next((v for v in kernel if any(v)), None)
+        if witness is None:
+            return K, len(kernel), tuple(refuted)
+        refuted.append((K, frame.from_vec(witness)))
+    return None, None, tuple(refuted)
 
 
-def order_of_module(basis, deg_bound: int) -> int | None:
+def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) -> int | None:
     """Smallest s <= deg_bound with no nonzero span element vanishing on the
     first s coordinates; None if every s up to the bound fails."""
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    reduced = span_reduce(list(basis))
-    for s in range(1, deg_bound + 1):
-        if _prefix_kernel_witness(reduced, s) is None:
-            return s
-    return None
+    reduced = span_reduce(list(basis), cancel=cancel)
+    return _pinning_order(reduced, range(1, deg_bound + 1), cancel)[0]
 
 
 def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) -> GammaTable:
@@ -71,13 +74,13 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         raise ValueError("s must be a positive int")
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    reduced = span_reduce(list(basis))
-    witness = _prefix_kernel_witness(reduced, s)
-    if witness is not None:
+    reduced = span_reduce(list(basis), cancel=cancel)
+    _, _, refuted = _pinning_order(reduced, (s,), cancel)
+    if refuted:
         raise NotAnLModule(
             "a nonzero element of the span vanishes in its first "
             f"{s} coordinates, so coordinate {s} is not determined by the seed prefix",
-            witness=witness,
+            witness=refuted[0][1],
         )
     # unknowns a_{i,j} ordered layer by layer: j ascending, then i ascending
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
@@ -141,45 +144,11 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     """
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    gens: list[BiPoly] = []
-    for g in (g1, g2):
-        for i in range(1, g.s + 1):
-            for m in range(deg_bound):
-                seeds = [UniPoly.zero()] * g.s
-                seeds[i - 1] = UniPoly.monomial(m)
-                gens.append(generate(g, seeds, cancel=cancel))
-    frame = PolyFrame(gens)
-    vecs = [frame.to_vec(p) for p in gens]
-    positions_by_n: dict[int, list[int]] = {}
-    for (_i, n), k in frame.index.items():
-        positions_by_n.setdefault(n, []).append(k)
-    max_n = max(positions_by_n, default=-1)
-    full_rows = [[v[k] for v in vecs] for ps in positions_by_n.values() for k in ps]
-    refuted = []
-    for K in range(1, max_n + 3):
-        if cancel is not None:
-            cancel.check()
-        prefix_rows = [
-            [v[k] for v in vecs]
-            for n, ps in positions_by_n.items()
-            if n < K
-            for k in ps
-        ]
-        combos = kernel_basis(prefix_rows, ncols=len(vecs))
-        kernel_dim = len(combos)
-        bad = None
-        for c in combos:
-            if any(not e.is_zero() for e in mat_vec(full_rows, c)):
-                bad = c
-                break
-        if bad is None:
-            return SumOrderReport(order=K, deg_bound=deg_bound, kernel_dim=kernel_dim, refuted=tuple(refuted))
-        elem = BiPoly.zero()
-        for ci, p in zip(bad, gens):
-            if not ci.is_zero():
-                elem = elem + p.scale(ci)
-        refuted.append((K, elem))
-    raise AssertionError("unreachable: K above the top coordinate always pins the sum")
+    gens = monomial_seed_elements(g1, deg_bound, cancel) + monomial_seed_elements(g2, deg_bound, cancel)
+    # K one past the top coordinate pins every sum
+    top = max(int(p.deg_y) for p in gens) + 1
+    order, kernel_dim, refuted = _pinning_order(gens, range(1, top + 1), cancel)
+    return SumOrderReport(order=order, deg_bound=deg_bound, kernel_dim=kernel_dim, refuted=refuted)
 
 
 @dataclass(frozen=True)

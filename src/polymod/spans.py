@@ -9,7 +9,7 @@ coefficients and therefore spans the same lattice of subspaces.
 
 from __future__ import annotations
 
-from .linalg import kernel_basis, reduce_against, rref
+from .linalg import kernel_basis, mat_vec, reduce_against, rref, transpose
 from .poly import BiPoly, UniPoly
 from .scalars import CoeffQ
 
@@ -80,6 +80,16 @@ def in_span(p: BiPoly, basis, return_combo: bool = False):
     return ok
 
 
+def vanishing_part(vecs, positions):
+    """Combinations of vecs that vanish at every position: one vector
+    sum_r c_r * vecs[r] per kernel_basis vector c of the restriction of vecs
+    to positions, in kernel_basis order and not reduced."""
+    if not vecs:
+        return []
+    cols = transpose(vecs)
+    return [mat_vec(cols, c) for c in kernel_basis([cols[k] for k in positions], ncols=len(vecs))]
+
+
 def restrict_degree(polys, bound: int):
     """Reduced basis of {p in span(polys) : deg_x p < bound}.
 
@@ -94,18 +104,7 @@ def restrict_degree(polys, bound: int):
     high = frame.high_degree_positions(bound)
     if not high:
         return [frame.from_vec(r) for r in rows]
-    # combos c with sum_r c_r * rows[r] vanishing on every high position
-    eqs = [[rows[r][h] for r in range(len(rows))] for h in high]
-    combos = kernel_basis(eqs, ncols=len(rows))
-    picked = []
-    for c in combos:
-        v = [_Z] * len(frame)
-        for r, cr in enumerate(c):
-            if not cr.is_zero():
-                row = rows[r]
-                v = [a + cr * b for a, b in zip(v, row)]
-        picked.append(v)
-    red, _ = rref(picked)
+    red, _ = rref(vanishing_part(rows, high))
     return [frame.from_vec(r) for r in red]
 
 

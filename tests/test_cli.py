@@ -275,12 +275,14 @@ def test_flag_beats_env(monkeypatch, capsys):
 
 
 def test_timeout_cancels(capsys):
-    code, payload = _json_out(
-        capsys,
+    basis = ser.dumps([ser.bipoly_to_json(BiPoly.monomial(2, 1))])
+    for argv in (
         ["order-sum", "--json", "--timeout=-1", "--gamma1", GS_JSON, "--gamma2", GS_JSON],
-    )
-    assert code == 1
-    assert payload["error"]["type"] == "cancelled"
+        ["order", "--json", "--timeout=-1", "--basis", basis],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1
+        assert payload["error"]["type"] == "cancelled"
 
 
 def test_timeout_cancels_sweeps(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polymod import (
@@ -20,7 +22,9 @@ from polymod import (
     v_space,
 )
 
-from conftest import rand_bipoly, rand_gamma, rand_unipoly
+from polymod.spans import in_span
+
+from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
 
 X2Y = BiPoly.monomial(2, 1)
 
@@ -197,9 +201,18 @@ def test_is_translation_invariant_examples():
 
 
 def test_closures_are_translation_invariant(rng):
+    # exact shifts by fixed-seed Gaussian (a, b) cross-check the closure test
+    shift_rng = random.Random(0x5EED)
+    shifts = [
+        (CoeffQ(rand_rational(shift_rng), rand_rational(shift_rng)), CoeffQ(rand_rational(shift_rng), rand_rational(shift_rng)))
+        for _ in range(3)
+    ]
     for _ in range(10):
         gens = [rand_bipoly(rng, 2, 2)]
-        assert is_translation_invariant(derivative_closure(gens))
+        basis = derivative_closure(gens)
+        assert is_translation_invariant(basis)
+        for a, b in shifts:
+            assert all(in_span(f.shift(a, b), basis) for f in basis)
 
 
 def test_separating_probe_within_combined_order():

@@ -1,9 +1,13 @@
 import random
 
-from polymod import BiPoly, CoeffQ, UniPoly
-from polymod.spans import in_span, restrict_degree, span_reduce, tuple_span_reduce
+import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
-from conftest import rand_bipoly
+from polymod import BiPoly, CoeffQ, UniPoly
+from polymod.spans import in_span, restrict_degree, span_reduce, tuple_span_reduce, vanishing_part
+
+from conftest import rand_bipoly, rand_scalar
 
 
 def test_span_reduce_drops_dependents():
@@ -68,3 +72,53 @@ def test_tuple_span_reduce_independent_prefixes():
     ]
     reduced = tuple_span_reduce(tuples, 2, 3)
     assert len(reduced) == 2
+
+
+def _sympy_rank(rows):
+    """Rank by sympy's QQ_I elimination, independent of polymod.linalg."""
+    if not rows or not rows[0]:
+        return 0
+    q = lambda x: QQ(x.numerator, x.denominator)
+    elems = [[QQ_I(q(c.re), q(c.im)) for c in r] for r in rows]
+    return DomainMatrix(elems, (len(rows), len(rows[0])), QQ_I).rank()
+
+
+# (nvecs, width, density, gaussian, dependent)
+VANISHING_SHAPES = [
+    (8, 20, 0.15, False, False),
+    (8, 20, 0.15, True, False),
+    (6, 9, 1.0, True, False),
+    (9, 12, 0.3, False, True),
+    (9, 12, 0.5, True, True),
+]
+
+
+@pytest.mark.parametrize("shape", VANISHING_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_vanishing_part_contract(shape, seed):
+    nvecs, width, density, gaussian, dependent = shape
+    rng = random.Random(f"vanishing-{shape}-{seed}")
+    vecs = [
+        [rand_scalar(rng, gaussian) if rng.random() < density else CoeffQ(0) for _ in range(width)]
+        for _ in range(nvecs)
+    ]
+    if dependent:  # a third of the vectors are combinations of two others
+        for r in range(0, nvecs, 3):
+            a, b = rng.sample(range(nvecs), 2)
+            fa, fb = rand_scalar(rng, gaussian), rand_scalar(rng, gaussian)
+            vecs[r] = [fa * x + fb * y for x, y in zip(vecs[a], vecs[b])]
+    positions = sorted(rng.sample(range(width), rng.randint(0, width)))
+    out = vanishing_part(vecs, positions)
+    restriction = [[v[k] for k in positions] for v in vecs]
+    assert len(out) == nvecs - _sympy_rank(restriction)
+    full_rank = _sympy_rank(vecs)
+    for w in out:
+        assert len(w) == width
+        assert all(w[k].is_zero() for k in positions)
+        assert _sympy_rank(vecs + [w]) == full_rank
+    if not positions:
+        assert out == vecs
+
+
+def test_vanishing_part_of_nothing():
+    assert vanishing_part([], [0, 1]) == []
