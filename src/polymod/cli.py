@@ -35,6 +35,7 @@ from .scalars import CoeffQ
 from . import serialize as ser
 
 FALLBACK_DEG_BOUND = 6  # used only when neither --deg-bound nor the env var is set
+_SCALAR_FLAGS = ("--x", "--y", "--a", "--b")
 
 
 def _load_text(arg: str) -> str:
@@ -60,6 +61,22 @@ def _scalar_arg(arg: str) -> CoeffQ:
     if text.startswith("{"):
         return ser.scalar_from_json(_load_json(text))
     return ser.scalar_from_json(text)
+
+
+def _bind_scalar_values(argv) -> list:
+    """Rewrite ``--y -2/3`` as ``--y=-2/3`` for the scalar flags.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number (``-2/3`` is not) as an option, so such a value must be bound to
+    its flag before parsing. Tokens starting with '--' stay options.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SCALAR_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _poly_list(arg: str, parse_one) -> list:
@@ -340,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_scalar_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -10,23 +10,68 @@ so coords[n] is f_n. Under this convention d/dy is a pure index shift
 what makes differentiation-closed subspaces cheap to manipulate.
 
 Degrees of the zero polynomial are NEG_INF, which orders below every int.
+
+Taylor shifts work on raw values. UniPoly.shift copies the coefficients into
+two lists of Fraction parts (re, im) and runs the Horner kernel
+``_taylor_shift``, c[j] += a * c[j + 1], which makes n(n-1)/2 products by a
+and skips zero parts. BiPoly.shift x-shifts every coordinate with that
+kernel, builds the y-weights w_j = b^j / j! once and accumulates each
+G_k = sum_j f_{k+j} * w_j on the same raw parts; CoeffQ and UniPoly objects
+are made only for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 
-from .scalars import CoeffQ
+from .scalars import ONE, ZERO, CoeffQ, _make
 
 NEG_INF = float("-inf")
+_F0 = Fraction(0)
+_new = object.__new__
 
 
-def _norm_coeffs(coeffs) -> tuple:
-    out = [CoeffQ.of(c) for c in coeffs]
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
+def _trim(coeffs: list) -> tuple:
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _unipoly(coeffs: list) -> "UniPoly":
+    """UniPoly from a list of CoeffQ (consumed); trims trailing zeros, coerces nothing."""
+    f = _new(UniPoly)
+    f.coeffs = _trim(coeffs)
+    return f
+
+
+def _from_parts(re: list, im: list) -> "UniPoly":
+    return _unipoly([_make(r, i) for r, i in zip(re, im)])
+
+
+def _parts(f: "UniPoly"):
+    """Fresh (re, im) lists of f's coefficient parts, for the raw kernels."""
+    return [c.re for c in f.coeffs], [c.im for c in f.coeffs]
+
+
+def _taylor_shift(re: list, im: list, a: CoeffQ) -> None:
+    """In place: the parts of f become those of f(x + a) (Horner, c[j] += a*c[j+1])."""
+    ar, ai = a.re, a.im
+    has_r, has_i = bool(ar), bool(ai)
+    n = len(re)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            r, m = re[j + 1], im[j + 1]
+            if r:
+                if has_r:
+                    re[j] += ar * r
+                if has_i:
+                    im[j] += ai * r
+            if m:
+                if has_r:
+                    im[j] += ar * m
+                if has_i:
+                    re[j] -= ai * m
 
 
 class UniPoly:
@@ -35,7 +80,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _norm_coeffs(coeffs)
+        self.coeffs = _trim([CoeffQ.of(c) for c in coeffs])
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -65,10 +110,10 @@ class UniPoly:
     def coeff(self, k: int) -> CoeffQ:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return CoeffQ(0)
+        return ZERO
 
     def lead(self) -> CoeffQ:
-        return self.coeffs[-1] if self.coeffs else CoeffQ(0)
+        return self.coeffs[-1] if self.coeffs else ZERO
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -77,43 +122,35 @@ class UniPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] = out[k] + c
-        return UniPoly(out)
+        return _unipoly(out)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return _unipoly([-c for c in self.coeffs])
 
     def scale(self, c) -> "UniPoly":
         c = CoeffQ.of(c)
         if c.is_zero():
-            return UniPoly.zero()
-        return UniPoly(tuple(a * c for a in self.coeffs))
+            return _ZERO_POLY
+        return _unipoly([a * c for a in self.coeffs])
 
     def derivative(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("negative derivative order")
         if order == 0:
             return self
-        out = [self.coeffs[k] * perm(k, order) for k in range(order, len(self.coeffs))]
-        return UniPoly(out)
+        return _unipoly([self.coeffs[k] * perm(k, order) for k in range(order, len(self.coeffs))])
 
     def shift(self, a) -> "UniPoly":
-        """Taylor shift: returns g with g(x) = f(x + a), exactly."""
+        """Taylor shift: returns g with g(x) = f(x + a), exactly (Horner kernel)."""
         a = CoeffQ.of(a)
         if a.is_zero() or self.is_zero():
             return self
-        n = len(self.coeffs)
-        out = [CoeffQ(0)] * n
-        for m, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            p = CoeffQ(1)  # a^(m-k), built up as k descends
-            for k in range(m, -1, -1):
-                out[k] = out[k] + c * comb(m, k) * p
-                p = p * a
-        return UniPoly(out)
+        re, im = _parts(self)
+        _taylor_shift(re, im, a)
+        return _from_parts(re, im)
 
     def evaluate(self, x0) -> CoeffQ:
         x0 = CoeffQ.of(x0)
@@ -186,7 +223,7 @@ class BiPoly:
     def coord(self, n: int) -> UniPoly:
         if 0 <= n < len(self.coords):
             return self.coords[n]
-        return UniPoly.zero()
+        return _ZERO_POLY
 
     @property
     def num_coords(self) -> int:
@@ -217,21 +254,45 @@ class BiPoly:
     def shift(self, a, b) -> "BiPoly":
         """Returns G with G(x, y) = F(x + a, y + b), exactly.
 
-        Coordinates of G are G_k = sum_j f_{k+j}(x + a) * b^j / j!, the
-        y-direction Taylor expansion written in coordinate form.
+        Coordinates of G are G_k = sum_j f_{k+j}(x + a) * w_j with weights
+        w_j = b^j / j!, the y-direction Taylor expansion written in
+        coordinate form.
         """
-        b = CoeffQ.of(b)
-        shifted = [f.shift(a) for f in self.coords]
-        n = len(shifted)
+        a, b = CoeffQ.of(a), CoeffQ.of(b)
+        cols = [_parts(f) for f in self.coords]
+        if a:
+            for re, im in cols:
+                _taylor_shift(re, im, a)
+        if not b:
+            return BiPoly([_from_parts(re, im) for re, im in cols])
+        n = len(cols)
+        w = ONE
+        weights = [w]
+        for j in range(1, n):
+            w = w * b / j
+            weights.append(w)
+        width = max((len(re) for re, _ in cols), default=0)
         out = []
         for k in range(n):
-            acc = UniPoly.zero()
-            bp = CoeffQ(1)  # b^j
+            gr = [_F0] * width
+            gi = [_F0] * width
             for j in range(n - k):
-                if not bp.is_zero():
-                    acc = acc + shifted[k + j].scale(bp * Fraction(1, factorial(j)))
-                bp = bp * b
-            out.append(acc)
+                wr, wi = weights[j].re, weights[j].im
+                has_r, has_i = bool(wr), bool(wi)
+                fr, fi = cols[k + j]
+                for t in range(len(fr)):
+                    r, m = fr[t], fi[t]
+                    if r:
+                        if has_r:
+                            gr[t] += r * wr
+                        if has_i:
+                            gi[t] += r * wi
+                    if m:
+                        if has_r:
+                            gi[t] += m * wr
+                        if has_i:
+                            gr[t] -= m * wi
+            out.append(_from_parts(gr, gi))
         return BiPoly(out)
 
     def evaluate(self, x0, y0) -> CoeffQ:
@@ -300,3 +361,6 @@ class BiPoly:
             else:
                 terms.append(f"{c}*{body}")
         return " + ".join(terms) if terms else "0"
+
+
+_ZERO_POLY = UniPoly.zero()

@@ -10,7 +10,7 @@ coefficients and therefore spans the same lattice of subspaces.
 from __future__ import annotations
 
 from .linalg import kernel_basis, mat_vec, reduce_against, rref, transpose
-from .poly import BiPoly, UniPoly
+from .poly import NEG_INF, BiPoly, UniPoly
 from .scalars import CoeffQ
 
 _Z = CoeffQ(0)
@@ -126,7 +126,7 @@ class TupleFrame:
     def to_vec(self, tup):
         v = [_Z] * len(self.index)
         for i, f in enumerate(tup):
-            if f.degree != float("-inf") and f.degree >= self.bound:
+            if f.degree != NEG_INF and f.degree >= self.bound:
                 raise ValueError("tuple component exceeds frame degree bound")
             for m, c in enumerate(f.coeffs):
                 if not c.is_zero():

@@ -41,6 +41,37 @@ def test_poly_shift(capsys):
     assert got == want
 
 
+GAUSS_POLY = '{"coords":[[{"re":"1","im":"2"},0,{"re":"-3","im":"1"}],[0,{"re":"0","im":"-1"}],[2]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly-eval", "--poly", GAUSS_POLY, "--x", "1/2", "--y", "-2/3"],
+        ["poly-eval", "--json", "--poly", GAUSS_POLY, "--x", "-1", "--y", "-2/3"],
+        ["poly-eval", "--json", "--poly", GAUSS_POLY, "--x", '{"re":"-1/2","im":"-3"}', "--y", "-0"],
+        ["poly-shift", "--json", "--poly", GAUSS_POLY, "--a", "-5/2", "--b", "-2/3"],
+        ["poly-shift", "--poly", GAUSS_POLY, "--a", '{"re":"-1","im":"1/2"}', "--b", "-7"],
+    ],
+)
+def test_scalar_flags_take_negative_values(capsys, argv):
+    # "--y -2/3" and "--y=-2/3" must mean the same; argparse alone reads -2/3 as a flag
+    bound = []
+    for tok in argv:
+        if bound and bound[-1] in ("--x", "--y", "--a", "--b"):
+            bound[-1] = f"{bound[-1]}={tok}"
+        else:
+            bound.append(tok)
+    assert run(argv) == 0
+    separate = capsys.readouterr().out
+    assert run(bound) == 0
+    assert capsys.readouterr().out == separate
+
+
+def test_scalar_flag_before_an_option_is_a_usage_error(capsys):
+    assert run(["poly-eval", "--poly", GAUSS_POLY, "--x", "--json", "--y", "1"]) == 2
+
+
 def test_poly_diff(capsys):
     code, payload = _json_out(
         capsys,

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from conftest import rand_scalar, rand_unipoly
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.rings import ring
 
 from polymod import BiPoly, CoeffQ, UniPoly
 from polymod.poly import NEG_INF
@@ -142,3 +147,115 @@ def test_monomial_terms_display_weights():
 def test_str_conventional_notation():
     g = BiPoly.from_coords([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
     assert str(g) == "x^2 + 2*x*y + y^2"
+
+
+# ---------------------------------------------------------------------------
+# differential: the Horner shifts against the binomial-sum reference and sympy
+# ---------------------------------------------------------------------------
+
+def ref_unipoly_shift(f: UniPoly, a) -> UniPoly:
+    """The binomial-sum Taylor shift UniPoly.shift used before the Horner kernel."""
+    a = CoeffQ.of(a)
+    if a.is_zero() or f.is_zero():
+        return f
+    out = [CoeffQ(0)] * len(f.coeffs)
+    for m, c in enumerate(f.coeffs):
+        if c.is_zero():
+            continue
+        p = CoeffQ(1)  # a^(m-k), built up as k descends
+        for k in range(m, -1, -1):
+            out[k] = out[k] + c * comb(m, k) * p
+            p = p * a
+    return UniPoly(out)
+
+
+def ref_bipoly_shift(F: BiPoly, a, b) -> BiPoly:
+    """The BiPoly.shift used before the raw-value kernels: G_k = sum_j f_{k+j}(x + a) b^j / j!."""
+    b = CoeffQ.of(b)
+    shifted = [ref_unipoly_shift(f, a) for f in F.coords]
+    n = len(shifted)
+    out = []
+    for k in range(n):
+        acc = UniPoly.zero()
+        bp = CoeffQ(1)  # b^j
+        for j in range(n - k):
+            if not bp.is_zero():
+                acc = acc + shifted[k + j].scale(bp * Fraction(1, factorial(j)))
+            bp = bp * b
+        out.append(acc)
+    return BiPoly(out)
+
+
+def _shift_cases():
+    rng = random.Random(0x7A1105)
+    gauss = CoeffQ(Fraction(-3, 2), Fraction(2, 3))
+    const = BiPoly.embed(UniPoly.const(CoeffQ(5, -1)))
+    yield "zero", BiPoly.zero(), gauss, CoeffQ(1, 1)
+    yield "real-const", BiPoly.embed(UniPoly.const(Fraction(-7, 3))), gauss, gauss
+    yield "gauss-const", const, CoeffQ(0), gauss
+    yield "y-const", BiPoly.from_coords([UniPoly.zero(), UniPoly.zero(), UniPoly.const(2)]), gauss, gauss
+    # (coordinates, x-degree, complex coefficients, a, b); "0" forces a zero shift
+    shapes = [
+        (40, 12, False, "real", "gauss"),
+        (40, 12, True, "gauss", "gauss"),
+        (12, 12, True, "0", "gauss"),
+        (12, 12, False, "gauss", "0"),
+        (9, 6, True, "0", "0"),
+        (15, 4, False, "real", "real"),
+        (6, 12, True, "real", "gauss"),
+        (20, 3, True, "gauss", "real"),
+        (1, 12, True, "gauss", "gauss"),
+        (25, 0, False, "gauss", "gauss"),
+    ]
+    for ncoords, deg, complex_ok, a_kind, b_kind in shapes:
+        coords = [rand_unipoly(rng, deg, complex_ok) for _ in range(ncoords - 1)]
+        # a last coordinate of full x-degree, so every case has its stated shape
+        coords.append(UniPoly([rand_scalar(rng, complex_ok) for _ in range(deg)] + [CoeffQ(1, int(complex_ok))]))
+        name = f"{ncoords}x{deg}-{'gauss' if complex_ok else 'real'}-a_{a_kind}-b_{b_kind}"
+        yield name, BiPoly.from_coords(coords), _rand_shift(rng, a_kind), _rand_shift(rng, b_kind)
+
+
+def _rand_shift(rng: random.Random, kind: str) -> CoeffQ:
+    """Zero for kind "0", else a nonzero real or Gaussian shift."""
+    if kind == "0":
+        return CoeffQ(0)
+    re = rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    return CoeffQ(re) if kind == "real" else CoeffQ(re, rng.choice([-2, -1, 1, 3]))
+
+
+SHIFT_CASES = list(_shift_cases())
+
+
+def _qq(x: Fraction):
+    return QQ(x.numerator, x.denominator)
+
+
+def _qq_i(c: CoeffQ):
+    return QQ_I(_qq(c.re), _qq(c.im))
+
+
+def _sympy_shift(F: BiPoly, a: CoeffQ, b: CoeffQ):
+    """F(x + a, y + b) expanded by sympy's sparse polynomials over QQ_I."""
+    R, x, y = ring("x,y", QQ_I)
+    return _to_ring(F, R, x, y).compose([(x, x + _qq_i(a)), (y, y + _qq_i(b))]), (R, x, y)
+
+
+def _to_ring(F: BiPoly, R, x, y):
+    out = R(0)
+    for (i, j), c in F.monomial_terms():
+        out += _qq_i(c) * x**i * y**j
+    return out
+
+
+@pytest.mark.parametrize("name, F, a, b", SHIFT_CASES, ids=[c[0] for c in SHIFT_CASES])
+def test_shift_matches_reference_and_sympy(name, F, a, b):
+    G = F.shift(a, b)
+    assert G == ref_bipoly_shift(F, a, b)
+    for f in F.coords:
+        assert f.shift(a) == ref_unipoly_shift(f, a)
+    # the raw kernels hand back normalised Fraction parts, as CoeffQ always holds
+    assert all(not g.coeffs or g.coeffs[-1] for g in G.coords)
+    assert not G.coords or not G.coords[-1].is_zero()
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for g in G.coords for c in g.coeffs)
+    want, ring_vars = _sympy_shift(F, a, b)
+    assert _to_ring(G, *ring_vars) == want
