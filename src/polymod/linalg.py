@@ -113,7 +113,9 @@ def kernel_basis(rows, ncols=None):
         v = [_Z] * ncols
         v[fc] = _O
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            c = red[r][fc]
+            if c:
+                v[pc] = -c
         out.append(v)
     return out
 

@@ -182,7 +182,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     for k in range(1, n + 1):
         if cancel is not None:
             cancel.check()
-        powers.append(mat_mul(powers[-1], D))
+        powers.append(D if k == 1 else mat_mul(powers[-1], D))
         if is_zero_matrix(powers[-1]):
             p = k
             break

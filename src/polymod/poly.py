@@ -11,21 +11,25 @@ what makes differentiation-closed subspaces cheap to manipulate.
 
 Degrees of the zero polynomial are NEG_INF, which orders below every int.
 
-Taylor shifts work on raw values. UniPoly.shift copies the coefficients into
-two lists of Fraction parts (re, im) and runs the Horner kernel
-``_taylor_shift``, c[j] += a * c[j + 1], which makes n(n-1)/2 products by a
-and skips zero parts. BiPoly.shift x-shifts every coordinate with that
-kernel, builds the y-weights w_j = b^j / j! once and accumulates each
-G_k = sum_j f_{k+j} * w_j on the same raw parts; CoeffQ and UniPoly objects
-are made only for the result.
+Both Taylor shifts run on one exact integer kernel, ``_shift``, in the
+fraction-free manner of von zur Gathen and Gerhard (ISSAC 1997). Every input
+part is put over one common denominator D, so the coefficients become
+numerators in Z[i] (two int lists, re and im). For the x-shift, a = A/q with
+A in Z[i]: c_j is scaled by q^(N-j), N the largest x-degree, the Horner loop
+c[j] += A * c[j + 1] runs on integers, and output k is multiplied by q^k;
+the denominator is now D * q^N. For the y-shift, b = B/q': the weights
+w_j = b^j / j! are integers over W = q'^(n-1) * (n-1)!, and each
+G_k = sum_j f_{k+j} * w_j is accumulated on integers. Zero parts are
+skipped throughout. Each output part is built once with Fraction(num, den),
+so it is normalised by one gcd, not by one per product and sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, lcm, perm
 
-from .scalars import ONE, ZERO, CoeffQ, _make
+from .scalars import ZERO, CoeffQ, _make
 
 NEG_INF = float("-inf")
 _F0 = Fraction(0)
@@ -45,33 +49,83 @@ def _unipoly(coeffs: list) -> "UniPoly":
     return f
 
 
-def _from_parts(re: list, im: list) -> "UniPoly":
-    return _unipoly([_make(r, i) for r, i in zip(re, im)])
+def _over(parts) -> tuple:
+    """(integer numerators, common denominator) of some Fraction parts."""
+    den = lcm(*(p.denominator for p in parts))
+    return [p.numerator * (den // p.denominator) for p in parts], den
 
 
-def _parts(f: "UniPoly"):
-    """Fresh (re, im) lists of f's coefficient parts, for the raw kernels."""
-    return [c.re for c in f.coeffs], [c.im for c in f.coeffs]
-
-
-def _taylor_shift(re: list, im: list, a: CoeffQ) -> None:
-    """In place: the parts of f become those of f(x + a) (Horner, c[j] += a*c[j+1])."""
-    ar, ai = a.re, a.im
-    has_r, has_i = bool(ar), bool(ai)
-    n = len(re)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            r, m = re[j + 1], im[j + 1]
-            if r:
-                if has_r:
-                    re[j] += ar * r
-                if has_i:
-                    im[j] += ai * r
-            if m:
-                if has_r:
-                    im[j] += ar * m
-                if has_i:
-                    re[j] -= ai * m
+def _shift(cols, a: CoeffQ, b: CoeffQ) -> list:
+    """Coefficient lists of the coordinates of F(x + a, y + b), F given by its
+    coordinates' coefficient tuples cols (see the module doc for the kernel)."""
+    den = lcm(*(p.denominator for f in cols for c in f for p in (c.re, c.im)))
+    re = [[c.re.numerator * (den // c.re.denominator) for c in f] for f in cols]
+    im = [[c.im.numerator * (den // c.im.denominator) for c in f] for f in cols]
+    width = max(map(len, cols), default=0)
+    if a:
+        # a = A/q: shift q^N f(z/q) by A on integers, then z^k carries q^k
+        (ar, ai), q = _over((a.re, a.im))
+        qk = [q**k for k in range(width)]
+        for r, m in zip(re, im):
+            n = len(r)
+            if q != 1:
+                r[:] = [c * k for c, k in zip(r, reversed(qk))]
+                m[:] = [c * k for c, k in zip(m, reversed(qk))]
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    cr, cm = r[j + 1], m[j + 1]
+                    if cr:
+                        if ar:
+                            r[j] += ar * cr
+                        if ai:
+                            m[j] += ai * cr
+                    if cm:
+                        if ar:
+                            m[j] += ar * cm
+                        if ai:
+                            r[j] -= ai * cm
+            if q != 1:
+                r[:] = [c * k for c, k in zip(r, qk)]
+                m[:] = [c * k for c, k in zip(m, qk)]
+        den *= qk[-1]
+    if b:
+        # b = B/q: w_j = b^j / j! is B^j q^(n-1-j) (n-1)!/j! over W = q^(n-1) (n-1)!
+        (br, bi), q = _over((b.re, b.im))
+        n = len(cols)
+        s = [1] * n
+        for j in range(n - 2, -1, -1):
+            s[j] = s[j + 1] * q * (j + 1)
+        wr, wi = [], []
+        pr, pi = 1, 0
+        for sj in s:
+            wr.append(pr * sj)
+            wi.append(pi * sj)
+            pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        den *= s[0]
+        gre, gim = [], []
+        for k in range(n):
+            gr = [0] * width
+            gi = [0] * width
+            for j in range(n - k):
+                vr, vi = wr[j], wi[j]
+                for t, (cr, cm) in enumerate(zip(re[k + j], im[k + j])):
+                    if cr:
+                        if vr:
+                            gr[t] += cr * vr
+                        if vi:
+                            gi[t] += cr * vi
+                    if cm:
+                        if vr:
+                            gi[t] += cm * vr
+                        if vi:
+                            gr[t] -= cm * vi
+            gre.append(gr)
+            gim.append(gi)
+        re, im = gre, gim
+    return [
+        [_make(Fraction(cr, den) if cr else _F0, Fraction(cm, den) if cm else _F0) for cr, cm in zip(r, m)]
+        for r, m in zip(re, im)
+    ]
 
 
 class UniPoly:
@@ -144,13 +198,11 @@ class UniPoly:
         return _unipoly([self.coeffs[k] * perm(k, order) for k in range(order, len(self.coeffs))])
 
     def shift(self, a) -> "UniPoly":
-        """Taylor shift: returns g with g(x) = f(x + a), exactly (Horner kernel)."""
+        """Taylor shift: returns g with g(x) = f(x + a), exactly (integer Horner kernel)."""
         a = CoeffQ.of(a)
         if a.is_zero() or self.is_zero():
             return self
-        re, im = _parts(self)
-        _taylor_shift(re, im, a)
-        return _from_parts(re, im)
+        return _unipoly(_shift([self.coeffs], a, ZERO)[0])
 
     def evaluate(self, x0) -> CoeffQ:
         x0 = CoeffQ.of(x0)
@@ -256,44 +308,12 @@ class BiPoly:
 
         Coordinates of G are G_k = sum_j f_{k+j}(x + a) * w_j with weights
         w_j = b^j / j!, the y-direction Taylor expansion written in
-        coordinate form.
+        coordinate form; both directions run on the integer kernel.
         """
         a, b = CoeffQ.of(a), CoeffQ.of(b)
-        cols = [_parts(f) for f in self.coords]
-        if a:
-            for re, im in cols:
-                _taylor_shift(re, im, a)
-        if not b:
-            return BiPoly([_from_parts(re, im) for re, im in cols])
-        n = len(cols)
-        w = ONE
-        weights = [w]
-        for j in range(1, n):
-            w = w * b / j
-            weights.append(w)
-        width = max((len(re) for re, _ in cols), default=0)
-        out = []
-        for k in range(n):
-            gr = [_F0] * width
-            gi = [_F0] * width
-            for j in range(n - k):
-                wr, wi = weights[j].re, weights[j].im
-                has_r, has_i = bool(wr), bool(wi)
-                fr, fi = cols[k + j]
-                for t in range(len(fr)):
-                    r, m = fr[t], fi[t]
-                    if r:
-                        if has_r:
-                            gr[t] += r * wr
-                        if has_i:
-                            gi[t] += r * wi
-                    if m:
-                        if has_r:
-                            gi[t] += m * wr
-                        if has_i:
-                            gr[t] -= m * wi
-            out.append(_from_parts(gr, gi))
-        return BiPoly(out)
+        if self.is_zero() or not (a or b):
+            return self
+        return BiPoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b)])
 
     def evaluate(self, x0, y0) -> CoeffQ:
         y0 = CoeffQ.of(y0)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from conftest import rand_scalar, rand_unipoly
@@ -257,5 +257,54 @@ def test_shift_matches_reference_and_sympy(name, F, a, b):
     assert all(not g.coeffs or g.coeffs[-1] for g in G.coords)
     assert not G.coords or not G.coords[-1].is_zero()
     assert all(type(c.re) is Fraction and type(c.im) is Fraction for g in G.coords for c in g.coeffs)
+    want, ring_vars = _sympy_shift(F, a, b)
+    assert _to_ring(G, *ring_vars) == want
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: common denominators, q^k scaling, weight denominators
+# ---------------------------------------------------------------------------
+
+P61 = 2**61 - 1
+
+
+def _kernel_polys():
+    q = Fraction
+    yield "unequal-with-zero-coords", BiPoly.from_coords([
+        UniPoly([CoeffQ(q(3, 997), q(-1, P61)), q(-2, 7), 0, q(1, 6), CoeffQ(0, q(4, 5))]),
+        UniPoly.zero(),
+        UniPoly([q(5, P61), CoeffQ(q(-1, 3), 2)]),
+        UniPoly.zero(),
+        UniPoly.zero(),
+        UniPoly([1, 0, CoeffQ(q(2, 997), q(1, 11)), q(-9, 4), 0, q(P61 - 2, 997 * 3), CoeffQ(1, -1)]),
+    ])
+    yield "single-coord", BiPoly.embed(
+        UniPoly([q(1, 997), CoeffQ(q(-2, 3), q(5, P61)), 0, 0, q(7, 2), CoeffQ(0, q(-1, 6)), 0, q(11, 997)])
+    )
+
+
+KERNEL_SHIFTS = [
+    ("coprime-parts", CoeffQ(Fraction(1, 6), Fraction(5, 7)), CoeffQ(Fraction(-3, 5), Fraction(2, 11))),
+    ("imaginary", CoeffQ(0, Fraction(3, 4)), CoeffQ(0, Fraction(-2, 9))),
+    ("large-dens", CoeffQ(Fraction(-1, 997), Fraction(1, P61)), CoeffQ(Fraction(P61, 997))),
+]
+KERNEL_CASES = [
+    (f"{fname}-{sname}", F, a, b) for fname, F in _kernel_polys() for sname, a, b in KERNEL_SHIFTS
+]
+
+
+def _lowest_terms(x) -> bool:
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("name, F, a, b", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_integer_kernel_matches_reference_and_sympy(name, F, a, b):
+    G = F.shift(a, b)
+    assert G == ref_bipoly_shift(F, a, b)
+    for f in F.coords:
+        g = f.shift(a)
+        assert g == ref_unipoly_shift(f, a)
+        assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for c in g.coeffs)
+    assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for g in G.coords for c in g.coeffs)
     want, ring_vars = _sympy_shift(F, a, b)
     assert _to_ring(G, *ring_vars) == want
