@@ -13,13 +13,22 @@ steps. Hence deg f_n <= max seed degree - floor(n / s), and f_n = 0 for all
 n >= s * (1 + max seed degree). The bound is sharp. For s >= 2 it lies past
 the naive cutoff s + max seed degree, because a width-s window can carry each
 degree for s - 1 more steps.
+
+apply_L, the one recursion step, is an integer kernel like poly._shift. The
+slot coefficients that the terms with deg f_i >= j use go over one common
+denominator D, as numerators N_i in Z[i], and the entries over their own, Q.
+out_m = sum A_ij * perm(m + j, j) * N_i[m + j] is summed on integers, zero
+parts skipped, and each part is built once as Fraction(num, Q * D): one gcd.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import perm
+
 from .errors import ArityMismatch
-from .poly import BiPoly, UniPoly
-from .scalars import CoeffQ
+from .poly import _F0, _ZERO_POLY, BiPoly, UniPoly, _over, _unipoly
+from .scalars import CoeffQ, _make
 
 
 class GammaTable:
@@ -77,16 +86,45 @@ def dilated_shift_table(a) -> GammaTable:
 
 
 def apply_L(g: GammaTable, window) -> UniPoly:
-    """Apply the table's operator to a window of s univariate polynomials."""
+    """Apply the table's operator to a window of s univariate polynomials,
+    on the integer recursion-step kernel (see the module doc)."""
     window = list(window)
     if len(window) != g.s:
         raise ArityMismatch(f"window has {len(window)} entries, table width is {g.s}")
-    out = UniPoly.zero()
-    for (i, j), a in g.items():
-        f = window[i - 1]
-        if f.degree >= j:
-            out = out + f.derivative(j).scale(a)
-    return out
+    terms = [(i, j, a) for (i, j), a in g.items() if len(window[i - 1].coeffs) > j]
+    if not terms:
+        return _ZERO_POLY
+    # each slot's coefficients from its lowest j on; x^k of slot i is cs[start[i] + k]
+    start, cs = {}, []
+    for i, j, _a in terms:
+        if i not in start:
+            start[i] = len(cs) - j
+            cs.extend(window[i - 1].coeffs[j:])
+    h = len(cs)
+    nums, D = _over([c.re for c in cs] + [c.im for c in cs])
+    avals, Q = _over([a.re for _i, _j, a in terms] + [a.im for _i, _j, a in terms])
+    n = max(len(window[i - 1].coeffs) - j for i, j, _a in terms)
+    re, im = [0] * n, [0] * n
+    for (i, j, _a), ar, ai in zip(terms, avals, avals[len(terms) :]):
+        o = start[i] + j
+        for m in range(len(window[i - 1].coeffs) - j):
+            cr, cm = nums[o + m], nums[h + o + m]
+            if not (cr or cm):
+                continue
+            k = perm(m + j, j)
+            pr, pi = ar * k, ai * k
+            if cr:
+                if pr:
+                    re[m] += pr * cr
+                if pi:
+                    im[m] += pi * cr
+            if cm:
+                if pr:
+                    im[m] += pr * cm
+                if pi:
+                    re[m] -= pi * cm
+    den = Q * D
+    return _unipoly([_make(Fraction(r, den) if r else _F0, Fraction(c, den) if c else _F0) for r, c in zip(re, im)])
 
 
 def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:

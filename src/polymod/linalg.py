@@ -98,14 +98,14 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows, ncols=None):
+def kernel_basis(rows, ncols=None, cancel=None):
     """Basis of {x : A x = 0} for A given by rows; deterministic order."""
     if not rows:
         return [] if not ncols else [
             [(_O if i == j else _Z) for j in range(ncols)] for i in range(ncols)
         ]
     ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, cancel)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     out = []
@@ -120,7 +120,7 @@ def kernel_basis(rows, ncols=None):
     return out
 
 
-def solve(rows, rhs):
+def solve(rows, rhs, cancel=None):
     """Solve A x = rhs. Returns (solution with free vars 0, free columns) or None.
 
     None means inconsistent. rows may be empty (then x = 0 works iff rhs empty
@@ -130,7 +130,7 @@ def solve(rows, rhs):
         return [], []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = rref(aug, cancel)
     for r, col in zip(red, pivots):
         if col == ncols:
             return None  # pivot in the rhs column: inconsistent

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
-from .linalg import identity, is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
+from .linalg import is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
 from .modules import MGamma, Md, Sum, contains, phi
 from .poly import BiPoly
 from .scalars import CoeffQ
@@ -43,7 +43,7 @@ def _pinning_order(polys, ks, cancel=None):
         if cancel is not None:
             cancel.check()
         prefix = [k for (_i, n), k in frame.index.items() if n < K]
-        kernel = vanishing_part(vecs, prefix)
+        kernel = vanishing_part(vecs, prefix, cancel)
         witness = next((v for v in kernel if any(v)), None)
         if witness is None:
             return K, len(kernel), tuple(refuted)
@@ -111,7 +111,7 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
             rhs.append(target.coeff(m))
     if not rows:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
-    sol = solve(rows, rhs)
+    sol = solve(rows, rhs, cancel)
     if sol is None:
         raise NotAnLModule(
             "no operator table of the requested shape reproduces coordinate "
@@ -177,24 +177,25 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     n = len(D)
     if n == 0:
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
-    powers = [identity(n)]
+    powers = []  # powers[t] = D^(t+1)
     p = None
     for k in range(1, n + 1):
         if cancel is not None:
             cancel.check()
-        powers.append(D if k == 1 else mat_mul(powers[-1], D))
+        powers.append(mat_mul(powers[-1], D) if powers else D)
         if is_zero_matrix(powers[-1]):
             p = k
             break
     if p is None:
         raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
-    kernels = [kernel_basis(powers[k], ncols=n) for k in range(p + 1)]
+    # kernels[k] = ker D^k, and ker D^0 is zero
+    kernels = [[]] + [kernel_basis(P, ncols=n) for P in powers]
     chains: list[tuple[tuple, int]] = []
     for k in range(p, 0, -1):
-        # U = ker D^{k-1} + height-k vectors of already chosen chains
+        # U = ker D^{k-1} + D^(length-k) u of chains chosen at a larger k
         U = [list(v) for v in kernels[k - 1]]
         for u, length in chains:
-            U.append(mat_vec(powers[length - k], list(u)))
+            U.append(mat_vec(powers[length - k - 1], list(u)))
         red, pivots = rref(U)
         for cand in kernels[k]:
             if cancel is not None:

@@ -51,8 +51,9 @@ def _unipoly(coeffs: list) -> "UniPoly":
 
 def _over(parts) -> tuple:
     """(integer numerators, common denominator) of some Fraction parts."""
-    den = lcm(*(p.denominator for p in parts))
-    return [p.numerator * (den // p.denominator) for p in parts], den
+    ratios = [p.as_integer_ratio() for p in parts]
+    den = lcm(*[d for _n, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _shift(cols, a: CoeffQ, b: CoeffQ) -> list:

@@ -80,14 +80,14 @@ def in_span(p: BiPoly, basis, return_combo: bool = False):
     return ok
 
 
-def vanishing_part(vecs, positions):
+def vanishing_part(vecs, positions, cancel=None):
     """Combinations of vecs that vanish at every position: one vector
     sum_r c_r * vecs[r] per kernel_basis vector c of the restriction of vecs
     to positions, in kernel_basis order and not reduced."""
     if not vecs:
         return []
     cols = transpose(vecs)
-    return [mat_vec(cols, c) for c in kernel_basis([cols[k] for k in positions], ncols=len(vecs))]
+    return [mat_vec(cols, c) for c in kernel_basis([cols[k] for k in positions], len(vecs), cancel)]
 
 
 def restrict_degree(polys, bound: int):

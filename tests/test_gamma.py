@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from sympy import QQ_I
+from sympy.polys.rings import ring
 
 from polymod import (
     ArityMismatch,
@@ -15,7 +19,8 @@ from polymod import (
     shift_invariance_table,
 )
 
-from conftest import rand_gamma, rand_unipoly
+from conftest import rand_gamma, rand_scalar, rand_unipoly
+from test_poly import _qq_i
 
 
 def _table(s, **entries):
@@ -170,3 +175,86 @@ def test_shift_invariance_table_shape():
     assert g.s == 1 and dict(g.items()) == {(1, 1): CoeffQ.of(1)}
     gd = dilated_shift_table(3)
     assert dict(gd.items()) == {(1, 1): CoeffQ.of(3)}
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of apply_L: numerators over Q * D, one gcd per part
+# ---------------------------------------------------------------------------
+
+P61 = 2**61 - 1
+
+
+def ref_apply_l(g, window):
+    """The operator as derivative, scale and sum, one table term at a time."""
+    out = UniPoly.zero()
+    for (i, j), a in g.items():
+        f = window[i - 1]
+        if f.degree >= j:
+            out = out + f.derivative(j).scale(a)
+    return out
+
+
+def _to_ring(f: UniPoly, R, x):
+    return sum((_qq_i(c) * x**k for k, c in enumerate(f.coeffs)), R(0))
+
+
+def _sympy_apply_l(g, window):
+    """The operator applied by sympy's sparse polynomials over QQ_I."""
+    R, x = ring("x", QQ_I)
+    out = R(0)
+    for (i, j), a in g.items():
+        d = _to_ring(window[i - 1], R, x)
+        for _ in range(j):
+            d = d.diff(x)
+        out += _qq_i(a) * d
+    return out, (R, x)
+
+
+def _kernel_cases():
+    q = Fraction
+    c = CoeffQ(q(1, 6), q(5, 7))
+    f = UniPoly([CoeffQ(q(3, 997), q(-1, P61)), q(-2, 7), 0, q(1, 6), CoeffQ(0, q(4, 5)), q(P61 - 2, 997)])
+    yield "coprime-parts-w1", GammaTable(1, {(1, 1): c, (1, 3): CoeffQ(q(-2, 35), q(3, 11))}), [f], False
+    g = GammaTable(2, {(1, 1): q(1, 997), (2, 2): CoeffQ(q(-3, P61), q(5, 997)), (1, 4): CoeffQ(0, q(1, P61))})
+    yield "large-dens-w2", g, [
+        UniPoly([q(5, P61), CoeffQ(q(-1, 3), 2), 0, 0, q(7, 997), CoeffQ(q(1, P61), q(-1, 997)), 1, q(11, 6)]),
+        UniPoly([CoeffQ(0, q(2, 997)), q(1, 11), CoeffQ(q(-9, 4), q(1, P61)), q(P61, 997 * 3)]),
+    ], False
+    # slot 1 is zero and slot 2 has degree 1 < j = 2: only slot 3 contributes
+    g = GammaTable(3, {(1, 1): c, (2, 2): q(-1, 997), (3, 1): CoeffQ(0, q(3, 4)), (3, 3): c})
+    yield "zero-and-low-slots-w3", g, [
+        UniPoly.zero(),
+        UniPoly([q(1, 6), CoeffQ(q(2, 7), q(1, P61))]),
+        UniPoly([1, CoeffQ(q(1, 997), q(-5, 7)), 0, q(4, 3), CoeffQ(0, q(1, 6)), q(-2, P61)]),
+    ], False
+    yield "all-below-order-w3", GammaTable(3, {(1, 3): c, (2, 3): 1, (3, 4): -c}), [
+        UniPoly([q(1, 6), 1, CoeffQ(0, q(5, 7))]), UniPoly.x(), UniPoly.const(q(1, P61)),
+    ], True
+    # the terms cancel pairwise: a_{1,j} f^(j) + a_{2,j} f^(j) with a_{2,j} = -a_{1,j}
+    d = CoeffQ(q(-3, 997), q(1, P61))
+    yield "cancelling-w2", GammaTable(2, {(1, 1): c, (2, 1): -c, (1, 2): d, (2, 2): -d}), [f, f], True
+    yield "zero-window-w2", GammaTable(2, {(1, 1): c, (2, 2): d}), [UniPoly.zero(), UniPoly.zero()], True
+    rng = random.Random(0xA11)
+    for s in (1, 2, 3):
+        entries = {(i, j): rand_scalar(rng) for i in range(1, s + 1) for j in range(1, 5) if rng.random() < 0.6}
+        entries[(s, 1)] = CoeffQ(q(rng.randint(1, 9), 997), q(-rng.randint(1, 9), 6))
+        window = [rand_unipoly(rng, 7) for _ in range(s)]
+        yield f"seeded-w{s}", GammaTable(s, entries), window, False
+
+
+KERNEL_CASES = list(_kernel_cases())
+
+
+def _lowest_terms(x) -> bool:
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("name, g, window, is_zero", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_apply_l_kernel_matches_reference_and_sympy(name, g, window, is_zero):
+    out = apply_L(g, window)
+    assert out == ref_apply_l(g, window)
+    assert out.is_zero() == is_zero
+    assert not out.coeffs or not out.coeffs[-1].is_zero()
+    assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for c in out.coeffs)
+    want, ring_vars = _sympy_apply_l(g, window)
+    assert _to_ring(out, *ring_vars) == want

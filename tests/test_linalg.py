@@ -166,3 +166,31 @@ def test_rref_polls_once_per_pivot_and_cancels_cleanly():
             assert stub.calls == n
             assert m == snapshot
         assert rref(m, cancel=_CountingToken(fire_at=token.calls + 1)) == (rows, pivots)
+
+
+@pytest.mark.parametrize("which", ["solve", "kernel_basis"])
+def test_solve_and_kernel_basis_poll_once_per_pivot_and_cancel_cleanly(which):
+    rng = random.Random(12)
+    for m in _cancel_corpus():
+        ncols = len(m[0])
+        rhs = mat_vec(m, [rand_scalar(rng) for _ in range(ncols)])
+        if which == "solve":
+            def run(cancel):
+                return solve(m, rhs, cancel=cancel)
+            pivots = rref([list(r) + [b] for r, b in zip(m, rhs)])[1]
+        else:
+            def run(cancel):
+                return kernel_basis(m, ncols=ncols, cancel=cancel)
+            pivots = rref(m)[1]
+        snapshot = [list(r) for r in m]
+        token = _CountingToken()
+        want = run(token)
+        assert pivots and token.calls >= len(pivots)
+        # a token firing on any poll stops the call with no result and the input untouched
+        for n in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                run(stub)
+            assert stub.calls == n
+            assert m == snapshot
+        assert run(_CountingToken(fire_at=token.calls + 1)) == want

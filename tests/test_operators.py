@@ -4,6 +4,7 @@ import pytest
 
 from polymod import (
     BiPoly,
+    Cancelled,
     CoeffQ,
     GammaTable,
     MGamma,
@@ -25,8 +26,11 @@ from polymod import (
     shift_invariance_table,
 )
 from polymod.linalg import identity, mat_mul, mat_vec, rank
+from polymod.operators import _pinning_order
+from polymod.spans import span_reduce
 
 from conftest import invert, rand_nilpotent
+from test_linalg import _CountingToken
 
 GS = shift_invariance_table()
 
@@ -87,6 +91,24 @@ def test_infer_l_underdetermined_lists_slots():
         infer_L(basis, 1, deg_bound=5)
     slots = exc.value.free_slots
     assert slots and all(j >= 3 for (_i, j) in slots)
+
+
+def test_infer_l_polls_through_its_solve_and_cancels_cleanly():
+    basis = _monomial_basis(GS, 5)
+    token = _CountingToken()
+    assert infer_L(basis, 1, deg_bound=5, cancel=token) == GS
+    # the polls before the final solve: span_reduce, the pinning check at
+    # K = s with its vanishing_part, and one per reduced element
+    before = _CountingToken()
+    reduced = span_reduce(list(basis), cancel=before)
+    _pinning_order(reduced, (1,), before)
+    # the solve pins all 5 slots a_{1,1..5}, one pivot and one poll each
+    assert token.calls - before.calls - len(reduced) >= 5
+    for n in range(1, token.calls + 1):
+        stub = _CountingToken(fire_at=n)
+        with pytest.raises(Cancelled):
+            infer_L(basis, 1, deg_bound=5, cancel=stub)
+        assert stub.calls == n
 
 
 def test_infer_l_validation():
