@@ -36,14 +36,12 @@ from .gamma import (
     shift_invariance_table,
 )
 from .lognum import (
-    MODE_EXACT,
     MODE_UPPER,
     SLACK_LOG,
     TOWER_CAP,
     LogNum,
     e_tower_log,
     log_add,
-    log_div,
     log_mul,
     log_pow,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "FiniteGen",
     "GammaTable",
     "LogNum",
-    "MODE_EXACT",
     "MODE_UPPER",
     "SLACK_LOG",
     "TOWER_CAP",
@@ -128,7 +125,6 @@ __all__ = [
     "infer_L",
     "is_translation_invariant",
     "log_add",
-    "log_div",
     "log_mul",
     "log_pow",
     "mgamma_contains",

@@ -177,11 +177,10 @@ def mgamma_contains(g: GammaTable, F: BiPoly):
     for n in range(g.s, top + 1):
         window = [F.coord(n - g.s + k) for k in range(g.s)]
         expected = apply_L(g, window)
-        residual = F.coord(n) - expected
-        if not residual.is_zero():
+        if F.coord(n) != expected:
             return False, {
                 "reason": "recursion-mismatch",
                 "n": n,
-                "residual": residual,
+                "residual": F.coord(n) - expected,
             }
     return True, {"reason": "recursion-verified", "checked_upto": top}

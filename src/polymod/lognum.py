@@ -1,16 +1,13 @@
 """Signed log-magnitude arithmetic with certified upward slack.
 
 A LogNum stores sign and ln|value| as a high-precision real (128 working
-bits, so at least 80 effective mantissa bits with over 20 guard bits). Two
-modes:
-
-    exact-ish    best-effort round-to-nearest; opposite-sign addition can
-                 cancel and lose precision, which is documented behavior
-    upper-bound  every operation pads the magnitude by a fixed relative
-                 slack of 2^-40, far above the per-op rounding error of the
-                 working precision, so results are certified upper bounds on
-                 the magnitude of the true value; addition dominates any
-                 signed sum by |a| + |b|
+bits, so at least 80 effective mantissa bits with over 20 guard bits). Every
+LogNum is a certified upper bound on the magnitude of the value it stands
+for: each operation pads the magnitude by a fixed relative slack of 2^-40,
+far above the per-op rounding error of the working precision, and addition
+dominates any signed sum by |a| + |b|. A type whose values are upper bounds
+cannot divide soundly (an upper bound on |b| is a lower bound on 1/|b|), so
+there is no division and powers take positive integer exponents only.
 
 Tower exponentials: e_tower_log(k, n) returns ln(e_k(n)) where e_1 = exp and
 e_{k+1} = exp o e_k. The representation holds ln e_3(n) = e_2(n) because the
@@ -31,71 +28,42 @@ PRECISION = 128
 SLACK_LOG = mpf(2) ** -40  # per-op additive pad on ln|x|; ln(1+2^-40) < 2^-40
 TOWER_CAP = 700
 
-MODE_EXACT = "exact-ish"
 MODE_UPPER = "upper-bound"
 
 
-def _join_modes(*modes) -> str:
-    return MODE_UPPER if MODE_UPPER in modes else MODE_EXACT
-
-
 class LogNum:
-    __slots__ = ("sign", "log_mag", "mode")
+    __slots__ = ("sign", "log_mag")
+    mode = MODE_UPPER
 
-    def __init__(self, sign: int, log_mag, mode: str = MODE_EXACT):
+    def __init__(self, sign: int, log_mag):
         if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or 1")
-        if mode not in (MODE_EXACT, MODE_UPPER):
-            raise ValueError(f"unknown mode {mode!r}")
         self.sign = sign
         # convert at working precision: mpf() rounds to the ambient context,
         # which would silently truncate 128-bit results to double precision
         with mp.workprec(PRECISION):
             self.log_mag = mpf(0) if sign == 0 else mpf(log_mag)
-        self.mode = mode
 
     @classmethod
-    def zero(cls, mode: str = MODE_EXACT) -> "LogNum":
-        return cls(0, 0, mode)
+    def zero(cls) -> "LogNum":
+        return cls(0, 0)
 
     @classmethod
-    def from_log(cls, log_mag, sign: int = 1, mode: str = MODE_EXACT) -> "LogNum":
-        return cls(sign, log_mag, mode)
-
-    @classmethod
-    def from_rational(cls, value, mode: str = MODE_EXACT) -> "LogNum":
+    def from_rational(cls, value) -> "LogNum":
         value = Fraction(value)
         if value == 0:
-            return cls.zero(mode)
+            return cls.zero()
         sign = 1 if value > 0 else -1
         with mp.workprec(PRECISION):
-            lm = log(mpf(abs(value.numerator))) - log(mpf(value.denominator))
-            if mode == MODE_UPPER:
-                lm += SLACK_LOG  # conversion rounds; pad keeps the bound sound
-        return cls(sign, lm, mode)
-
-    def as_upper(self) -> "LogNum":
-        if self.mode == MODE_UPPER:
-            return self
-        return LogNum(self.sign, self.log_mag + SLACK_LOG if self.sign else 0, MODE_UPPER)
+            # conversion rounds; the pad keeps the bound sound
+            lm = log(mpf(abs(value.numerator))) - log(mpf(value.denominator)) + SLACK_LOG
+        return cls(sign, lm)
 
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def __neg__(self) -> "LogNum":
-        return LogNum(-self.sign, self.log_mag, self.mode)
-
     def __abs__(self) -> "LogNum":
-        return LogNum(abs(self.sign), self.log_mag, self.mode)
-
-    def __mul__(self, other: "LogNum") -> "LogNum":
-        return log_mul(self, other)
-
-    def __add__(self, other: "LogNum") -> "LogNum":
-        return log_add(self, other)
-
-    def __truediv__(self, other: "LogNum") -> "LogNum":
-        return log_div(self, other)
+        return LogNum(abs(self.sign), self.log_mag)
 
     def log10(self):
         """log10 of the (positive) value."""
@@ -121,82 +89,41 @@ class LogNum:
         from mpmath import nstr
 
         if self.sign == 0:
-            return f"LogNum(0, mode={self.mode})"
+            return "LogNum(0)"
         s = "-" if self.sign < 0 else "+"
-        return f"LogNum({s}exp({nstr(self.log_mag, 10)}), mode={self.mode})"
+        return f"LogNum({s}exp({nstr(self.log_mag, 10)}))"
 
 
 def log_mul(a: LogNum, b: LogNum) -> LogNum:
-    mode = _join_modes(a.mode, b.mode)
     if a.sign == 0 or b.sign == 0:
-        return LogNum.zero(mode)
+        return LogNum.zero()
     with mp.workprec(PRECISION):
-        lm = a.log_mag + b.log_mag
-        if mode == MODE_UPPER:
-            lm += SLACK_LOG
-    return LogNum(a.sign * b.sign, lm, mode)
+        lm = a.log_mag + b.log_mag + SLACK_LOG
+    return LogNum(a.sign * b.sign, lm)
 
 
 def log_add(a: LogNum, b: LogNum) -> LogNum:
-    mode = _join_modes(a.mode, b.mode)
+    """Upper bound on |a + b|: |a| + |b|, positive unless both are negative."""
     if a.sign == 0:
-        return LogNum(b.sign, b.log_mag, mode)
+        return b
     if b.sign == 0:
-        return LogNum(a.sign, a.log_mag, mode)
+        return a
     with mp.workprec(PRECISION):
         hi = max(a.log_mag, b.log_mag)
         lo = min(a.log_mag, b.log_mag)
-        if mode == MODE_UPPER:
-            # |a| + |b| dominates any signed sum; sound for upper bounds
-            lm = hi + log(1 + exp(lo - hi)) + SLACK_LOG
-            sign = a.sign if a.sign == b.sign else 1
-            return LogNum(sign, lm, mode)
-        if a.sign == b.sign:
-            return LogNum(a.sign, hi + log(1 + exp(lo - hi)), mode)
-        # opposite signs: true subtraction; cancellation loses precision
-        if a.log_mag == b.log_mag:
-            return LogNum.zero(mode)
-        big = a if a.log_mag > b.log_mag else b
-        return LogNum(big.sign, hi + log(1 - exp(lo - hi)), mode)
+        lm = hi + log(1 + exp(lo - hi)) + SLACK_LOG
+    return LogNum(a.sign if a.sign == b.sign else 1, lm)
 
 
-def log_pow(a: LogNum, k) -> LogNum:
-    if isinstance(k, Fraction):
-        k_int = k.numerator if k.denominator == 1 else None
-    elif isinstance(k, int):
-        k_int = k
-    else:
-        k_int = int(k) if float(k).is_integer() else None
+def log_pow(a: LogNum, k: int) -> LogNum:
+    """a ** k for an int k >= 1."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"exponent must be an int >= 1, got {k!r}")
     if a.sign == 0:
-        if k_int is not None and k_int > 0 or (k_int is None and float(k) > 0):
-            return LogNum.zero(a.mode)
-        raise ValueError("0 cannot be raised to a nonpositive power")
-    if a.sign < 0:
-        if k_int is None:
-            raise ValueError("negative base needs an integer exponent")
-        sign = -1 if k_int % 2 else 1
-    else:
-        sign = 1
+        return a
     with mp.workprec(PRECISION):
-        if isinstance(k, Fraction):
-            kk = mpf(k.numerator) / mpf(k.denominator)
-        else:
-            kk = mpf(k)
-        lm = a.log_mag * kk
-        if a.mode == MODE_UPPER:
-            lm += SLACK_LOG
-    return LogNum(sign, lm, a.mode)
-
-
-def log_div(a: LogNum, b: LogNum) -> LogNum:
-    """a / b. In upper-bound mode the divisor's log is taken as exactly
-    known up to the shared slack (the pipeline only divides by tower values
-    whose logs are computed directly)."""
-    if b.sign == 0:
-        raise ZeroDivisionError("division by log-space zero")
-    with mp.workprec(PRECISION):
-        inv = LogNum(b.sign, -b.log_mag, b.mode)
-    return log_mul(a, inv)
+        lm = a.log_mag * k + SLACK_LOG
+    return LogNum(-1 if a.sign < 0 and k % 2 else 1, lm)
 
 
 def e_tower_log(k: int, n):

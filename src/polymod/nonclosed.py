@@ -33,7 +33,6 @@ from mpmath import log, mp, mpf, nstr
 from .errors import RangeExceeded, ThresholdUnmet
 from .gamma import GammaTable, apply_L
 from .lognum import (
-    MODE_UPPER,
     PRECISION,
     SLACK_LOG,
     TOWER_CAP,
@@ -57,7 +56,7 @@ def _up(log_mag) -> LogNum:
 
     One slack pad absorbs the placement rounding of the formula evaluation.
     """
-    return LogNum.from_log(mpf(log_mag) + SLACK_LOG, 1, MODE_UPPER)
+    return LogNum(1, mpf(log_mag) + SLACK_LOG)
 
 
 def _fmt(v) -> str:
@@ -345,17 +344,17 @@ def surrogate_bridge(coeffs) -> list:
 
     b1 = log_mul(
         log_mul(
-            LogNum.from_rational(eps, MODE_UPPER),
-            LogNum.from_rational(below_max, MODE_UPPER),
+            LogNum.from_rational(eps),
+            LogNum.from_rational(below_max),
         ),
-        LogNum.from_rational(math.factorial(n), MODE_UPPER),
+        LogNum.from_rational(math.factorial(n)),
     )
     step = log_mul(
         log_mul(
-            LogNum.from_rational(math.factorial(n - 1), MODE_UPPER),
-            LogNum.from_rational(n - 1, MODE_UPPER),
+            LogNum.from_rational(math.factorial(n - 1)),
+            LogNum.from_rational(n - 1),
         ),
-        LogNum.from_rational(below_max, MODE_UPPER),
+        LogNum.from_rational(below_max),
     )
 
     rows = []
@@ -364,6 +363,7 @@ def surrogate_bridge(coeffs) -> list:
     for k in range(1, n + 1):
         f = apply_L(gamma, [f])
         exact = _real_norm(f)
+        # from_rational pads the exact side too, so `within` is conservative
         within = exact == 0 or LogNum.from_rational(exact) <= bound
         rows.append({"k": k, "exact": exact, "bound": bound, "within": bool(within)})
         bound = log_mul(bound, step)

@@ -189,21 +189,21 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     if p is None:
         raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
     # kernels[k] = ker D^k, and ker D^0 is zero
-    kernels = [[]] + [kernel_basis(P, ncols=n) for P in powers]
+    kernels = [[]] + [kernel_basis(P, ncols=n, cancel=cancel) for P in powers]
     chains: list[tuple[tuple, int]] = []
     for k in range(p, 0, -1):
         # U = ker D^{k-1} + D^(length-k) u of chains chosen at a larger k
         U = [list(v) for v in kernels[k - 1]]
         for u, length in chains:
             U.append(mat_vec(powers[length - k - 1], list(u)))
-        red, pivots = rref(U)
+        red, pivots = rref(U, cancel)
         for cand in kernels[k]:
             if cancel is not None:
                 cancel.check()
             residual, _ = reduce_against(list(cand), red, pivots)
             if any(not c.is_zero() for c in residual):
                 chains.append((tuple(cand), k))
-                red, pivots = rref(red + [list(cand)])
+                red, pivots = rref(red + [list(cand)], cancel)
     basis_vectors = []
     for u, length in chains:
         v = list(u)

@@ -25,6 +25,7 @@ from polymod import (
     quotient_derivation,
     shift_invariance_table,
 )
+from polymod import operators
 from polymod.linalg import identity, mat_mul, mat_vec, rank
 from polymod.operators import _pinning_order
 from polymod.spans import span_reduce
@@ -252,6 +253,43 @@ def test_nilpotent_chains_rejects_non_nilpotent():
 def test_nilpotent_chains_empty():
     dec = nilpotent_chains([])
     assert dec.dim == 0 and dec.chains == ()
+
+
+def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng, monkeypatch):
+    active = []  # the elimination running now, as [name, polls so far]
+    finished = []  # (name, polls) of each elimination run on a nonempty input
+
+    def spy(name, fn):
+        def wrapped(rows, *args, **kwargs):
+            active.append([name, 0])
+            try:
+                return fn(rows, *args, **kwargs)
+            finally:
+                if rows:
+                    finished.append(tuple(active[-1]))
+                active.pop()
+        return wrapped
+
+    class _Token(_CountingToken):
+        def check(self):
+            if active:
+                active[-1][1] += 1
+            super().check()
+
+    monkeypatch.setattr(operators, "kernel_basis", spy("kernel_basis", operators.kernel_basis))
+    monkeypatch.setattr(operators, "rref", spy("rref", operators.rref))
+    for D in (quotient_derivation(2, 5, 1), rand_nilpotent(rng, 6)):
+        finished.clear()
+        token = _Token()
+        nilpotent_chains(D, cancel=token)
+        # every kernel_basis and rref it runs polls the token
+        assert {name for name, _polls in finished} == {"kernel_basis", "rref"}
+        assert all(polls for _name, polls in finished)
+        for m in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=m)
+            with pytest.raises(Cancelled):
+                nilpotent_chains(D, cancel=stub)
+            assert stub.calls == m
 
 
 def test_quotient_derivation_examples():

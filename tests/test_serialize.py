@@ -192,7 +192,7 @@ def test_matrix_from_json():
 
 def test_lognum_to_json():
     z = ser.lognum_to_json(LogNum.zero())
-    assert z == {"sign": 0, "mode": "exact-ish"}
+    assert z == {"sign": 0, "mode": "upper-bound"}
     check_schema(z, "urn:polymod:results#/$defs/lognum")
     neg = ser.lognum_to_json(LogNum.from_rational(-1000))
     assert neg["sign"] == -1
