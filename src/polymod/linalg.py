@@ -1,25 +1,77 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are lists of row lists of CoeffQ. Reduction is fully deterministic:
-columns are scanned left to right and the pivot is the first remaining row
-with a nonzero entry (no magnitude heuristics, so reruns are byte-identical).
-The reduced row echelon form is unique for a fixed column order, so no output
-can depend on which row supplies a pivot.
+Matrices are lists of row lists of CoeffQ. The reduced row echelon form is
+unique for a fixed column order, so no output depends on the order in which
+rows are eliminated, and reruns are byte-identical.
 
-``rref`` eliminates on sparse rows, ``{column: value}`` dicts: zero entries
-are never stored or touched, and rows that reduce to zero are dropped. When
-every input entry is real, the values are plain ``Fraction`` and a product
-costs one ``Fraction`` product instead of four; otherwise they are ``CoeffQ``.
-The field is chosen once per call and both run the same loop. ``mat_vec``,
-``mat_mul`` and ``reduce_against`` likewise skip zero operands.
+``rref`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math. Comp. 22,
+1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM Bull. 31,
+1997) on Z[i] numerators, for real and Gaussian input alike. Each row is put
+over the lcm of its part denominators and held as a sparse dict
+``{column: (re, im)}`` of int pairs; zero entries are never stored, and
+products skip zero imaginary parts. Rows are added one at a time, sparsest
+first. A new row is scaled by the latest pivot value and cross-cancelled
+against the rows kept so far; if it survives, its leading entry is a new
+pivot p, and each kept row with an entry f in that column becomes
+(p * row - f * new) / d, where d is the pivot value that row is stored at.
+Every entry is then a minor of the input, so the quotient is exact in Z[i]:
+dividing by d is a product with conj(d) and an exact floor division by
+|d|^2. A kept row that a step leaves alone keeps its old pivot value and is
+rescaled only when a later row cancels against it. Every kept row leads
+with its pivot and is zero in every other pivot column, so the result is
+the RREF whatever the row order. Each output part is built once as a
+Fraction over |d|^2 (less any common factor of d's parts), normalised by one
+gcd. ``mat_vec``, ``mat_mul`` and ``reduce_against`` skip zero operands.
 """
 
 from __future__ import annotations
 
-from .scalars import CoeffQ
+from fractions import Fraction
+from math import gcd, lcm
+
+from .poly import _F0
+from .scalars import CoeffQ, _make
 
 _Z = CoeffQ(0)
 _O = CoeffQ(1)
+_ZZ = (0, 0)
+
+
+def _numerators(row) -> dict:
+    """{column: (re, im)} Z[i] numerators of a CoeffQ row over the lcm of its
+    part denominators; zero entries are left out."""
+    ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not _Z]
+    den = lcm(*[d for _j, (_a, r), (_b, i) in ents for d in (r, i)])
+    return {j: (a * (den // r), b * (den // i)) for j, (a, r), (b, i) in ents if a or b}
+
+
+def _mul(a, b):
+    """Product of two Z[i] numbers held as (re, im) int pairs."""
+    (ar, ai), (br, bi) = a, b
+    if ai or bi:
+        return ar * br - ai * bi, ar * bi + ai * br
+    return ar * br, 0
+
+
+def _inverse(d):
+    """(c, n) with 1/d = c/n, c in Z[i] and n a positive int, for d != 0."""
+    dr, di = d
+    g = gcd(dr, di)
+    dr //= g
+    di //= g
+    return (dr, -di), g * (dr * dr + di * di)
+
+
+def _combine(p, row, f, new, d):
+    """(p * row - f * new) / d on sparse Z[i] rows, known to be exact."""
+    c, n = _inverse(d)
+    a, b = _mul(p, c), _mul(f, c)
+    out = {k: _mul(a, x) for k, x in row.items()}
+    for k, y in new.items():
+        br, bi = _mul(b, y)
+        xr, xi = out.get(k, _ZZ)
+        out[k] = (xr - br, xi - bi)
+    return {k: (xr // n, xi // n) for k, (xr, xi) in out.items() if xr or xi}
 
 
 def rref(rows, cancel=None):
@@ -27,51 +79,49 @@ def rref(rows, cancel=None):
     rows = list(rows)
     if not rows:
         return [], []
+    if cancel is not None:
+        cancel.check()
     ncols = len(rows[0])
-    real = not any(c.im for r in rows for c in r)
-    if real:
-        pending = [{j: c.re for j, c in enumerate(r) if c.re} for r in rows]
-    else:
-        pending = [{j: c for j, c in enumerate(r) if c} for r in rows]
-    pending = [r for r in pending if r]
-    done = []
-    pivots = []
-    for col in range(ncols):
+    done = {}  # pivot column -> (pivot value d the row is stored at, rest of the row)
+    den = (1, 0)  # the latest pivot value; each new row is scaled to it
+    for new in sorted(filter(None, map(_numerators, rows)), key=len):
         if cancel is not None:
             cancel.check()
-        if not pending:
-            break
-        piv = next((i for i, r in enumerate(pending) if col in r), None)
-        if piv is None:
+        # new := den * new - sum of new[j] * done[j] over the pivot columns j,
+        # each done[j] first brought from its own d to den
+        acc = {k: _mul(den, v) for k, v in new.items() if k not in done}
+        for j in done.keys() & new.keys():
+            d, row = done[j]
+            if row and d != den:
+                row = _combine(den, row, _ZZ, {}, d)
+                done[j] = den, row
+            f = new[j]
+            for k, b in row.items():
+                br, bi = _mul(f, b)
+                vr, vi = acc.get(k, _ZZ)
+                acc[k] = (vr - br, vi - bi)
+        new = {k: v for k, v in acc.items() if v[0] or v[1]}
+        if not new:
             continue
-        # the pivot row leaves its unit pivot entry implicit until the end
-        prow = pending.pop(piv)
-        inv = prow.pop(col)
-        if inv != 1:
-            prow = {j: v / inv for j, v in prow.items()}
-        for row in done + pending:
+        col = min(new)
+        p = new.pop(col)
+        # clear col from the kept rows; a row stored at d is divided by d
+        for j, (d, row) in done.items():
             f = row.pop(col, None)
-            if f is None:
-                continue
-            for j, b in prow.items():
-                v = row.get(j)
-                if v is None:
-                    row[j] = -f * b
-                else:
-                    v = v - f * b
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-        done.append(prow)
-        pivots.append(col)
-        pending = [r for r in pending if r]
+            if f is not None:
+                done[j] = p, _combine(p, row, f, new, d)
+        done[col] = p, new
+        den = p
+    pivots = sorted(done)
     out = []
-    for row, col in zip(done, pivots):
+    for col in pivots:
+        d, row = done[col]
+        c, n = _inverse(d)
         dense = [_Z] * ncols
         dense[col] = _O
         for j, v in row.items():
-            dense[j] = CoeffQ(v) if real else v
+            re, im = _mul(v, c)
+            dense[j] = _make(Fraction(re, n) if re else _F0, Fraction(im, n) if im else _F0)
         out.append(dense)
     return out, pivots
 
@@ -94,8 +144,8 @@ def reduce_against(vec, basis_rows, pivots):
     return vec, combo
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[0])
+def rank(rows, cancel=None) -> int:
+    return len(rref(rows, cancel)[0])
 
 
 def kernel_basis(rows, ncols=None, cancel=None):
@@ -161,10 +211,6 @@ def mat_mul(a, b):
                         acc[j] = acc[j] + x * y
         out.append(acc)
     return out
-
-
-def identity(n):
-    return [[_O if i == j else _Z for j in range(n)] for i in range(n)]
 
 
 def is_zero_matrix(rows) -> bool:

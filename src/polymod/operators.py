@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
-from .linalg import is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
+from .linalg import _Z, is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
 from .modules import MGamma, Md, Sum, contains, phi
 from .poly import BiPoly
 from .scalars import CoeffQ
 from .spans import PolyFrame, span_reduce, vanishing_part
-
-_Z = CoeffQ(0)
 
 
 def _pinning_order(polys, ks, cancel=None):
@@ -212,7 +210,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
             v = mat_vec(D, v)
         if any(not c.is_zero() for c in v):
             raise AssertionError("chain does not terminate at zero")
-    if len(basis_vectors) != n or rank([list(v) for v in basis_vectors]) != n:
+    if len(basis_vectors) != n or rank([list(v) for v in basis_vectors], cancel) != n:
         raise AssertionError("chain vectors do not form a basis")
     return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))
 

@@ -9,11 +9,8 @@ coefficients and therefore spans the same lattice of subspaces.
 
 from __future__ import annotations
 
-from .linalg import kernel_basis, mat_vec, reduce_against, rref, transpose
+from .linalg import _Z, kernel_basis, mat_vec, reduce_against, rref, transpose
 from .poly import NEG_INF, BiPoly, UniPoly
-from .scalars import CoeffQ
-
-_Z = CoeffQ(0)
 
 
 class PolyFrame:

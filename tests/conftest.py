@@ -61,6 +61,11 @@ def rand_gamma(
     return GammaTable(s, entries)
 
 
+def identity(n):
+    """The n x n identity matrix."""
+    return [[CoeffQ.of(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 def invert(mat):
     """Exact inverse of a small invertible matrix, column by column."""
     n = len(mat)

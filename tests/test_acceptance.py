@@ -33,10 +33,10 @@ from polymod import (
     verify_e14,
     witness_x_not_in_M,
 )
-from polymod.linalg import identity, kernel_basis, mat_mul, rank
+from polymod.linalg import kernel_basis, mat_mul, rank
 from polymod.spans import PolyFrame
 
-from conftest import invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
+from conftest import identity, invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
 
 
 def _verdict(capsys, k, ok, detail):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from polymod import Cancelled, CoeffQ
 from polymod.linalg import (
-    identity,
     is_zero_matrix,
     kernel_basis,
     mat_mul,
@@ -18,7 +17,7 @@ from polymod.linalg import (
     transpose,
 )
 
-from conftest import rand_scalar
+from conftest import identity, rand_scalar
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=3).map(CoeffQ.of)
 
@@ -166,6 +165,22 @@ def test_rref_polls_once_per_pivot_and_cancels_cleanly():
             assert stub.calls == n
             assert m == snapshot
         assert rref(m, cancel=_CountingToken(fire_at=token.calls + 1)) == (rows, pivots)
+
+
+def test_rank_polls_and_cancels_cleanly():
+    for m in _cancel_corpus():
+        snapshot = [list(r) for r in m]
+        token = _CountingToken()
+        want = rank(m, cancel=token)
+        assert want == len(rref(m)[1]) and token.calls >= want
+        # a token firing on any poll stops rank with no result and the input untouched
+        for n in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                rank(m, cancel=stub)
+            assert stub.calls == n
+            assert m == snapshot
+        assert rank(m, cancel=_CountingToken(fire_at=token.calls + 1)) == want
 
 
 @pytest.mark.parametrize("which", ["solve", "kernel_basis"])

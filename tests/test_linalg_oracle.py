@@ -2,8 +2,10 @@
 
 sympy's QQ and QQ_I matrices are an independent implementation of exact
 elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
-(5-10 % density, up to the 27x243 shape that infer_L builds) and dense, and
-rank-deficient with zero rows. No timing is asserted.
+(5-10 % density, up to the 27x243 shape that infer_L builds) and dense (up
+to 24x24), and rank-deficient with zero rows. The elimination order must not
+show: a shuffled copy with zero rows appended has the same rref. No timing
+is asserted.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ SHAPES = [
     ("sparse-gauss-square", 20, 20, 0.1, True, False),
     ("dense-real", 7, 9, 1.0, False, False),
     ("dense-gauss", 8, 6, 1.0, True, False),
+    ("dense-real-square", 24, 24, 1.0, False, False),
+    ("dense-gauss-square", 24, 24, 1.0, True, False),
     ("deficient-real-sparse", 24, 80, 0.08, False, True),
     ("deficient-real-dense", 9, 7, 1.0, False, True),
     ("deficient-gauss-sparse", 24, 80, 0.08, True, True),
@@ -138,3 +142,13 @@ def test_kernels_match_sympy(name, seed, nrows, ncols, density, gaussian, defici
     assert mat_vec(A, x) == in_range
     B = _matrix(rng, ncols, 5, density, gaussian, False)
     assert mat_mul(A, B) == _from_domain(dA * _to_domain(B, domain), domain)
+
+
+@pytest.mark.parametrize("name, seed, nrows, ncols, density, gaussian, deficient", _cases())
+def test_rref_ignores_row_order_and_zero_rows(name, seed, nrows, ncols, density, gaussian, deficient):
+    rng = random.Random(f"{name}-{seed}")
+    A = _matrix(rng, nrows, ncols, density, gaussian, deficient)
+    shuffled = [list(r) for r in A]
+    random.Random(f"shuffle-{name}-{seed}").shuffle(shuffled)
+    shuffled += [[CoeffQ(0)] * ncols for _ in range(3)]
+    assert rref(shuffled) == rref(A)

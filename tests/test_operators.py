@@ -26,11 +26,11 @@ from polymod import (
     shift_invariance_table,
 )
 from polymod import operators
-from polymod.linalg import identity, mat_mul, mat_vec, rank
+from polymod.linalg import mat_mul, mat_vec, rank
 from polymod.operators import _pinning_order
 from polymod.spans import span_reduce
 
-from conftest import invert, rand_nilpotent
+from conftest import identity, invert, rand_nilpotent
 from test_linalg import _CountingToken
 
 GS = shift_invariance_table()
@@ -290,6 +290,22 @@ def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng,
             with pytest.raises(Cancelled):
                 nilpotent_chains(D, cancel=stub)
             assert stub.calls == m
+
+
+def test_nilpotent_chains_polls_in_its_closing_rank_check(rng, monkeypatch):
+    token = _CountingToken()
+    polls = []  # polls made inside each rank call
+
+    def spy(rows, *args, **kwargs):
+        before = token.calls
+        try:
+            return rank(rows, *args, **kwargs)
+        finally:
+            polls.append(token.calls - before)
+
+    monkeypatch.setattr(operators, "rank", spy)
+    nilpotent_chains(rand_nilpotent(rng, 6), cancel=token)
+    assert polls and all(polls)
 
 
 def test_quotient_derivation_examples():
