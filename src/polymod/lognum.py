@@ -9,6 +9,9 @@ dominates any signed sum by |a| + |b|. A type whose values are upper bounds
 cannot divide soundly (an upper bound on |b| is a lower bound on 1/|b|), so
 there is no division and powers take positive integer exponents only.
 
+mpmath is imported inside the functions that use it, so it loads on the
+first log-space call and not when the package is imported.
+
 Tower exponentials: e_tower_log(k, n) returns ln(e_k(n)) where e_1 = exp and
 e_{k+1} = exp o e_k. The representation holds ln e_3(n) = e_2(n) because the
 mantissa type carries integer exponents; the documented cap n <= 700 keeps
@@ -20,12 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import exp, log, mp, mpf
-
 from .errors import RangeExceeded
 
 PRECISION = 128
-SLACK_LOG = mpf(2) ** -40  # per-op additive pad on ln|x|; ln(1+2^-40) < 2^-40
+# per-op additive pad on ln|x|; ln(1+2^-40) < 2^-40 (a dyadic float, which
+# mpmath converts exactly)
+SLACK_LOG = 2.0 ** -40
 TOWER_CAP = 700
 
 MODE_UPPER = "upper-bound"
@@ -38,6 +41,8 @@ class LogNum:
     def __init__(self, sign: int, log_mag):
         if sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or 1")
+        from mpmath import mp, mpf
+
         self.sign = sign
         # convert at working precision: mpf() rounds to the ambient context,
         # which would silently truncate 128-bit results to double precision
@@ -53,6 +58,8 @@ class LogNum:
         value = Fraction(value)
         if value == 0:
             return cls.zero()
+        from mpmath import log, mp, mpf
+
         sign = 1 if value > 0 else -1
         with mp.workprec(PRECISION):
             # conversion rounds; the pad keeps the bound sound
@@ -69,13 +76,13 @@ class LogNum:
         """log10 of the (positive) value."""
         if self.sign <= 0:
             raise ValueError("log10 needs a positive value")
+        from mpmath import log, mp, mpf
+
         with mp.workprec(PRECISION):
             return self.log_mag / log(mpf(10))
 
     def _key(self):
-        # orderable stand-in for the signed value
-        if self.sign == 0:
-            return (0, mpf(0))
+        # orderable stand-in for the signed value; a zero's log_mag is 0
         return (self.sign, self.sign * self.log_mag)
 
     def __lt__(self, other: "LogNum"):
@@ -97,6 +104,8 @@ class LogNum:
 def log_mul(a: LogNum, b: LogNum) -> LogNum:
     if a.sign == 0 or b.sign == 0:
         return LogNum.zero()
+    from mpmath import mp
+
     with mp.workprec(PRECISION):
         lm = a.log_mag + b.log_mag + SLACK_LOG
     return LogNum(a.sign * b.sign, lm)
@@ -108,6 +117,8 @@ def log_add(a: LogNum, b: LogNum) -> LogNum:
         return b
     if b.sign == 0:
         return a
+    from mpmath import exp, log, mp
+
     with mp.workprec(PRECISION):
         hi = max(a.log_mag, b.log_mag)
         lo = min(a.log_mag, b.log_mag)
@@ -121,6 +132,8 @@ def log_pow(a: LogNum, k: int) -> LogNum:
         raise ValueError(f"exponent must be an int >= 1, got {k!r}")
     if a.sign == 0:
         return a
+    from mpmath import mp
+
     with mp.workprec(PRECISION):
         lm = a.log_mag * k + SLACK_LOG
     return LogNum(-1 if a.sign < 0 and k % 2 else 1, lm)
@@ -134,6 +147,8 @@ def e_tower_log(k: int, n):
         raise RangeExceeded("tower levels above 3 are not representable here")
     if k >= 2 and n > TOWER_CAP:
         raise RangeExceeded(f"n = {n} exceeds the documented cap {TOWER_CAP} for level {k}")
+    from mpmath import exp, mp, mpf
+
     with mp.workprec(PRECISION):
         v = mpf(n)
         for _ in range(k - 1):

@@ -148,8 +148,8 @@ def _contains_md(M: Md, F: BiPoly) -> MembershipResult:
     return MembershipResult(True, {"reason": "degree-bound", "d": M.d})
 
 
-def _contains_finite(M: FiniteGen, F: BiPoly) -> MembershipResult:
-    ok, combo = in_span(F, list(M.basis), return_combo=True)
+def _contains_finite(M: FiniteGen, F: BiPoly, cancel) -> MembershipResult:
+    ok, combo = in_span(F, list(M.basis), return_combo=True, cancel=cancel)
     if ok:
         return MembershipResult(True, {"reason": "span-combination", "combination": combo})
     return MembershipResult(False, {"reason": "outside-span", "basis_dim": len(M.basis)})
@@ -212,7 +212,7 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
         ok, cert = mgamma_contains(M.gamma, F)
         return MembershipResult(ok, cert)
     if isinstance(M, FiniteGen):
-        return _contains_finite(M, F)
+        return _contains_finite(M, F, cancel)
     if isinstance(M, Sum):
         mds = [p for p in M.parts if isinstance(p, Md)]
         gammas = [p for p in M.parts if isinstance(p, MGamma)]
@@ -221,7 +221,7 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
         if all(isinstance(p, (FiniteGen, MGamma)) for p in M.parts):
             bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
             cands, truncated = _sum_candidates(M.parts, None, bound, cancel)
-            ok, combo = in_span(F, cands, return_combo=True)
+            ok, combo = in_span(F, cands, return_combo=True, cancel=cancel)
             cert = {
                 "reason": "sum-span" if ok else "sum-span-infeasible",
                 "deg_bound": bound,
@@ -245,8 +245,8 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")
     cands, _ = _sum_candidates(parts, s, bound, cancel)
-    elements = restrict_degree(cands, bound)
-    tuples = tuple_span_reduce([phi(F, s) for F in elements], s, bound)
+    elements = restrict_degree(cands, bound, cancel)
+    tuples = tuple_span_reduce([phi(F, s) for F in elements], s, bound, cancel)
     return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(tuples))
 
 

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import log, mp, mpf, nstr
-
 from .errors import RangeExceeded, ThresholdUnmet
 from .gamma import GammaTable, apply_L
 from .lognum import (
@@ -47,8 +45,9 @@ from .poly import UniPoly
 from .scalars import CoeffQ
 
 # comparison margin for the per-n inequality checks; generous next to the
-# 128-bit working precision, tiny next to every gap actually observed
-CONDITION_MARGIN = mpf(2) ** -20
+# 128-bit working precision, tiny next to every gap actually observed (a
+# dyadic float, which mpmath converts exactly)
+CONDITION_MARGIN = 2.0 ** -20
 
 
 def _up(log_mag) -> LogNum:
@@ -56,10 +55,14 @@ def _up(log_mag) -> LogNum:
 
     One slack pad absorbs the placement rounding of the formula evaluation.
     """
+    from mpmath import mpf
+
     return LogNum(1, mpf(log_mag) + SLACK_LOG)
 
 
 def _fmt(v) -> str:
+    from mpmath import nstr
+
     return nstr(v, 12)
 
 
@@ -123,6 +126,8 @@ def verify_e14(n_max: int, cancel=None):
         raise ValueError("n_max must be an int >= 2")
     if n_max > TOWER_CAP:
         raise RangeExceeded(f"n_max = {n_max} exceeds the tower cap {TOWER_CAP}")
+    from mpmath import mp
+
     out = []
     with mp.workprec(PRECISION):
         for n in range(2, n_max + 1):
@@ -153,6 +158,8 @@ def side_conditions(n: int):
         raise ValueError("n must be a positive int")
     if n > TOWER_CAP:
         raise RangeExceeded(f"n = {n} exceeds the tower cap {TOWER_CAP}")
+    from mpmath import log, mp, mpf
+
     conds = []
     with mp.workprec(PRECISION):
         en = e_tower_log(2, n)
@@ -241,6 +248,8 @@ def sup_bound(n: int) -> BoundReport:
         raise ThresholdUnmet(
             f"bound chain side conditions fail at n = {n}", failures=failures
         )
+    from mpmath import log, mp, mpf
+
     with mp.workprec(PRECISION):
         e2n = e_tower_log(3, n)
         e2nm1 = e_tower_log(3, n - 1)
@@ -278,6 +287,8 @@ def coeff_norm_chain(n: int, k: int) -> LogNum:
         raise ValueError("n must be an int >= 2")
     if not isinstance(k, int) or not 1 <= k <= n:
         raise ValueError("k must be an int with 1 <= k <= n")
+    from mpmath import log, mp, mpf
+
     with mp.workprec(PRECISION):
         e2n = e_tower_log(3, n)
         e2nm1 = e_tower_log(3, n - 1)

@@ -23,8 +23,6 @@ import json
 import re
 from fractions import Fraction
 
-from mpmath import nstr
-
 from .errors import ParseError
 from .gamma import GammaTable
 from .lognum import LogNum
@@ -161,6 +159,8 @@ def module_to_json(M) -> dict:
 
 
 def lognum_to_json(x: LogNum) -> dict:
+    from mpmath import nstr
+
     out = {"sign": x.sign, "mode": x.mode}
     if x.sign != 0:
         out["log10_mag"] = nstr(x.log10() if x.sign > 0 else abs(x).log10(), LOG_DIGITS)
@@ -190,6 +190,8 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if type(value).__module__.startswith("mpmath"):
+        from mpmath import nstr
+
         return nstr(value, LOG_DIGITS)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -242,6 +244,8 @@ def chains_to_json(dec) -> dict:
 
 
 def bound_report_to_json(report) -> dict:
+    from mpmath import nstr
+
     return {
         "n": report.n,
         "log10_linear": nstr(report.log_linear_term.log10(), LOG_DIGITS),

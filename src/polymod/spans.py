@@ -64,12 +64,12 @@ def span_reduce(polys, cancel=None):
     return [frame.from_vec(r) for r in rows]
 
 
-def in_span(p: BiPoly, basis, return_combo: bool = False):
+def in_span(p: BiPoly, basis, return_combo: bool = False, cancel=None):
     """Exact membership of p in span(basis); basis need not be reduced."""
     if p.is_zero():
         return (True, []) if return_combo else True
     frame = PolyFrame(list(basis) + [p])
-    rows, pivots = rref([frame.to_vec(b) for b in basis])
+    rows, pivots = rref([frame.to_vec(b) for b in basis], cancel=cancel)
     residual, combo = reduce_against(frame.to_vec(p), rows, pivots)
     ok = all(c.is_zero() for c in residual)
     if return_combo:
@@ -87,7 +87,7 @@ def vanishing_part(vecs, positions, cancel=None):
     return [mat_vec(cols, c) for c in kernel_basis([cols[k] for k in positions], len(vecs), cancel)]
 
 
-def restrict_degree(polys, bound: int):
+def restrict_degree(polys, bound: int, cancel=None):
     """Reduced basis of {p in span(polys) : deg_x p < bound}.
 
     Cancellations across generators are honored: the cut is computed on the
@@ -97,11 +97,11 @@ def restrict_degree(polys, bound: int):
     if not polys:
         return []
     frame = PolyFrame(polys)
-    rows, _ = rref([frame.to_vec(p) for p in polys])
+    rows, _ = rref([frame.to_vec(p) for p in polys], cancel=cancel)
     high = frame.high_degree_positions(bound)
     if not high:
         return [frame.from_vec(r) for r in rows]
-    red, _ = rref(vanishing_part(rows, high))
+    red, _ = rref(vanishing_part(rows, high, cancel), cancel=cancel)
     return [frame.from_vec(r) for r in red]
 
 
@@ -138,10 +138,10 @@ class TupleFrame:
         return tuple(UniPoly(c) for c in comps)
 
 
-def tuple_span_reduce(tuples, s: int, bound: int):
+def tuple_span_reduce(tuples, s: int, bound: int, cancel=None):
     tuples = [t for t in tuples if any(not f.is_zero() for f in t)]
     if not tuples:
         return []
     frame = TupleFrame(s, bound)
-    rows, _ = rref([frame.to_vec(t) for t in tuples])
+    rows, _ = rref([frame.to_vec(t) for t in tuples], cancel=cancel)
     return [frame.from_vec(r) for r in rows]

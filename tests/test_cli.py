@@ -316,6 +316,19 @@ def test_timeout_cancels(capsys):
         assert payload["error"]["type"] == "cancelled"
 
 
+def test_timeout_cancels_span_reductions(capsys):
+    # membership in a FiniteGen and the seed-prefix space poll inside their eliminations
+    fin = ser.dumps({"type": "FiniteGen", "gens": [ser.bipoly_to_json(BiPoly.monomial(2, 1))]})
+    poly = ser.dumps(ser.bipoly_to_json(BiPoly.monomial(1, 1)))
+    for argv in (
+        ["member", "--json", "--timeout=-1", "--module", fin, "--poly", poly],
+        ["vspace", "--json", "--timeout=-1", "--module", fin, "--s", "2"],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1
+        assert payload["error"]["type"] == "cancelled"
+
+
 def test_timeout_cancels_sweeps(capsys):
     # the sweep commands poll the token too, not just the algebra commands
     for argv in (

@@ -4,6 +4,7 @@ import pytest
 
 from polymod import (
     BiPoly,
+    Cancelled,
     CoeffQ,
     FiniteGen,
     GammaTable,
@@ -22,9 +23,12 @@ from polymod import (
     v_space,
 )
 
+from polymod import modules
 from polymod.spans import in_span
 
 from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
+from test_linalg import _CountingToken
+from test_spans import _PollSpy
 
 X2Y = BiPoly.monomial(2, 1)
 
@@ -240,3 +244,31 @@ def test_default_deg_bound_scans_structure():
     assert default_deg_bound(M) == 4
     assert default_deg_bound(M, BiPoly.monomial(5, 1)) == 6
     assert default_deg_bound(FiniteGen([X2Y])) == 3
+
+
+def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatch):
+    spy = _PollSpy(monkeypatch, modules, ["in_span", "restrict_degree", "tuple_span_reduce"])
+    fin = FiniteGen([X2Y])
+    table = shift_invariance_table()
+    mixed = Sum(FiniteGen([BiPoly.embed(UniPoly.x())]), MGamma(table))
+    member = generate(table, [UniPoly.monomial(2)]) + BiPoly.embed(UniPoly.x()).scale(CoeffQ.of(3))
+    runs = [
+        (lambda tok: contains(fin, BiPoly.monomial(2, 0), cancel=tok), ["in_span"]),
+        (lambda tok: contains(fin, BiPoly.monomial(3, 0), cancel=tok), ["in_span"]),
+        (lambda tok: contains(mixed, member, cancel=tok), ["in_span"]),
+        (lambda tok: v_space(fin, 2, cancel=tok), ["restrict_degree", "tuple_span_reduce"]),
+        (lambda tok: v_space(Sum(Md(2), mixed), 2, deg_bound=3, cancel=tok), ["restrict_degree", "tuple_span_reduce"]),
+    ]
+    for run, names in runs:
+        spy.finished.clear()
+        token = spy.token()
+        want = run(token)
+        # each span reduction polls the token while it runs
+        assert [name for name, _polls in spy.finished] == names
+        assert all(polls for _name, polls in spy.finished)
+        for n in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                run(stub)
+            assert stub.calls == n
+        assert run(_CountingToken(fire_at=token.calls + 1)) == want

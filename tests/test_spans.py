@@ -1,13 +1,15 @@
+import copy
 import random
 
 import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from polymod import BiPoly, CoeffQ, UniPoly
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, spans
 from polymod.spans import in_span, restrict_degree, span_reduce, tuple_span_reduce, vanishing_part
 
-from conftest import rand_bipoly, rand_scalar
+from conftest import rand_bipoly, rand_scalar, rand_unipoly
+from test_linalg import _CountingToken
 
 
 def test_span_reduce_drops_dependents():
@@ -122,3 +124,90 @@ def test_vanishing_part_contract(shape, seed):
 
 def test_vanishing_part_of_nothing():
     assert vanishing_part([], [0, 1]) == []
+
+
+class _PollSpy:
+    """Wraps functions of a module so that every call on a nonempty first
+    argument records how often the token polled while it ran."""
+
+    def __init__(self, monkeypatch, module, names):
+        self.active = []  # the wrapped calls running now, innermost last, as [name, polls so far]
+        self.finished = []  # (name, polls) of each call on a nonempty input
+        for name in names:
+            monkeypatch.setattr(module, name, self._wrap(name, getattr(module, name)))
+
+    def _wrap(self, name, fn):
+        def wrapped(first, *args, **kwargs):
+            self.active.append([name, 0])
+            try:
+                return fn(first, *args, **kwargs)
+            finally:
+                if first:
+                    self.finished.append(tuple(self.active[-1]))
+                self.active.pop()
+        return wrapped
+
+    def token(self):
+        spy = self
+
+        class _Token(_CountingToken):
+            def check(self):
+                for frame in spy.active:
+                    frame[1] += 1
+                super().check()
+
+        return _Token()
+
+
+def _span_helper_cases():
+    """(function, inputs) on seeded nonempty real and Gaussian inputs."""
+    rng = random.Random(0x5BA2)
+    cases = []
+    for _ in range(3):
+        basis = [rand_bipoly(rng, 3, 2) for _ in range(4)]
+        inside = BiPoly.zero()
+        for b in basis:
+            inside = inside + b.scale(rand_scalar(rng))
+        cases.append((in_span, (inside, basis)))
+        cases.append((in_span, (BiPoly.monomial(4, 1), basis)))
+        cases.append((restrict_degree, (basis, 2)))
+        cases.append((restrict_degree, (basis, 4)))  # no position to cut
+        tuples = [(rand_unipoly(rng, 2), rand_unipoly(rng, 2)) for _ in range(4)]
+        cases.append((tuple_span_reduce, (tuples, 2, 3)))
+    a = BiPoly.from_coords([UniPoly.monomial(2), UniPoly.x()])
+    cases.append((restrict_degree, ([a, BiPoly.from_coords([UniPoly.monomial(2)])], 2)))
+    return cases
+
+
+def test_span_helpers_poll_in_every_elimination(monkeypatch):
+    spy = _PollSpy(monkeypatch, spans, ["rref", "kernel_basis"])
+    runs = []
+    for fn, inputs in _span_helper_cases():
+        spy.finished.clear()
+        fn(*inputs, cancel=spy.token())
+        names = [name for name, _polls in spy.finished]
+        runs.append((fn, names))
+        # every rref and kernel_basis run on a nonempty input polls the token
+        assert names and all(polls for _name, polls in spy.finished), fn.__name__
+    # some cut runs the whole chain: rref, vanishing_part's kernel_basis, rref again
+    assert (restrict_degree, ["rref", "kernel_basis", "rref"]) in runs
+
+
+@pytest.mark.parametrize("fn", [in_span, restrict_degree, tuple_span_reduce], ids=lambda f: f.__name__)
+def test_span_helpers_cancel_cleanly_on_every_poll(fn):
+    for case_fn, inputs in _span_helper_cases():
+        if case_fn is not fn:
+            continue
+        snapshot = copy.deepcopy(inputs)
+        token = _CountingToken()
+        want = fn(*inputs, cancel=token)
+        assert token.calls >= 1
+        assert want == fn(*inputs)
+        # a token firing on any poll stops the call with no result and the inputs untouched
+        for n in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                fn(*inputs, cancel=stub)
+            assert stub.calls == n
+            assert inputs == snapshot
+        assert fn(*inputs, cancel=_CountingToken(fire_at=token.calls + 1)) == want
