@@ -55,7 +55,6 @@ from .modules import (
     contains,
     default_deg_bound,
     derivative_closure,
-    is_translation_invariant,
     phi,
     v_space,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "e_tower_log",
     "generate",
     "infer_L",
-    "is_translation_invariant",
     "log_add",
     "log_mul",
     "log_pow",

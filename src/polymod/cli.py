@@ -144,17 +144,19 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    M = ser.module_from_json(_load_json(args.module))
+    tok = CancelToken(args.timeout)
+    M = ser.module_from_json(_load_json(args.module), tok)
     F = ser.bipoly_from_json(_load_json(args.poly))
-    result = contains(M, F, deg_bound=_deg_bound(args), cancel=CancelToken(args.timeout))
+    result = contains(M, F, deg_bound=_deg_bound(args), cancel=tok)
     payload = ser.membership_to_json(result)
     lines = [f"contains: {str(result.contains).lower()}", f"certificate: {ser.dumps(payload['certificate'])}"]
     return _emit(args, payload, lines)
 
 
 def _cmd_vspace(args) -> int:
-    M = ser.module_from_json(_load_json(args.module))
-    V = v_space(M, args.s, deg_bound=_deg_bound(args), cancel=CancelToken(args.timeout))
+    tok = CancelToken(args.timeout)
+    M = ser.module_from_json(_load_json(args.module), tok)
+    V = v_space(M, args.s, deg_bound=_deg_bound(args), cancel=tok)
     payload = ser.vspace_to_json(V)
     lines = [f"s: {V.s}", f"deg_bound: {V.deg_bound}", f"dim: {len(V.tuples)}"]
     for tup in V.tuples:
@@ -213,8 +215,9 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    M = ser.module_from_json(_load_json(args.module))
-    d, order = canonical_split(M, CancelToken(args.timeout))
+    tok = CancelToken(args.timeout)
+    M = ser.module_from_json(_load_json(args.module), tok)
+    d, order = canonical_split(M, tok)
     return _emit(args, {"d": d, "order": order}, [f"d: {d}", f"order: {order}"])
 
 

@@ -21,7 +21,10 @@ rescaled only when a later row cancels against it. Every kept row leads
 with its pivot and is zero in every other pivot column, so the result is
 the RREF whatever the row order. Each output part is built once as a
 Fraction over |d|^2 (less any common factor of d's parts), normalised by one
-gcd. ``mat_vec``, ``mat_mul`` and ``reduce_against`` skip zero operands.
+gcd. ``mat_mul`` is one product kernel on the same numerators: the rows of
+b are put over one denominator, the Z[i] products are summed on ints and
+each output part is built once. ``mat_vec`` and ``reduce_against`` are
+products with it.
 """
 
 from __future__ import annotations
@@ -37,12 +40,24 @@ _O = CoeffQ(1)
 _ZZ = (0, 0)
 
 
-def _numerators(row) -> dict:
-    """{column: (re, im)} Z[i] numerators of a CoeffQ row over the lcm of its
-    part denominators; zero entries are left out."""
-    ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not _Z]
-    den = lcm(*[d for _j, (_a, r), (_b, i) in ents for d in (r, i)])
-    return {j: (a * (den // r), b * (den // i)) for j, (a, r), (b, i) in ents if a or b}
+def _numerators(rows):
+    """[(den, {column: (re, im)})]: each dense CoeffQ row as Z[i] numerators
+    over den, the lcm of its part denominators; zero entries are left out."""
+    out = []
+    for row in rows:
+        ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not _Z]
+        den = lcm(*[d for _j, (_a, r), (_b, i) in ents for d in (r, i)])
+        out.append((den, {j: (a * (den // r), b * (den // i)) for j, (a, r), (b, i) in ents if a or b}))
+    return out
+
+
+def _dense(row, den, ncols):
+    """Dense CoeffQ row of sparse Z[i] numerators over den; each part is built once."""
+    out = [_Z] * ncols
+    for j, (re, im) in row.items():
+        if re or im:
+            out[j] = _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
+    return out
 
 
 def _mul(a, b):
@@ -84,7 +99,7 @@ def rref(rows, cancel=None):
     ncols = len(rows[0])
     done = {}  # pivot column -> (pivot value d the row is stored at, rest of the row)
     den = (1, 0)  # the latest pivot value; each new row is scaled to it
-    for new in sorted(filter(None, map(_numerators, rows)), key=len):
+    for new in sorted(filter(None, (row for _den, row in _numerators(rows))), key=len):
         if cancel is not None:
             cancel.check()
         # new := den * new - sum of new[j] * done[j] over the pivot columns j,
@@ -117,11 +132,8 @@ def rref(rows, cancel=None):
     for col in pivots:
         d, row = done[col]
         c, n = _inverse(d)
-        dense = [_Z] * ncols
+        dense = _dense({j: _mul(v, c) for j, v in row.items()}, n, ncols)
         dense[col] = _O
-        for j, v in row.items():
-            re, im = _mul(v, c)
-            dense[j] = _make(Fraction(re, n) if re else _F0, Fraction(im, n) if im else _F0)
         out.append(dense)
     return out, pivots
 
@@ -130,18 +142,14 @@ def reduce_against(vec, basis_rows, pivots):
     """Reduce vec against an rref basis; returns (residual, combination).
 
     residual is zero iff vec lies in the row span; combination holds the
-    coefficients of the basis rows used.
+    coefficients f_r of the basis rows. An rref row is 1 at its own pivot and
+    0 at the others, so f_r is vec at row r's pivot, and the residual is
+    [1, -f_1, ..., -f_r] @ [vec; row_1; ...; row_r].
     """
-    vec = list(vec)
-    combo = [_Z] * len(basis_rows)
-    for r, col in enumerate(pivots):
-        f = vec[col]
-        if f:
-            combo[r] = f
-            for j, b in enumerate(basis_rows[r]):
-                if b:
-                    vec[j] = vec[j] - f * b
-    return vec, combo
+    combo = [vec[col] for col in pivots]
+    used = [(f, row) for f, row in zip(combo, basis_rows) if f]
+    residual = mat_mul([[_O] + [-f for f, _row in used]], [vec] + [row for _f, row in used])[0]
+    return residual, combo
 
 
 def rank(rows, cancel=None) -> int:
@@ -193,31 +201,27 @@ def solve(rows, rhs, cancel=None):
 
 
 def mat_vec(rows, v):
-    nz = [(k, b) for k, b in enumerate(v) if b]
-    return [sum((r[k] * b for k, b in nz if r[k]), _Z) for r in rows]
+    return [r[0] for r in mat_mul(rows, [[x] for x in v])] if v else [_Z] * len(rows)
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
-    n = len(b[0])
+    brows = _numerators(b)
+    db = lcm(*[d for d, _row in brows])  # row k of b is brought to db by a's column k
     out = []
-    for row in a:
-        acc = [_Z] * n
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = acc[j] + x * y
-        out.append(acc)
+    for da, row in _numerators(a):
+        acc = {}
+        for k, x in row.items():
+            d, brow = brows[k]
+            x = _mul(x, (db // d, 0))
+            for j, y in brow.items():
+                pr, pi = _mul(x, y)
+                sr, si = acc.get(j, _ZZ)
+                acc[j] = (sr + pr, si + pi)
+        out.append(_dense(acc, da * db, len(b[0])))
     return out
 
 
 def is_zero_matrix(rows) -> bool:
     return all(c.is_zero() for r in rows for c in r)
-
-
-def transpose(rows):
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]

@@ -67,10 +67,10 @@ class FiniteGen:
     gens: tuple
     basis: tuple = field(compare=False)
 
-    def __init__(self, gens):
+    def __init__(self, gens, cancel: CancelToken | None = None):
         gens = tuple(gens)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "basis", tuple(derivative_closure(gens)))
+        object.__setattr__(self, "basis", tuple(derivative_closure(gens, cancel)))
 
 
 @dataclass(frozen=True, init=False)
@@ -249,12 +249,3 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     tuples = tuple_span_reduce([phi(F, s) for F in elements], s, bound, cancel)
     return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(tuples))
 
-
-def is_translation_invariant(gens) -> bool:
-    """Closure of span(gens) under both partials, which in characteristic
-    zero is the same as invariance under every shift (x + a, y + b)."""
-    basis = span_reduce(list(gens))
-    for f in basis:
-        if not in_span(f.d_dx(), basis) or not in_span(f.d_dy(), basis):
-            return False
-    return True

@@ -120,7 +120,7 @@ def gamma_to_json(g: GammaTable) -> dict:
     }
 
 
-def module_from_json(obj):
+def module_from_json(obj, cancel=None):
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError('module expression must carry a "type" tag')
     tag = obj["type"]
@@ -133,12 +133,12 @@ def module_from_json(obj):
             gens = obj["gens"]
             if not isinstance(gens, list):
                 raise ParseError('"gens" must be a JSON array')
-            return FiniteGen(tuple(bipoly_from_json(F) for F in gens))
+            return FiniteGen(tuple(bipoly_from_json(F) for F in gens), cancel)
         if tag == "Sum":
             parts = obj["parts"]
             if not isinstance(parts, list):
                 raise ParseError('"parts" must be a JSON array')
-            return Sum(tuple(module_from_json(p) for p in parts))
+            return Sum(tuple(module_from_json(p, cancel) for p in parts))
     except KeyError as exc:
         raise ParseError(f"module expression {tag!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

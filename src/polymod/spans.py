@@ -9,7 +9,7 @@ coefficients and therefore spans the same lattice of subspaces.
 
 from __future__ import annotations
 
-from .linalg import _Z, kernel_basis, mat_vec, reduce_against, rref, transpose
+from .linalg import _Z, kernel_basis, mat_mul, reduce_against, rref
 from .poly import NEG_INF, BiPoly, UniPoly
 
 
@@ -83,8 +83,7 @@ def vanishing_part(vecs, positions, cancel=None):
     to positions, in kernel_basis order and not reduced."""
     if not vecs:
         return []
-    cols = transpose(vecs)
-    return [mat_vec(cols, c) for c in kernel_basis([cols[k] for k in positions], len(vecs), cancel)]
+    return mat_mul(kernel_basis([[v[k] for v in vecs] for k in positions], len(vecs), cancel), vecs)
 
 
 def restrict_degree(polys, bound: int, cancel=None):

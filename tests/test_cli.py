@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from polymod import BiPoly, UniPoly, generate, shift_invariance_table
 from polymod import serialize as ser
 from polymod.cli import run
+
+from conftest import rand_bipoly
 
 GS_JSON = '{"s":1,"entries":[{"i":1,"j":1,"a":"1"}]}'
 
@@ -327,6 +330,24 @@ def test_timeout_cancels_span_reductions(capsys):
         code, payload = _json_out(capsys, argv)
         assert code == 1
         assert payload["error"]["type"] == "cancelled"
+
+
+def test_timeout_holds_inside_the_finitegen_closure(capsys):
+    # two random generators whose closure takes seconds: the token is live
+    # while the module is parsed, so a small timeout stops the closure
+    rng = random.Random(12)
+    gens = [ser.bipoly_to_json(rand_bipoly(rng, 9, 8)) for _ in range(2)]
+    fin_json = {"type": "FiniteGen", "gens": gens}
+    fin = ser.dumps(fin_json)
+    poly = ser.dumps(ser.bipoly_to_json(BiPoly.monomial(1, 1)))
+    for argv in (
+        ["member", "--json", "--timeout", "0.05", "--module", fin, "--poly", poly],
+        ["vspace", "--json", "--timeout", "0.05", "--module", fin, "--s", "2"],
+        ["split", "--json", "--timeout", "0.05", "--module", ser.dumps({"type": "Sum", "parts": [{"type": "Md", "d": 1}, fin_json]})],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1
+        assert payload["error"]["type"] == "cancelled", argv[0]
 
 
 def test_timeout_cancels_sweeps(capsys):

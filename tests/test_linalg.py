@@ -14,7 +14,6 @@ from polymod.linalg import (
     reduce_against,
     rref,
     solve,
-    transpose,
 )
 
 from conftest import identity, rand_scalar
@@ -91,7 +90,7 @@ def test_kernel_annihilates(m):
 
 @given(matrices())
 def test_rank_respects_transpose(m):
-    assert rank(m) == rank(transpose(m))
+    assert rank(m) == rank([list(col) for col in zip(*m)])
 
 
 @given(matrices())

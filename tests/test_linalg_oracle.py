@@ -4,8 +4,10 @@ sympy's QQ and QQ_I matrices are an independent implementation of exact
 elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
 (5-10 % density, up to the 27x243 shape that infer_L builds) and dense (up
 to 24x24), and rank-deficient with zero rows. The elimination order must not
-show: a shuffled copy with zero rows appended has the same rref. No timing
-is asserted.
+show: a shuffled copy with zero rows appended has the same rref. The product
+kernel behind mat_mul, mat_vec and reduce_against is checked on the same
+shapes, on vectors with mixed denominators, on chained powers of a
+conjugated nilpotent matrix and on degenerate shapes. No timing is asserted.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import CoeffQ
-from polymod.linalg import kernel_basis, mat_mul, mat_vec, rref, solve
+from polymod.linalg import _Z, kernel_basis, mat_mul, mat_vec, reduce_against, rref, solve
 
 # (name, rows, cols, density, gaussian, deficient)
 SHAPES = [
@@ -152,3 +154,92 @@ def test_rref_ignores_row_order_and_zero_rows(name, seed, nrows, ncols, density,
     random.Random(f"shuffle-{name}-{seed}").shuffle(shuffled)
     shuffled += [[CoeffQ(0)] * ncols for _ in range(3)]
     assert rref(shuffled) == rref(A)
+
+
+def _mixed(rng, gaussian):
+    """A scalar over a denominator drawn from a wide mix, to stress a common denominator."""
+    den = rng.choice([1, 2, 7, 30, 97, 1024, 3**9])
+    im = Fraction(rng.randint(-50, 50), rng.choice([1, 5, 97, 2**12])) if gaussian and rng.random() < 0.5 else 0
+    return CoeffQ(Fraction(rng.randint(-50, 50), den), im)
+
+
+@pytest.mark.parametrize("name, seed, nrows, ncols, density, gaussian, deficient", _cases())
+def test_reduce_against_matches_sympy(name, seed, nrows, ncols, density, gaussian, deficient):
+    rng = random.Random(f"reduce-{name}-{seed}")
+    A = _matrix(rng, nrows, ncols, density, gaussian, deficient)
+    domain = QQ_I if gaussian else QQ
+    red, pivots = rref(A)
+    rank = len(pivots)
+    dR = _to_domain(red, domain)
+    inside = _from_domain(_to_domain([[_mixed(rng, gaussian) for _ in range(nrows)]], domain) * _to_domain(A, domain), domain)[0]
+    outside = [_mixed(rng, gaussian) if rng.random() < 0.5 else CoeffQ(0) for _ in range(ncols)]
+    for vec in (inside, outside):
+        residual, combo = reduce_against(vec, red, pivots)
+        assert len(combo) == rank
+        # sympy's vec - sum c_r row_r, with c_r = vec at row r's pivot
+        assert combo == [vec[p] for p in pivots]
+        want = _to_domain([vec], domain) - _to_domain([combo], domain) * dR
+        assert [residual] == _from_domain(want, domain)
+        assert all(residual[p].is_zero() for p in pivots)
+        # residual zero exactly when sympy puts vec in the row span
+        in_span = _to_domain(A + [vec], domain).rank() == rank
+        assert in_span == all(c.is_zero() for c in residual)
+        if vec is inside:
+            assert in_span
+
+
+def _nilpotent_conjugate(rng, n, gaussian):
+    """(D, domain): P N P^-1 in sympy for a strictly upper triangular N and a
+    random invertible P with rational (Gaussian) entries, as CoeffQ rows."""
+    domain = QQ_I if gaussian else QQ
+    N = [[_mixed(rng, gaussian) if j > i and rng.random() < 0.7 else CoeffQ(0) for j in range(n)] for i in range(n)]
+    while True:
+        P = _to_domain([[_mixed(rng, gaussian) for _ in range(n)] for _ in range(n)], domain)
+        if P.rank() == n:
+            break
+    return _from_domain(P * _to_domain(N, domain) * P.inv(), domain), domain
+
+
+@pytest.mark.parametrize("n, gaussian", [(4, False), (6, True), (8, False), (9, True)])
+def test_mat_mul_chained_powers_match_sympy(n, gaussian):
+    rng = random.Random(f"powers-{n}-{gaussian}")
+    D, domain = _nilpotent_conjugate(rng, n, gaussian)
+    dD = _to_domain(D, domain)
+    power, s_power = D, dD
+    bits = 0
+    for _ in range(n):
+        bits = max([bits] + [max(c.re.denominator, c.im.denominator).bit_length() for r in power for c in r])
+        power, s_power = mat_mul(power, D), s_power * dD
+        assert power == _from_domain(s_power, domain)
+    # P^-1 puts denominators of dozens to hundreds of bits into the powers,
+    # and the chain ends at D^(n+1) = 0
+    assert bits >= 48
+    assert all(c.is_zero() for r in power for c in r)
+    v = [_mixed(rng, gaussian) for _ in range(n)]
+    assert mat_vec(D, v) == [r[0] for r in _from_domain(dD * _column(v, domain), domain)]
+
+
+def test_product_kernel_degenerate_shapes():
+    c, d = CoeffQ(Fraction(3, 4), Fraction(-1, 6)), CoeffQ(Fraction(-2, 9), 5)
+    # 1x1
+    assert mat_mul([[c]], [[d]]) == [[c * d]]
+    assert mat_vec([[c]], [d]) == [c * d]
+    # all-zero matrices, of built CoeffQ(0) entries and of the shared zero
+    rng = random.Random(7)
+    B = [[_mixed(rng, True) for _ in range(3)] for _ in range(4)]
+    for zero in (CoeffQ(0), _Z):
+        assert mat_mul([[zero] * 4] * 2, B) == [[CoeffQ(0)] * 3] * 2
+        assert mat_mul(B, [[zero] * 3] * 3) == [[CoeffQ(0)] * 3] * 4
+        assert mat_vec([[zero] * 4] * 2, B[0] + [c]) == [CoeffQ(0)] * 2
+    # an all-_Z row keeps its place in the product
+    A = [[c, d, c, d], [_Z] * 4, [d, _Z, _Z, c]]
+    assert mat_mul(A, B) == _from_domain(_to_domain(A, QQ_I) * _to_domain(B, QQ_I), QQ_I)
+    assert mat_mul(A, B)[1] == [CoeffQ(0)] * 3
+    # the zero vector reduces to itself with a zero combination
+    red, pivots = rref(A)
+    for zero in ([CoeffQ(0)] * 4, [_Z] * 4):
+        residual, combo = reduce_against(zero, red, pivots)
+        assert residual == [CoeffQ(0)] * 4 and combo == [CoeffQ(0)] * len(pivots)
+        assert mat_vec(A, zero) == [CoeffQ(0)] * 3
+    # against an empty basis every vector is its own residual
+    assert reduce_against([c, _Z, d], [], []) == ([c, CoeffQ(0), d], [])

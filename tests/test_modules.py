@@ -18,13 +18,12 @@ from polymod import (
     derivative_closure,
     dilated_shift_table,
     generate,
-    is_translation_invariant,
     shift_invariance_table,
     v_space,
 )
 
 from polymod import modules
-from polymod.spans import in_span
+from polymod.spans import in_span, span_reduce
 
 from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
 from test_linalg import _CountingToken
@@ -196,12 +195,13 @@ def test_v_space_validation():
 
 
 def test_is_translation_invariant_examples():
+    # a span is translation invariant iff its closure adds nothing to it
     one = BiPoly.embed(UniPoly.const(1))
     x = BiPoly.embed(UniPoly.x())
     y = BiPoly.monomial(0, 1)
-    assert is_translation_invariant([one, x, y])
-    assert not is_translation_invariant([BiPoly.monomial(2, 0)])
-    assert is_translation_invariant([])
+    assert len(derivative_closure([one, x, y])) == len(span_reduce([one, x, y])) == 3
+    assert len(derivative_closure([BiPoly.monomial(2, 0)])) > len(span_reduce([BiPoly.monomial(2, 0)]))
+    assert len(derivative_closure([])) == len(span_reduce([])) == 0
 
 
 def test_closures_are_translation_invariant(rng):
@@ -214,7 +214,7 @@ def test_closures_are_translation_invariant(rng):
     for _ in range(10):
         gens = [rand_bipoly(rng, 2, 2)]
         basis = derivative_closure(gens)
-        assert is_translation_invariant(basis)
+        assert len(derivative_closure(basis)) == len(span_reduce(basis))
         for a, b in shifts:
             assert all(in_span(f.shift(a, b), basis) for f in basis)
 
@@ -244,6 +244,22 @@ def test_default_deg_bound_scans_structure():
     assert default_deg_bound(M) == 4
     assert default_deg_bound(M, BiPoly.monomial(5, 1)) == 6
     assert default_deg_bound(FiniteGen([X2Y])) == 3
+
+
+def test_finitegen_polls_inside_its_closure_and_cancels_cleanly(monkeypatch):
+    spy = _PollSpy(monkeypatch, modules, ["span_reduce"])
+    gens = [X2Y, BiPoly.from_coords([UniPoly([CoeffQ(1), CoeffQ(0, 2)]), UniPoly.monomial(3)])]
+    token = spy.token()
+    want = FiniteGen(gens, token)
+    # the closure runs several reductions, and each polls the token while it runs
+    assert len(spy.finished) >= 2 and all(polls for _name, polls in spy.finished)
+    assert want.basis == FiniteGen(gens).basis
+    for n in range(1, token.calls + 1):
+        stub = _CountingToken(fire_at=n)
+        with pytest.raises(Cancelled):
+            FiniteGen(gens, stub)
+        assert stub.calls == n
+    assert FiniteGen(gens, _CountingToken(fire_at=token.calls + 1)).basis == want.basis
 
 
 def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatch):

@@ -10,6 +10,7 @@ from referencing import Registry, Resource
 import polymod
 from polymod import (
     BiPoly,
+    Cancelled,
     CoeffQ,
     GammaTable,
     LogNum,
@@ -28,6 +29,7 @@ from polymod import (
 from polymod import serialize as ser
 
 from conftest import rand_bipoly, rand_gamma, rand_scalar, rand_unipoly
+from test_linalg import _CountingToken
 
 SCHEMA_DIR = Path(polymod.__file__).parent / "schemas"
 
@@ -159,6 +161,16 @@ def test_module_roundtrip():
         check_schema(j, "urn:polymod:module-expr")
         back = ser.module_from_json(j)
         assert ser.module_to_json(back) == j
+
+
+def test_module_from_json_passes_its_token_to_every_closure():
+    fin = {"type": "FiniteGen", "gens": [ser.bipoly_to_json(BiPoly.monomial(2, 1))]}
+    for obj in (fin, {"type": "Sum", "parts": [{"type": "Md", "d": 1}, fin]}):
+        token = _CountingToken()
+        assert ser.module_from_json(obj, token) == ser.module_from_json(obj)
+        assert token.calls >= 1
+        with pytest.raises(Cancelled):
+            ser.module_from_json(obj, _CountingToken(fire_at=1))
 
 
 def test_module_malformed():
