@@ -82,63 +82,4 @@ from .operators import (
 from .poly import BiPoly, UniPoly
 from .scalars import CoeffQ
 
-__all__ = [
-    "ArityMismatch",
-    "BiPoly",
-    "BoundReport",
-    "CONDITION_MARGIN",
-    "Cancelled",
-    "CancelToken",
-    "ChainDecomposition",
-    "CoeffQ",
-    "FiniteGen",
-    "GammaTable",
-    "LogNum",
-    "MODE_UPPER",
-    "SLACK_LOG",
-    "TOWER_CAP",
-    "Md",
-    "MGamma",
-    "MembershipResult",
-    "NotAnLModule",
-    "NotNilpotent",
-    "ParseError",
-    "PolymodError",
-    "RangeExceeded",
-    "Sum",
-    "SumOrderReport",
-    "ThresholdUnmet",
-    "Underdetermined",
-    "UnsupportedExpr",
-    "UniPoly",
-    "VSpaceBasis",
-    "apply_L",
-    "canonical_split",
-    "coeff_norm_chain",
-    "contains",
-    "default_deg_bound",
-    "derivative_closure",
-    "dilated_shift_table",
-    "e_tower_log",
-    "generate",
-    "infer_L",
-    "log_add",
-    "log_mul",
-    "log_pow",
-    "mgamma_contains",
-    "nilpotent_chains",
-    "order_of_module",
-    "order_of_sum_report",
-    "phi",
-    "poly_membership",
-    "quotient_derivation",
-    "shift_invariance_table",
-    "side_conditions",
-    "sup_bound",
-    "surrogate_bridge",
-    "v_space",
-    "verify_e14",
-    "witness_x_not_in_M",
-]
-
 __version__ = "0.1.0"

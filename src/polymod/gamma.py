@@ -37,13 +37,13 @@ class GammaTable:
     __slots__ = ("s", "entries")
 
     def __init__(self, s: int, entries=None):
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:
             raise ValueError("table width s must be a positive int")
         table = {}
         for (i, j), a in dict(entries or {}).items():
-            if not isinstance(i, int) or not 1 <= i <= s:
+            if type(i) is not int or not 1 <= i <= s:
                 raise ValueError(f"row index {i} outside 1..{s}")
-            if not isinstance(j, int) or j < 1:
+            if type(j) is not int or j < 1:
                 raise ValueError(f"derivative order {j} must be >= 1")
             a = CoeffQ.of(a)
             if not a.is_zero():

@@ -30,22 +30,17 @@ from .spans import in_span, restrict_degree, span_reduce, tuple_span_reduce
 
 
 def derivative_closure(gens, cancel: CancelToken | None = None):
-    """Reduced basis of the smallest differentiation-closed space over gens.
-
-    Both partials only lower total degree, so the loop reaches a fixpoint.
-    """
-    basis = span_reduce(list(gens), cancel=cancel)
-    while True:
-        if cancel is not None:
-            cancel.check()
-        images = []
-        for f in basis:
-            images.append(f.d_dx())
-            images.append(f.d_dy())
-        bigger = span_reduce(basis + images, cancel=cancel)
-        if len(bigger) == len(basis):
-            return bigger
-        basis = bigger
+    """Reduced basis of the smallest differentiation-closed space over gens:
+    one reduction of every partial d_x^a d_y^b g of every generator g."""
+    partials = []
+    for g in gens:
+        while not g.is_zero():
+            f = g
+            while not f.is_zero():
+                partials.append(f)
+                f = f.d_dx()
+            g = g.d_dy()
+    return span_reduce(partials, cancel=cancel)
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ class Md:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 0:
+        if type(self.d) is not int or self.d < 0:
             raise ValueError("Md degree bound must be an int >= 0")
 
 

@@ -93,14 +93,14 @@ def bipoly_to_json(F: BiPoly) -> dict:
 def gamma_from_json(obj) -> GammaTable:
     if not isinstance(obj, dict) or "s" not in obj:
         raise ParseError('recursion table must be {"s": int, "entries": [...]}')
-    if not isinstance(obj["s"], int) or isinstance(obj["s"], bool):
+    if type(obj["s"]) is not int:
         raise ParseError('"s" must be an int')
     entries = {}
     for e in obj.get("entries", []):
         if not isinstance(e, dict) or not {"i", "j", "a"} <= set(e):
             raise ParseError('each entry must be {"i": int, "j": int, "a": scalar}')
         i, j = e["i"], e["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ParseError("entry indices must be ints")
         if (i, j) in entries:
             raise ParseError(f"duplicate entry ({i}, {j})")

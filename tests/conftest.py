@@ -40,9 +40,9 @@ def rand_unipoly(rng: random.Random, max_deg: int, complex_ok: bool = True) -> U
     return UniPoly([rand_scalar(rng, complex_ok) for _ in range(deg + 1)])
 
 
-def rand_bipoly(rng: random.Random, max_dx: int, max_dy: int) -> BiPoly:
+def rand_bipoly(rng: random.Random, max_dx: int, max_dy: int, complex_ok: bool = True) -> BiPoly:
     ncoords = rng.randint(1, max_dy + 1)
-    return BiPoly.from_coords([rand_unipoly(rng, max_dx) for _ in range(ncoords)])
+    return BiPoly.from_coords([rand_unipoly(rng, max_dx, complex_ok) for _ in range(ncoords)])
 
 
 def rand_gamma(

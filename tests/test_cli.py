@@ -242,6 +242,20 @@ def test_exit_code_domain_error(capsys):
     assert payload["error"]["type"] == "unsupported-expr"
 
 
+def test_json_booleans_are_not_integers(capsys):
+    poly = '{"coords":[[1]]}'
+    for argv in (
+        ["member", "--json", "--module", '{"type":"Md","d":true}', "--poly", poly],
+        ["member", "--json", "--module", '{"type":"Sum","parts":[{"type":"Md","d":1},{"type":"Md","d":true}]}', "--poly", poly],
+        ["gen-gamma", "--json", "--gamma", '{"s":1,"entries":[{"i":true,"j":true,"a":"1"}]}', "--seeds", "[[0,1]]"],
+        ["gen-gamma", "--json", "--gamma", '{"s":1,"entries":[{"i":1,"j":true,"a":"1"}]}', "--seeds", "[[0,1]]"],
+        ["member", "--json", "--module", '{"type":"MGamma","gamma":{"s":1,"entries":[{"i":true,"j":1,"a":"1"}]}}', "--poly", poly],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1
+        assert payload["error"]["type"] == "parse-error", argv
+
+
 def test_error_payload_carries_witness(capsys):
     basis = ser.dumps(
         [ser.bipoly_to_json(BiPoly.monomial(i, j)) for i in range(2) for j in range(3)]
@@ -333,10 +347,10 @@ def test_timeout_cancels_span_reductions(capsys):
 
 
 def test_timeout_holds_inside_the_finitegen_closure(capsys):
-    # two random generators whose closure takes seconds: the token is live
+    # three random generators whose closure takes seconds: the token is live
     # while the module is parsed, so a small timeout stops the closure
     rng = random.Random(12)
-    gens = [ser.bipoly_to_json(rand_bipoly(rng, 9, 8)) for _ in range(2)]
+    gens = [ser.bipoly_to_json(rand_bipoly(rng, 24, 20)) for _ in range(3)]
     fin_json = {"type": "FiniteGen", "gens": gens}
     fin = ser.dumps(fin_json)
     poly = ser.dumps(ser.bipoly_to_json(BiPoly.monomial(1, 1)))

@@ -39,6 +39,9 @@ def test_gamma_table_validation():
         GammaTable(1, {(2, 1): CoeffQ.of(1)})  # i out of range
     with pytest.raises(ValueError):
         GammaTable(1, {(1, 0): CoeffQ.of(1)})  # j must be >= 1
+    for s, i, j in ((True, 1, 1), (1, True, 1), (1, 1, True)):  # bools are not ints
+        with pytest.raises(ValueError):
+            GammaTable(s, {(i, j): CoeffQ.of(1)})
     g = GammaTable(2, {(1, 1): CoeffQ.of(0), (2, 1): CoeffQ.of(1)})
     assert dict(g.items()) == {(2, 1): CoeffQ.of(1)}  # zero entries elided
     assert g.max_j == 1

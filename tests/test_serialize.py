@@ -148,6 +148,24 @@ def test_gamma_malformed():
         ser.gamma_from_json({"s": 1, "entries": [{"i": "1", "j": 1, "a": "1"}]})
 
 
+# JSON booleans are ints to Python, but the schemas ask for integers
+BOOLEAN_INTS = [
+    ("urn:polymod:module-expr", {"type": "Md", "d": True}),
+    ("urn:polymod:gamma", {"s": 1, "entries": [{"i": True, "j": 1, "a": "1"}]}),
+    ("urn:polymod:gamma", {"s": 1, "entries": [{"i": 1, "j": True, "a": "1"}]}),
+    ("urn:polymod:gamma", {"s": 1, "entries": [{"i": True, "j": True, "a": "1"}]}),
+]
+
+
+def test_booleans_are_refused_where_the_schemas_ask_for_integers():
+    for ref, doc in BOOLEAN_INTS:
+        with pytest.raises(ValidationError):
+            check_schema(doc, ref)
+        parse = ser.gamma_from_json if ref == "urn:polymod:gamma" else ser.module_from_json
+        with pytest.raises(ParseError):
+            parse(doc)
+
+
 def test_module_roundtrip():
     exprs = [
         Md(3),
