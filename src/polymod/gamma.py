@@ -166,7 +166,7 @@ def monomial_seed_elements(g: GammaTable, bound: int, cancel=None) -> list:
     return out
 
 
-def mgamma_contains(g: GammaTable, F: BiPoly):
+def mgamma_contains(g: GammaTable, F: BiPoly, cancel=None):
     """Exact membership of F in the generated space M_g.
 
     Checks f_n = L(window) for s <= n <= deg_y(F) + s; beyond that range the
@@ -175,6 +175,8 @@ def mgamma_contains(g: GammaTable, F: BiPoly):
     """
     top = (int(F.deg_y) if not F.is_zero() else -1) + g.s
     for n in range(g.s, top + 1):
+        if cancel is not None:
+            cancel.check()
         window = [F.coord(n - g.s + k) for k in range(g.s)]
         expected = apply_L(g, window)
         if F.coord(n) != expected:

@@ -23,8 +23,7 @@ the RREF whatever the row order. Each output part is built once as a
 Fraction over |d|^2 (less any common factor of d's parts), normalised by one
 gcd. ``mat_mul`` is one product kernel on the same numerators: the rows of
 b are put over one denominator, the Z[i] products are summed on ints and
-each output part is built once. ``mat_vec`` and ``reduce_against`` are
-products with it.
+each output part is built once. ``reduce_against`` is a product with it.
 """
 
 from __future__ import annotations
@@ -198,10 +197,6 @@ def solve(rows, rhs, cancel=None):
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     return x, free
-
-
-def mat_vec(rows, v):
-    return [r[0] for r in mat_mul(rows, [[x] for x in v])] if v else [_Z] * len(rows)
 
 
 def mat_mul(a, b):

@@ -204,7 +204,7 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
     if isinstance(M, Md):
         return _contains_md(M, F)
     if isinstance(M, MGamma):
-        ok, cert = mgamma_contains(M.gamma, F)
+        ok, cert = mgamma_contains(M.gamma, F, cancel)
         return MembershipResult(ok, cert)
     if isinstance(M, FiniteGen):
         return _contains_finite(M, F, cancel)

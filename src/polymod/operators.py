@@ -8,7 +8,9 @@ L-module order, the smallest K such that a span element vanishing in its
 first K coordinates is zero, with a witness for each smaller K; the module
 order, the sum order and inference's prefix check all call it. The nilpotent
 machinery decomposes the coordinatewise derivative acting on truncated
-seed-tuple quotients into shift chains.
+seed-tuple quotients into shift chains: one rref per height picks that
+height's generators by their pivot columns, and one product per height
+advances every chain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
-from .linalg import _Z, is_zero_matrix, kernel_basis, mat_mul, mat_vec, rank, reduce_against, rref, solve
+from .linalg import _Z, is_zero_matrix, kernel_basis, mat_mul, rank, rref, solve
 from .modules import MGamma, Md, Sum, contains, phi
 from .poly import BiPoly
 from .scalars import CoeffQ
@@ -167,9 +169,12 @@ def _coerce_matrix(mat):
 def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecomposition:
     """Decompose a nilpotent matrix into shift chains D^j u.
 
-    Generators are chosen greedily from the highest nilpotency index down;
-    within one index, candidates are taken in the deterministic order of the
-    reduced kernel basis. Raises NotNilpotent if D^dim != 0.
+    Generators are chosen greedily from the highest nilpotency index k down,
+    by the pivot-column rule: a column of an RREF is a pivot exactly when it
+    lies outside the span of the columns before it, so the pivots of one rref
+    of [ker D^(k-1) | images D^(length-k) u of the chains so far | ker D^k]
+    in the last block are the generators of height k, in kernel-basis order.
+    Raises NotNilpotent if D^dim != 0.
     """
     D = _coerce_matrix(mat)
     n = len(D)
@@ -188,28 +193,21 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
         raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
     # kernels[k] = ker D^k, and ker D^0 is zero
     kernels = [[]] + [kernel_basis(P, ncols=n, cancel=cancel) for P in powers]
+    Dt = [list(col) for col in zip(*D)]
     chains: list[tuple[tuple, int]] = []
+    images = []  # D^(length-k) u of each chain at height k, as rows
+    trail = []  # trail[p-k] = images at height k
     for k in range(p, 0, -1):
-        # U = ker D^{k-1} + D^(length-k) u of chains chosen at a larger k
-        U = [list(v) for v in kernels[k - 1]]
-        for u, length in chains:
-            U.append(mat_vec(powers[length - k - 1], list(u)))
-        red, pivots = rref(U, cancel)
-        for cand in kernels[k]:
-            if cancel is not None:
-                cancel.check()
-            residual, _ = reduce_against(list(cand), red, pivots)
-            if any(not c.is_zero() for c in residual):
-                chains.append((tuple(cand), k))
-                red, pivots = rref(red + [list(cand)], cancel)
-    basis_vectors = []
-    for u, length in chains:
-        v = list(u)
-        for _ in range(length):
-            basis_vectors.append(tuple(v))
-            v = mat_vec(D, v)
-        if any(not c.is_zero() for c in v):
-            raise AssertionError("chain does not terminate at zero")
+        cols = kernels[k - 1] + images + kernels[k]
+        _, pivots = rref([list(row) for row in zip(*cols)], cancel)
+        new = [cols[j] for j in pivots if j >= len(cols) - len(kernels[k])]
+        chains += [(tuple(u), k) for u in new]
+        trail.append(images + new)
+        images = mat_mul(trail[-1], Dt)
+    if any(not c.is_zero() for v in images for c in v):
+        raise AssertionError("chain does not terminate at zero")
+    # D^t u of chain c is its image at height length - t
+    basis_vectors = [tuple(trail[p - length + t][c]) for c, (_u, length) in enumerate(chains) for t in range(length)]
     if len(basis_vectors) != n or rank([list(v) for v in basis_vectors], cancel) != n:
         raise AssertionError("chain vectors do not form a basis")
     return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))

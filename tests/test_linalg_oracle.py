@@ -5,7 +5,7 @@ elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
 (5-10 % density, up to the 27x243 shape that infer_L builds) and dense (up
 to 24x24), and rank-deficient with zero rows. The elimination order must not
 show: a shuffled copy with zero rows appended has the same rref. The product
-kernel behind mat_mul, mat_vec and reduce_against is checked on the same
+kernel behind mat_mul and reduce_against is checked on the same
 shapes, on vectors with mixed denominators, on chained powers of a
 conjugated nilpotent matrix and on degenerate shapes. No timing is asserted.
 """
@@ -20,7 +20,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import CoeffQ
-from polymod.linalg import _Z, kernel_basis, mat_mul, mat_vec, reduce_against, rref, solve
+from polymod.linalg import _Z, kernel_basis, mat_mul, reduce_against, rref, solve
 
 # (name, rows, cols, density, gaussian, deficient)
 SHAPES = [
@@ -140,8 +140,8 @@ def test_kernels_match_sympy(name, seed, nrows, ncols, density, gaussian, defici
             assert len(free) == ncols - rank
             assert _from_domain(dA * _column(values, domain), domain) == [[b] for b in rhs]
 
-    # mat_vec and mat_mul: sympy's products
-    assert mat_vec(A, x) == in_range
+    # mat_mul on a column and on a matrix: sympy's products
+    assert mat_mul(A, [[c] for c in x]) == [[b] for b in in_range]
     B = _matrix(rng, ncols, 5, density, gaussian, False)
     assert mat_mul(A, B) == _from_domain(dA * _to_domain(B, domain), domain)
 
@@ -216,21 +216,20 @@ def test_mat_mul_chained_powers_match_sympy(n, gaussian):
     assert bits >= 48
     assert all(c.is_zero() for r in power for c in r)
     v = [_mixed(rng, gaussian) for _ in range(n)]
-    assert mat_vec(D, v) == [r[0] for r in _from_domain(dD * _column(v, domain), domain)]
+    assert mat_mul(D, [[c] for c in v]) == _from_domain(dD * _column(v, domain), domain)
 
 
 def test_product_kernel_degenerate_shapes():
     c, d = CoeffQ(Fraction(3, 4), Fraction(-1, 6)), CoeffQ(Fraction(-2, 9), 5)
     # 1x1
     assert mat_mul([[c]], [[d]]) == [[c * d]]
-    assert mat_vec([[c]], [d]) == [c * d]
     # all-zero matrices, of built CoeffQ(0) entries and of the shared zero
     rng = random.Random(7)
     B = [[_mixed(rng, True) for _ in range(3)] for _ in range(4)]
     for zero in (CoeffQ(0), _Z):
         assert mat_mul([[zero] * 4] * 2, B) == [[CoeffQ(0)] * 3] * 2
         assert mat_mul(B, [[zero] * 3] * 3) == [[CoeffQ(0)] * 3] * 4
-        assert mat_vec([[zero] * 4] * 2, B[0] + [c]) == [CoeffQ(0)] * 2
+        assert mat_mul([[zero] * 4] * 2, [[x] for x in B[0] + [c]]) == [[CoeffQ(0)]] * 2
     # an all-_Z row keeps its place in the product
     A = [[c, d, c, d], [_Z] * 4, [d, _Z, _Z, c]]
     assert mat_mul(A, B) == _from_domain(_to_domain(A, QQ_I) * _to_domain(B, QQ_I), QQ_I)
@@ -240,6 +239,6 @@ def test_product_kernel_degenerate_shapes():
     for zero in ([CoeffQ(0)] * 4, [_Z] * 4):
         residual, combo = reduce_against(zero, red, pivots)
         assert residual == [CoeffQ(0)] * 4 and combo == [CoeffQ(0)] * len(pivots)
-        assert mat_vec(A, zero) == [CoeffQ(0)] * 3
+        assert mat_mul(A, [[x] for x in zero]) == [[CoeffQ(0)]] * 3
     # against an empty basis every vector is its own residual
     assert reduce_against([c, _Z, d], [], []) == ([c, CoeffQ(0), d], [])

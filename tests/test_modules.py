@@ -350,3 +350,26 @@ def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatc
                 run(stub)
             assert stub.calls == n
         assert run(_CountingToken(fire_at=token.calls + 1)) == want
+
+
+def test_mgamma_membership_polls_once_per_coordinate_and_cancels_cleanly():
+    # contains hands its token to mgamma_contains, which polls before each
+    # coordinate it checks: s..deg_y F + s for a member, s..the mismatch for
+    # a non-member
+    rng = random.Random(13)
+    for _ in range(6):
+        g = rand_gamma(rng)
+        F = generate(g, [rand_unipoly(rng, 4) for _ in range(g.s)])
+        outside = F + BiPoly.monomial(0, int(F.deg_y) + 1)
+        for G in (F, outside):
+            token = _CountingToken()
+            want = contains(MGamma(g), G, cancel=token)
+            last = int(G.deg_y) + g.s if want.contains else want.certificate["n"]
+            assert want.contains == (G is F)
+            assert token.calls >= last - g.s + 1
+            for n in range(1, token.calls + 1):
+                stub = _CountingToken(fire_at=n)
+                with pytest.raises(Cancelled):
+                    contains(MGamma(g), G, cancel=stub)
+                assert stub.calls == n
+            assert contains(MGamma(g), G, cancel=_CountingToken(fire_at=token.calls + 1)) == want

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,9 @@ from polymod import (
     quotient_derivation,
     shift_invariance_table,
 )
-from polymod import operators
-from polymod.linalg import mat_mul, mat_vec, rank
-from polymod.operators import _pinning_order
+from polymod import linalg, operators
+from polymod.linalg import is_zero_matrix, kernel_basis, mat_mul, rank, reduce_against, rref
+from polymod.operators import ChainDecomposition, _pinning_order
 from polymod.spans import span_reduce
 
 from conftest import identity, invert, rand_nilpotent
@@ -226,7 +227,7 @@ def test_nilpotent_chains_differentiation_matrix():
     seen = []
     for _ in range(3):
         seen.append(any(not c.is_zero() for c in v))
-        v = mat_vec([[CoeffQ.of(c) for c in row] for row in D], v)
+        v = [r[0] for r in mat_mul([[CoeffQ.of(c) for c in row] for row in D], [[x] for x in v])]
     assert all(seen) and all(c.is_zero() for c in v)
 
 
@@ -239,6 +240,90 @@ def test_nilpotent_chains_random_corpus(rng):
         assert got == _rank_profile_lengths(D)
         assert sum(length for _u, length in dec.chains) == n
         assert _reconstruct(dec) == D
+
+
+def ref_nilpotent_chains(mat):
+    """The earlier greedy selection, kept as a reference: one reduce_against
+    per kernel candidate, one rref per chain added, and one product per chain
+    image and per basis vector."""
+    D = [[CoeffQ.of(c) for c in row] for row in mat]
+    n = len(D)
+    if n == 0:
+        return ChainDecomposition(dim=0, chains=(), basis_vectors=())
+
+    def apply(P, v):
+        return [r[0] for r in mat_mul(P, [[x] for x in v])]
+
+    powers = [D]  # powers[t] = D^(t+1)
+    while not is_zero_matrix(powers[-1]):
+        powers.append(mat_mul(powers[-1], D))
+    kernels = [[]] + [kernel_basis(P, ncols=n) for P in powers]
+    chains = []
+    for k in range(len(powers), 0, -1):
+        U = [list(v) for v in kernels[k - 1]]
+        U += [apply(powers[length - k - 1], list(u)) for u, length in chains]
+        red, pivots = rref(U)
+        for cand in kernels[k]:
+            residual, _ = reduce_against(list(cand), red, pivots)
+            if any(not c.is_zero() for c in residual):
+                chains.append((tuple(cand), k))
+                red, pivots = rref(red + [list(cand)])
+    basis_vectors = []
+    for u, length in chains:
+        v = list(u)
+        for _ in range(length):
+            basis_vectors.append(tuple(v))
+            v = apply(D, v)
+    return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))
+
+
+def _gaussian_conjugate(rng, D):
+    """L D L^-1 for a unit lower triangular L with Gaussian-integer entries."""
+    n = len(D)
+    L = [
+        [CoeffQ.of(1) if c == r else (CoeffQ(rng.randint(-2, 2), rng.randint(-2, 2)) if c < r else CoeffQ.of(0)) for c in range(n)]
+        for r in range(n)
+    ]
+    return mat_mul(mat_mul(L, D), invert(L))
+
+
+def _chain_corpus():
+    rng = random.Random(29)
+    out = []
+    for n in range(1, 10):
+        for _ in range(3):
+            D = rand_nilpotent(rng, n)
+            out.extend([D, _gaussian_conjugate(rng, D)])
+    out.append([[0] * 4 for _ in range(4)])
+    out.append([[1 if c == r + 1 else 0 for c in range(5)] for r in range(5)])
+    out.extend(quotient_derivation(s, k, d) for s, k, d in [(1, 4, 0), (2, 4, 1), (3, 5, 2), (2, 5, 1), (1, 6, 0), (3, 4, 0)])
+    return out
+
+
+def test_nilpotent_chains_matches_the_greedy_reference():
+    for D in _chain_corpus():
+        got, want = nilpotent_chains(D), ref_nilpotent_chains(D)
+        assert got.dim == want.dim
+        assert got.chains == want.chains
+        assert got.basis_vectors == want.basis_vectors
+
+
+def test_nilpotent_chains_makes_at_most_2p_minus_1_products(monkeypatch):
+    # D^2..D^p, then one step of every chain per height: 2p - 1 products in all
+    cases = [(D, max(length for _u, length in ref_nilpotent_chains(D).chains)) for D in _chain_corpus()]
+    products = []
+    real = linalg.mat_mul
+
+    def spy(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", spy)
+    monkeypatch.setattr(operators, "mat_mul", spy)
+    for D, p in cases:
+        products.clear()
+        nilpotent_chains(D)
+        assert 0 < len(products) <= 2 * p - 1
 
 
 def test_nilpotent_chains_rejects_non_nilpotent():
