@@ -14,17 +14,20 @@ n >= s * (1 + max seed degree). The bound is sharp. For s >= 2 it lies past
 the naive cutoff s + max seed degree, because a width-s window can carry each
 degree for s - 1 more steps.
 
-apply_L, the one recursion step, is an integer kernel like poly._shift. The
-slot coefficients that the terms with deg f_i >= j use go over one common
-denominator D, as numerators N_i in Z[i], and the entries over their own, Q.
-out_m = sum A_ij * perm(m + j, j) * N_i[m + j] is summed on integers, zero
-parts skipped, and each part is built once as Fraction(num, Q * D): one gcd.
+One generator, _recur, runs every recursion: generate, apply_L (one step),
+mgamma_contains and the Md + M_g residual test. It converts the table once per
+run and keeps the window as canonical Z[i] triples (re, im, den), trailing
+zeros trimmed and gcd(den, *re, *im) = 1, so equal polynomials give equal
+triples. A step sums out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on
+integers and divides out the content, so membership compares on integers and
+Fractions are built only for generate's output and a mismatch's residual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from itertools import chain, repeat
+from math import gcd, lcm, perm
 
 from .errors import ArityMismatch
 from .poly import _F0, _ZERO_POLY, BiPoly, UniPoly, _over, _unipoly
@@ -85,46 +88,76 @@ def dilated_shift_table(a) -> GammaTable:
     return GammaTable(1, {(1, 1): a})
 
 
+_ZERO_INTS = ((), (), 1)
+
+
+def _ints(f: UniPoly) -> tuple:
+    """The canonical Z[i] triple (re, im, den) of f (see the module doc)."""
+    cs = f.coeffs
+    if not cs:
+        return _ZERO_INTS
+    nums, den = _over([c.re for c in cs] + [c.im for c in cs])
+    return nums[: len(cs)], nums[len(cs) :], den
+
+
+def _poly(t) -> UniPoly:
+    re, im, den = t
+    return _unipoly([_make(Fraction(r, den) if r else _F0, Fraction(c, den) if c else _F0) for r, c in zip(re, im)])
+
+
+def _recur(g: GammaTable, window, cancel=None):
+    """Yield f_s, f_{s+1}, ... as canonical triples, from the window f_0..f_{s-1},
+    until the window is all zero; polls cancel once per coordinate."""
+    win = [_ints(f) for f in window]
+    width = max(len(re) for re, _im, _den in win)
+    avals, Q = _over([a.re for _k, a in g.items()] + [a.im for _k, a in g.items()])
+    terms = []
+    for ((i, j), _a), ar, ai in zip(g.items(), avals, avals[len(g.entries) :]):
+        row = [perm(m + j, j) for m in range(width - j)]
+        terms.append((i - 1, j, [ar * k for k in row], [ai * k for k in row] if ai else None))
+    stop = [_ZERO_INTS] * len(win)
+    while win != stop:
+        if cancel is not None:
+            cancel.check()
+        live = [(win[i], j, prow, irow) for i, j, prow, irow in terms if len(win[i][0]) > j]
+        out = _ZERO_INTS
+        if live:
+            D = lcm(*[w[2] for w, *_ in live])
+            n = max([len(w[0]) - j for w, j, *_ in live])
+            re, im = [0] * n, [0] * n
+            for (cre, cim, den), j, prow, irow in live:
+                if den != D:
+                    cre, cim = [c * (D // den) for c in cre], [c * (D // den) for c in cim]
+                for m in range(len(cre) - j):
+                    cr, cm = cre[m + j], cim[m + j]
+                    if cr:
+                        re[m] += prow[m] * cr
+                        if irow:
+                            im[m] += irow[m] * cr
+                    if cm:
+                        im[m] += prow[m] * cm
+                        if irow:
+                            re[m] -= irow[m] * cm
+            while n and not (re[n - 1] or im[n - 1]):
+                n -= 1
+            if n:
+                del re[n:], im[n:]
+                den = Q * D
+                c = gcd(den, *re, *im)
+                if c != 1:
+                    re, im, den = [r // c for r in re], [r // c for r in im], den // c
+                out = (re, im, den)
+        yield out
+        win.append(out)
+        del win[0]
+
+
 def apply_L(g: GammaTable, window) -> UniPoly:
-    """Apply the table's operator to a window of s univariate polynomials,
-    on the integer recursion-step kernel (see the module doc)."""
+    """Apply the table's operator to a window of s univariate polynomials."""
     window = list(window)
     if len(window) != g.s:
         raise ArityMismatch(f"window has {len(window)} entries, table width is {g.s}")
-    terms = [(i, j, a) for (i, j), a in g.items() if len(window[i - 1].coeffs) > j]
-    if not terms:
-        return _ZERO_POLY
-    # each slot's coefficients from its lowest j on; x^k of slot i is cs[start[i] + k]
-    start, cs = {}, []
-    for i, j, _a in terms:
-        if i not in start:
-            start[i] = len(cs) - j
-            cs.extend(window[i - 1].coeffs[j:])
-    h = len(cs)
-    nums, D = _over([c.re for c in cs] + [c.im for c in cs])
-    avals, Q = _over([a.re for _i, _j, a in terms] + [a.im for _i, _j, a in terms])
-    n = max(len(window[i - 1].coeffs) - j for i, j, _a in terms)
-    re, im = [0] * n, [0] * n
-    for (i, j, _a), ar, ai in zip(terms, avals, avals[len(terms) :]):
-        o = start[i] + j
-        for m in range(len(window[i - 1].coeffs) - j):
-            cr, cm = nums[o + m], nums[h + o + m]
-            if not (cr or cm):
-                continue
-            k = perm(m + j, j)
-            pr, pi = ar * k, ai * k
-            if cr:
-                if pr:
-                    re[m] += pr * cr
-                if pi:
-                    im[m] += pi * cr
-            if cm:
-                if pr:
-                    im[m] += pr * cm
-                if pi:
-                    re[m] -= pi * cm
-    den = Q * D
-    return _unipoly([_make(Fraction(r, den) if r else _F0, Fraction(c, den) if c else _F0) for r, c in zip(re, im)])
+    return next(map(_poly, _recur(g, window)), _ZERO_POLY)
 
 
 def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
@@ -138,19 +171,7 @@ def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
     seeds = [f if isinstance(f, UniPoly) else UniPoly(f) for f in seeds]
     if len(seeds) != g.s:
         raise ArityMismatch(f"{len(seeds)} seeds for a width-{g.s} table")
-    coords = list(seeds)
-    max_deg = max((int(f.degree) for f in seeds if not f.is_zero()), default=-1)
-    guard = g.s * (2 + max(0, max_deg))
-    while True:
-        if cancel is not None:
-            cancel.check()
-        window = coords[-g.s:]
-        if all(f.is_zero() for f in window):
-            break
-        coords.append(apply_L(g, window))
-        if len(coords) > guard:  # unreachable; degree descent forbids it
-            raise AssertionError("recursion failed to terminate within the proven bound")
-    return BiPoly.from_coords(coords)
+    return BiPoly.from_coords(seeds + [_poly(t) for t in _recur(g, seeds, cancel)])
 
 
 def monomial_seed_elements(g: GammaTable, bound: int, cancel=None) -> list:
@@ -171,18 +192,12 @@ def mgamma_contains(g: GammaTable, F: BiPoly, cancel=None):
 
     Checks f_n = L(window) for s <= n <= deg_y(F) + s; beyond that range the
     window consists of zero polynomials only, so the recursion holds
-    automatically. Returns (bool, certificate dict).
+    automatically. Up to the first mismatch, the stream from F's seeds has F's
+    window. Returns (bool, certificate dict).
     """
     top = (int(F.deg_y) if not F.is_zero() else -1) + g.s
-    for n in range(g.s, top + 1):
-        if cancel is not None:
-            cancel.check()
-        window = [F.coord(n - g.s + k) for k in range(g.s)]
-        expected = apply_L(g, window)
-        if F.coord(n) != expected:
-            return False, {
-                "reason": "recursion-mismatch",
-                "n": n,
-                "residual": F.coord(n) - expected,
-            }
+    stream = chain(_recur(g, [F.coord(k) for k in range(g.s)], cancel), repeat(_ZERO_INTS))
+    for n, t in zip(range(g.s, top + 1), stream):
+        if _ints(F.coord(n)) != t:
+            return False, {"reason": "recursion-mismatch", "n": n, "residual": F.coord(n) - _poly(t)}
     return True, {"reason": "recursion-verified", "checked_upto": top}

@@ -21,10 +21,11 @@ residual F - generate(g, first s coords of F) lies in Md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .cancel import CancelToken
 from .errors import UnsupportedExpr
-from .gamma import GammaTable, generate, mgamma_contains, monomial_seed_elements
+from .gamma import _ZERO_INTS, GammaTable, _ints, _recur, mgamma_contains, monomial_seed_elements
 from .poly import NEG_INF, BiPoly, UniPoly
 from .spans import in_span, restrict_degree, span_reduce, tuple_span_reduce
 
@@ -128,16 +129,8 @@ def default_deg_bound(M, F: BiPoly | None = None) -> int:
     return 1 + max(vals)
 
 
-def _md_offenders(F: BiPoly, d: int):
-    return [
-        {"n": n, "deg_x": int(f.degree)}
-        for n, f in enumerate(F.coords)
-        if f.degree != NEG_INF and f.degree >= d
-    ]
-
-
 def _contains_md(M: Md, F: BiPoly) -> MembershipResult:
-    offending = _md_offenders(F, M.d)
+    offending = [{"n": n, "deg_x": int(f.degree)} for n, f in enumerate(F.coords) if f.degree >= M.d]
     if offending:
         return MembershipResult(False, {"reason": "degree-bound-violated", "d": M.d, "offending": offending})
     return MembershipResult(True, {"reason": "degree-bound", "d": M.d})
@@ -151,9 +144,19 @@ def _contains_finite(M: FiniteGen, F: BiPoly, cancel) -> MembershipResult:
 
 
 def _contains_md_plus_gamma(d: int, g: GammaTable, F: BiPoly, cancel) -> MembershipResult:
-    completion = generate(g, phi(F, g.s), cancel=cancel)
-    residual = F - completion
-    offending = _md_offenders(residual, d)
+    completion = _recur(g, phi(F, g.s), cancel)
+    offending = []
+    for n, (a, b) in enumerate(zip_longest(map(_ints, F.coords[g.s :]), completion, fillvalue=_ZERO_INTS), g.s):
+        if a == b:
+            continue
+        # the x-degree of the residual a - b: cross products scanned from the top down to d
+        (ar, ai, ad), (br, bi, bd) = a, b
+        top = max(len(ar), len(br)) - 1
+        if len(ar) == len(br):
+            diff = (m for m in range(top, d - 1, -1) if ar[m] * bd != br[m] * ad or ai[m] * bd != bi[m] * ad)
+            top = next(diff, -1)
+        if top >= d:
+            offending.append({"n": n, "deg_x": top})
     cert = {
         "reason": "sum-residual",
         "d": d,

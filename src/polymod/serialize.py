@@ -43,7 +43,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if not RATIONAL_RE.match(value):
             raise ParseError(f"malformed rational {value!r}")
-        return Fraction(value)
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise ParseError(f"expected rational string or int, got {type(value).__name__}")
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from sympy import QQ_I
@@ -11,13 +11,20 @@ from polymod import (
     BiPoly,
     CoeffQ,
     GammaTable,
+    MGamma,
+    Md,
+    Sum,
     UniPoly,
     apply_L,
+    canonical_split,
+    contains,
     dilated_shift_table,
     generate,
     mgamma_contains,
+    phi,
     shift_invariance_table,
 )
+from polymod.gamma import _ints, _poly, _recur
 
 from conftest import rand_gamma, rand_scalar, rand_unipoly
 from test_poly import _qq_i
@@ -261,3 +268,127 @@ def test_apply_l_kernel_matches_reference_and_sympy(name, g, window, is_zero):
     assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for c in out.coeffs)
     want, ring_vars = _sympy_apply_l(g, window)
     assert _to_ring(out, *ring_vars) == want
+
+
+# ---------------------------------------------------------------------------
+# the recursion stream against the per-window algorithms it replaced
+# ---------------------------------------------------------------------------
+
+
+def _window_generate(g, seeds):
+    """generate as it was: one operator application per window until the
+    window is zero, on the derivative, scale and sum reference."""
+    coords = list(seeds)
+    while not all(f.is_zero() for f in coords[-g.s :]):
+        coords.append(ref_apply_l(g, coords[-g.s :]))
+    return BiPoly.from_coords(coords)
+
+
+def _window_mgamma_contains(g, F):
+    """mgamma_contains as it was: apply the operator to each of F's windows,
+    then compare with F's next coordinate."""
+    top = (int(F.deg_y) if not F.is_zero() else -1) + g.s
+    for n in range(g.s, top + 1):
+        expected = ref_apply_l(g, [F.coord(n - g.s + k) for k in range(g.s)])
+        if F.coord(n) != expected:
+            return False, {"reason": "recursion-mismatch", "n": n, "residual": F.coord(n) - expected}
+    return True, {"reason": "recursion-verified", "checked_upto": top}
+
+
+def _residual_offenders(d, g, F):
+    """The Md + M_g residual test as it was: F minus the completion of its
+    seed prefix as a BiPoly, then every coordinate of x-degree >= d."""
+    residual = F - _window_generate(g, phi(F, g.s))
+    return [
+        {"n": n, "deg_x": int(f.degree)} for n, f in enumerate(residual.coords) if not f.is_zero() and f.degree >= d
+    ]
+
+
+def _residual_split(d, g):
+    for e in range(d + 1):
+        for t in range(g.s + 2):
+            if _residual_offenders(d, g, BiPoly.monomial(e, t)):
+                return (e, t)
+    raise AssertionError("no excluded monomial")
+
+
+def _stream_cases():
+    """320 seeded (g, F, d, perturbed) cases over widths 1-3: Gaussian tables
+    with small seeds, and every fourth one a kernel-case table and window
+    (denominators 997 and 2^61 - 1); every odd case adds one monomial past
+    the seeds to F, which takes it out of M_g."""
+    rng = random.Random(0x5EED)
+    kernel = [(g, window) for _name, g, window, _zero in KERNEL_CASES]
+    for k in range(320):
+        if k % 4 == 3:
+            g, seeds = kernel[(k // 4) % len(kernel)]
+        else:
+            s = 1 + k % 3
+            entries = {(i, j): rand_scalar(rng) for i in range(1, s + 1) for j in range(1, 4) if rng.random() < 0.5}
+            g = GammaTable(s, entries or {(s, 1): CoeffQ(Fraction(1, 3), Fraction(-2, 5))})
+            seeds = [rand_unipoly(rng, 4) for _ in range(s)]
+        F = generate(g, seeds)
+        if k % 2:
+            c = rand_scalar(rng)
+            n = rng.randint(g.s, max(g.s, F.num_coords) + 1)
+            F = F + BiPoly.monomial(rng.randint(0, 5), n, c if not c.is_zero() else 1)
+        yield g, F, rng.randint(0, 4), bool(k % 2)
+
+
+STREAM_CASES = list(_stream_cases())
+
+
+def test_stream_membership_matches_the_window_algorithms():
+    outside = 0
+    for g, F, d, _perturbed in STREAM_CASES:
+        got, want = mgamma_contains(g, F), _window_mgamma_contains(g, F)
+        assert got == want and repr(got) == repr(want)
+        outside += not got[0]
+        res = contains(Sum(Md(d), MGamma(g)), F)
+        offending = _residual_offenders(d, g, F)
+        assert res.contains == (not offending)
+        assert res.certificate["offending"] == offending
+        assert repr(res.certificate["offending"]) == repr(offending)
+    assert outside == 160
+
+
+def test_stream_generate_and_split_match_the_window_algorithms():
+    splits = {}
+    for g, F, d, perturbed in STREAM_CASES:
+        if not perturbed:
+            seeds = phi(F, g.s)
+            assert repr(generate(g, seeds)) == repr(_window_generate(g, seeds))
+        if (d, g) not in splits:
+            splits[(d, g)] = canonical_split(Sum(Md(d), MGamma(g)))
+            assert splits[(d, g)] == _residual_split(d, g)
+    assert len(splits) >= 100
+
+
+def _canonical(t) -> bool:
+    re, im, den = t
+    return len(re) == len(im) and (not re or re[-1] or im[-1]) and den > 0 and gcd(den, *re, *im) == 1
+
+
+def test_ints_is_canonical():
+    rng = random.Random(0xCA)
+    polys = [UniPoly.zero(), UniPoly.const(Fraction(2, 4)), UniPoly([0, 0, CoeffQ(0, Fraction(-3, 6))])]
+    polys += [f for _name, _g, window, _zero in KERNEL_CASES for f in window]
+    polys += [rand_unipoly(rng, 6) for _ in range(60)]
+    for f in polys:
+        t = _ints(f)
+        re, im, den = t
+        assert _canonical(t) and len(re) == len(f.coeffs)
+        assert den == lcm(*(p.denominator for c in f.coeffs for p in (c.re, c.im)))
+        assert _poly(t) == f
+        # the same polynomial built another way gives the same triple
+        assert _ints(UniPoly(list(f.coeffs) + [0, CoeffQ(0, 0)])) == t
+        assert _ints((f + f).scale(Fraction(1, 2))) == t
+        assert _ints(f + UniPoly.monomial(len(f.coeffs))) != t
+    assert _ints(UniPoly([Fraction(6, 4), Fraction(1, 3)])) == ([9, 2], [0, 0], 6)
+
+
+def test_stream_yields_canonical_triples():
+    for g, F, _d, _perturbed in STREAM_CASES[:80]:
+        for t in _recur(g, phi(F, g.s)):
+            assert _canonical(t)
+            assert _ints(_poly(t)) == t

@@ -373,3 +373,25 @@ def test_mgamma_membership_polls_once_per_coordinate_and_cancels_cleanly():
                     contains(MGamma(g), G, cancel=stub)
                 assert stub.calls == n
             assert contains(MGamma(g), G, cancel=_CountingToken(fire_at=token.calls + 1)) == want
+
+
+def test_md_plus_gamma_membership_polls_once_per_coordinate_and_cancels_cleanly():
+    # the residual test polls before each completion coordinate past the seeds
+    rng = random.Random(17)
+    for k in range(6):
+        g = rand_gamma(rng)
+        F = generate(g, [rand_unipoly(rng, 4) for _ in range(g.s)])
+        outside = F + BiPoly.monomial(k % 3 + 1, int(F.deg_y) + 1)
+        M = Sum(Md(k % 3), MGamma(g))
+        for G in (F, outside):
+            token = _CountingToken()
+            want = contains(M, G, cancel=token)
+            assert want.contains == (G is F)
+            completion = generate(g, modules.phi(G, g.s))
+            assert token.calls >= max(1, completion.num_coords - g.s)
+            for n in range(1, token.calls + 1):
+                stub = _CountingToken(fire_at=n)
+                with pytest.raises(Cancelled):
+                    contains(M, G, cancel=stub)
+                assert stub.calls == n
+            assert contains(M, G, cancel=_CountingToken(fire_at=token.calls + 1)) == want

@@ -66,6 +66,32 @@ def test_parse_rational_grammar():
         ser.parse_rational(None)
 
 
+def _parse_rational_by_fraction(value):
+    """parse_rational as it was: the same grammar check, then Fraction(str)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError("not a rational")
+    if isinstance(value, str) and not ser.RATIONAL_RE.match(value):
+        raise ParseError("malformed rational")
+    return Fraction(value)
+
+
+def test_parse_rational_matches_fraction_parse():
+    cases = [
+        "+3", "-0/5", "007/2", "1/0", "1/-2", "1.5", True, False, "0", "-0", "+0/7", "-12/8", "3/4\n", "3\n",
+        "\u0663/\u0664", "\u0663/7", "\u0663", "\u00bd", "/", "1/", "/2", "1/2/3", "0x10", "1e3", "1_000", "12/03",
+        "+-1", "9" * 40 + "/" + "7" * 30, 0, -7, 10**30, 1.5, None, [1],
+    ]
+    for value in cases:
+        try:
+            want = _parse_rational_by_fraction(value)
+        except ParseError:
+            with pytest.raises(ParseError):
+                ser.parse_rational(value)
+            continue
+        got = ser.parse_rational(value)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_fmt_rational():
     assert ser.fmt_rational(Fraction(3)) == "3"
     assert ser.fmt_rational(Fraction(-4, 6)) == "-2/3"
