@@ -27,7 +27,7 @@ from .cancel import CancelToken
 from .errors import UnsupportedExpr
 from .gamma import _ZERO_INTS, GammaTable, _ints, _recur, mgamma_contains, monomial_seed_elements
 from .poly import NEG_INF, BiPoly, UniPoly
-from .spans import in_span, restrict_degree, span_reduce, tuple_span_reduce
+from .spans import in_span, restrict_degree, span_reduce
 
 
 def derivative_closure(gens, cancel: CancelToken | None = None):
@@ -106,6 +106,11 @@ class VSpaceBasis:
 def phi(F: BiPoly, s: int):
     """The first s coordinates of F, the seed prefix."""
     return tuple(F.coord(n) for n in range(s))
+
+
+def _seed_order(cell):
+    """The cell key of seed prefixes: higher x-power first, then lower coordinate."""
+    return -cell[0], cell[1]
 
 
 def default_deg_bound(M, F: BiPoly | None = None) -> int:
@@ -218,6 +223,8 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
             return _contains_md_plus_gamma(mds[0].d, gammas[0].gamma, F, cancel)
         if all(isinstance(p, (FiniteGen, MGamma)) for p in M.parts):
             bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
+            if bound < 1:
+                raise ValueError("deg_bound must be >= 1")
             cands, truncated = _sum_candidates(M.parts, None, bound, cancel)
             ok, combo = in_span(F, cands, return_combo=True, cancel=cancel)
             cert = {
@@ -243,7 +250,7 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")
     cands, _ = _sum_candidates(parts, s, bound, cancel)
-    elements = restrict_degree(cands, bound, cancel)
-    tuples = tuple_span_reduce([phi(F, s) for F in elements], s, bound, cancel)
-    return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(tuples))
+    prefixes = [BiPoly(phi(F, s)) for F in restrict_degree(cands, bound, cancel)]
+    seeds = span_reduce(prefixes, _seed_order, cancel)
+    return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(phi(P, s) for P in seeds))
 

@@ -96,6 +96,8 @@ def gamma_from_json(obj) -> GammaTable:
         raise ParseError('recursion table must be {"s": int, "entries": [...]}')
     if type(obj["s"]) is not int:
         raise ParseError('"s" must be an int')
+    if not isinstance(obj.get("entries", []), list):
+        raise ParseError('"entries" must be a JSON array')
     entries = {}
     for e in obj.get("entries", []):
         if not isinstance(e, dict) or not {"i", "j", "a"} <= set(e):

@@ -1,24 +1,30 @@
-"""Vectorization of polynomials and seed tuples for exact span arithmetic.
+"""Vectorization of polynomials for exact span arithmetic.
 
-Monomials x^i y^n are enumerated in graded order, higher total degree first
-and higher x-power first within a grade, so reduced bases and pivots are
-deterministic. Vector entries are coordinate coefficients (the factorial
-convention's f_n coefficients), which is a diagonal rescale of monomial
-coefficients and therefore spans the same lattice of subspaces.
+A frame numbers the cells (i, n), the x^i coefficient of coordinate n, by a
+cell key, so reduced bases and pivots are deterministic: graded by default,
+seed order where v_space reduces seed tuples (f_0, ..., f_{s-1}) as the
+polynomials BiPoly(tuple). Vector entries are coordinate coefficients (the
+factorial convention's f_n coefficients), a diagonal rescale of monomial
+coefficients, so they span the same lattice of subspaces.
 """
 
 from __future__ import annotations
 
 from .linalg import _Z, kernel_basis, mat_mul, reduce_against, rref
-from .poly import NEG_INF, BiPoly, UniPoly
+from .poly import BiPoly
+
+
+def _graded(cell):
+    """The default cell key: higher total degree first, then higher x-power."""
+    return -(cell[0] + cell[1]), -cell[0]
 
 
 class PolyFrame:
-    """Fixed monomial frame for a set of BiPoly values."""
+    """Fixed monomial frame for a set of BiPoly values, cells sorted by key."""
 
     __slots__ = ("deg_x", "deg_y", "index")
 
-    def __init__(self, polys):
+    def __init__(self, polys, key=_graded):
         dx = 0
         dy = 0
         for p in polys:
@@ -28,7 +34,7 @@ class PolyFrame:
         self.deg_x = dx
         self.deg_y = dy
         cells = [(i, n) for n in range(dy + 1) for i in range(dx + 1)]
-        cells.sort(key=lambda c: (-(c[0] + c[1]), -c[0]))
+        cells.sort(key=key)
         self.index = {c: k for k, c in enumerate(cells)}
 
     def __len__(self):
@@ -49,17 +55,13 @@ class PolyFrame:
                 coords[n][i] = v[k]
         return BiPoly(coords)
 
-    def high_degree_positions(self, bound: int):
-        """Vector positions of monomials with x-power >= bound."""
-        return [k for (i, _n), k in self.index.items() if i >= bound]
 
-
-def span_reduce(polys, cancel=None):
-    """Deterministic reduced basis of the span of polys."""
+def span_reduce(polys, key=_graded, cancel=None):
+    """Deterministic reduced basis of the span of polys, pivots in key order."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
-    frame = PolyFrame(polys)
+    frame = PolyFrame(polys, key)
     rows, _ = rref([frame.to_vec(p) for p in polys], cancel=cancel)
     return [frame.from_vec(r) for r in rows]
 
@@ -97,50 +99,7 @@ def restrict_degree(polys, bound: int, cancel=None):
         return []
     frame = PolyFrame(polys)
     rows, _ = rref([frame.to_vec(p) for p in polys], cancel=cancel)
-    high = frame.high_degree_positions(bound)
-    if not high:
-        return [frame.from_vec(r) for r in rows]
-    red, _ = rref(vanishing_part(rows, high, cancel), cancel=cancel)
-    return [frame.from_vec(r) for r in red]
-
-
-class TupleFrame:
-    """Fixed frame for s-tuples of UniPoly with x-degree < bound per slot."""
-
-    __slots__ = ("s", "bound", "index")
-
-    def __init__(self, s: int, bound: int):
-        self.s = s
-        self.bound = bound
-        cells = [(i, m) for m in range(bound) for i in range(s)]
-        cells.sort(key=lambda c: (-c[1], c[0]))
-        self.index = {c: k for k, c in enumerate(cells)}
-
-    def __len__(self):
-        return len(self.index)
-
-    def to_vec(self, tup):
-        v = [_Z] * len(self.index)
-        for i, f in enumerate(tup):
-            if f.degree != NEG_INF and f.degree >= self.bound:
-                raise ValueError("tuple component exceeds frame degree bound")
-            for m, c in enumerate(f.coeffs):
-                if not c.is_zero():
-                    v[self.index[(i, m)]] = c
-        return v
-
-    def from_vec(self, v):
-        comps = [[_Z] * self.bound for _ in range(self.s)]
-        for (i, m), k in self.index.items():
-            if not v[k].is_zero():
-                comps[i][m] = v[k]
-        return tuple(UniPoly(c) for c in comps)
-
-
-def tuple_span_reduce(tuples, s: int, bound: int, cancel=None):
-    tuples = [t for t in tuples if any(not f.is_zero() for f in t)]
-    if not tuples:
-        return []
-    frame = TupleFrame(s, bound)
-    rows, _ = rref([frame.to_vec(t) for t in tuples], cancel=cancel)
+    high = [k for (i, _n), k in frame.index.items() if i >= bound]
+    if high:
+        rows, _ = rref(vanishing_part(rows, high, cancel), cancel=cancel)
     return [frame.from_vec(r) for r in rows]

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -256,6 +257,35 @@ def test_json_booleans_are_not_integers(capsys):
         assert payload["error"]["type"] == "parse-error", argv
 
 
+def test_non_array_entries_are_parse_errors(capsys):
+    # gen-gamma and order-sum parse the table directly, the module commands inside MGamma
+    for entries in ("5", "null", "true", "1.5", "{}", '""'):
+        bad = '{"s":1,"entries":' + entries + "}"
+        mgamma = '{"type":"MGamma","gamma":' + bad + "}"
+        for argv in (
+            ["gen-gamma", "--json", "--gamma", bad, "--seeds", "[[0,1]]"],
+            ["order-sum", "--json", "--gamma1", GS_JSON, "--gamma2", bad],
+            ["member", "--json", "--module", mgamma, "--poly", '{"coords":[[1]]}'],
+            ["vspace", "--json", "--s", "1", "--module", mgamma],
+            ["split", "--json", "--module", '{"type":"Sum","parts":[{"type":"Md","d":1},' + mgamma + "]}"],
+        ):
+            code, payload = _json_out(capsys, argv)
+            assert code == 1, argv
+            assert payload["error"] == {"type": "parse-error", "message": '"entries" must be a JSON array'}, argv
+
+
+def test_member_refuses_a_deg_bound_below_one_on_a_truncated_sum(capsys):
+    poly = '{"coords":[[0,1]]}'
+    mixed = '{"type":"Sum","parts":[{"type":"FiniteGen","gens":[' + poly + ']},{"type":"MGamma","gamma":' + GS_JSON + "}]}"
+    code, payload = _json_out(capsys, ["member", "--json", "--deg-bound", "0", "--module", mixed, "--poly", poly])
+    assert code == 1
+    assert payload["error"] == {"type": "invalid-value", "message": "deg_bound must be >= 1"}
+    # Sum(Md, MGamma) is exact and never reads the bound
+    exact = '{"type":"Sum","parts":[{"type":"Md","d":2},{"type":"MGamma","gamma":' + GS_JSON + "}]}"
+    code, payload = _json_out(capsys, ["member", "--json", "--deg-bound", "0", "--module", exact, "--poly", poly])
+    assert code == 0 and payload["contains"] is True
+
+
 def test_error_payload_carries_witness(capsys):
     basis = ser.dumps(
         [ser.bipoly_to_json(BiPoly.monomial(i, j)) for i in range(2) for j in range(3)]
@@ -382,3 +412,79 @@ def test_output_is_byte_deterministic(capsys):
     assert run(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# one small valid call per subcommand that takes JSON: (argv without its JSON
+# flags, {flag: JSON document}); --x/--y/--a/--b take a scalar document
+_GS = json.loads(GS_JSON)
+_POLY = {"coords": [[0, {"re": "1/2", "im": "-1"}], [1]]}
+SWEEP_CALLS = [
+    (["poly-eval"], {"--poly": _POLY, "--x": {"re": "1", "im": "2"}, "--y": {"re": "-1/3"}}),
+    (["poly-shift"], {"--poly": _POLY, "--a": {"re": "1"}, "--b": {"im": "1"}}),
+    (["poly-diff", "--var", "x"], {"--poly": _POLY}),
+    (["closure"], {"--gens": [_POLY]}),
+    (["member"], {
+        "--module": {"type": "Sum", "parts": [{"type": "FiniteGen", "gens": [{"coords": [[0, 1]]}]}, {"type": "MGamma", "gamma": _GS}]},
+        "--poly": _POLY,
+    }),
+    (["vspace", "--s", "2"], {"--module": {"type": "Sum", "parts": [{"type": "Md", "d": 1}, {"type": "MGamma", "gamma": _GS}]}}),
+    (["gen-gamma"], {"--gamma": _GS, "--seeds": [[0, 0, 1]]}),
+    (["infer-l", "--s", "1", "--deg-bound", "2"], {"--basis": [{"coords": [[1]]}, {"coords": [[0, 1], [1]]}, {"coords": [[0, 0, 1], [0, 2], [2]]}]}),
+    (["order", "--deg-bound", "3"], {"--basis": [_POLY]}),
+    (["order-sum", "--deg-bound", "3"], {"--gamma1": _GS, "--gamma2": {"s": 1, "entries": []}}),
+    (["chains"], {"--matrix": [[0, 1], [0, 0]]}),
+    (["split"], {"--module": {"type": "Sum", "parts": [{"type": "Md", "d": 1}, {"type": "MGamma", "gamma": _GS}]}}),
+]
+SWEEP_VALUES = [5, None, True, 1.5, "x", [], {}]
+
+
+def _node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _node_paths(v, path + (k,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_malformed_json_never_escapes_as_an_exception(capsys):
+    # every node of every JSON argument replaced in turn by each value of the
+    # wrong kinds: exit 0, or exit 1 with one {"error": {...}} line
+    escapes = []
+    runs = 0
+    for head, docs in SWEEP_CALLS:
+        for flag, doc in docs.items():
+            for path in _node_paths(doc):
+                for value in SWEEP_VALUES:
+                    flags = {**docs, flag: _replaced(doc, path, value)}
+                    argv = [head[0], "--json", "--timeout", "10", *head[1:]]
+                    argv += [tok for f, d in flags.items() for tok in (f, ser.dumps(d))]
+                    runs += 1
+                    try:
+                        code = run(argv)
+                    except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
+                        escapes.append((argv, repr(exc)))
+                        continue
+                    lines = capsys.readouterr().out.splitlines()
+                    assert code in (0, 1), argv
+                    if code == 1:
+                        assert len(lines) == 1, argv
+                        payload = json.loads(lines[0])
+                        assert list(payload) == ["error"] and isinstance(payload["error"], dict), argv
+    assert {head[0] for head, _docs in SWEEP_CALLS} == {
+        "poly-eval", "poly-shift", "poly-diff", "closure", "member", "vspace",
+        "gen-gamma", "infer-l", "order", "order-sum", "chains", "split",
+    }
+    assert runs > 1000
+    assert escapes == [], escapes[:3]
+

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -26,7 +27,11 @@ from polymod import (
 )
 
 from polymod import modules
-from polymod.spans import in_span, span_reduce
+from polymod import serialize as ser
+from polymod.linalg import rref
+from polymod.modules import VSpaceBasis, _seed_order
+from polymod.poly import NEG_INF
+from polymod.spans import in_span, restrict_degree, span_reduce
 
 from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
 from test_linalg import _CountingToken
@@ -236,15 +241,15 @@ def test_v_space_md_width_two():
 def test_v_space_closed_under_differentiation(rng):
     # the seed-prefix space of a module is closed under d/dx componentwise
     from polymod.linalg import rank
-    from polymod.spans import TupleFrame
+    from polymod.spans import PolyFrame
 
     for _ in range(10):
         g = rand_gamma(rng)
         vb = v_space(MGamma(g), g.s, deg_bound=4)
-        frame = TupleFrame(g.s, 5)
-        rows = [frame.to_vec(t) for t in vb.tuples]
+        frame = PolyFrame([BiPoly(t) for t in vb.tuples], _seed_order)
+        rows = [frame.to_vec(BiPoly(t)) for t in vb.tuples]
         extra = rows + [
-            frame.to_vec(tuple(f.derivative() for f in t)) for t in vb.tuples
+            frame.to_vec(BiPoly(tuple(f.derivative() for f in t))) for t in vb.tuples
         ]
         assert rank(rows) == rank(extra)
 
@@ -254,6 +259,92 @@ def test_v_space_validation():
         v_space(Md(1), 0)
     with pytest.raises(UnsupportedExpr):
         v_space("nope", 1)
+
+
+class _TupleFrame:
+    """The frame v_space reduced seed tuples on before they became
+    polynomials, kept as a reference: s slots of x-degree < bound, cells
+    sorted by higher x-power first, then lower slot."""
+
+    def __init__(self, s, bound):
+        self.s = s
+        self.bound = bound
+        cells = [(i, m) for m in range(bound) for i in range(s)]
+        cells.sort(key=lambda c: (-c[1], c[0]))
+        self.index = {c: k for k, c in enumerate(cells)}
+
+    def to_vec(self, tup):
+        v = [CoeffQ(0)] * len(self.index)
+        for i, f in enumerate(tup):
+            if f.degree != NEG_INF and f.degree >= self.bound:
+                raise ValueError("tuple component exceeds frame degree bound")
+            for m, c in enumerate(f.coeffs):
+                if not c.is_zero():
+                    v[self.index[(i, m)]] = c
+        return v
+
+    def from_vec(self, v):
+        comps = [[CoeffQ(0)] * self.bound for _ in range(self.s)]
+        for (i, m), k in self.index.items():
+            if not v[k].is_zero():
+                comps[i][m] = v[k]
+        return tuple(UniPoly(c) for c in comps)
+
+
+def _tuple_span_reduce(tuples, s, bound):
+    tuples = [t for t in tuples if any(not f.is_zero() for f in t)]
+    if not tuples:
+        return []
+    frame = _TupleFrame(s, bound)
+    rows, _ = rref([frame.to_vec(t) for t in tuples])
+    return [frame.from_vec(r) for r in rows]
+
+
+def _v_space_on_tuple_frames(M, s, deg_bound=None):
+    """v_space as it was: the seed prefixes of the cut reduced on a _TupleFrame."""
+    bound = deg_bound if deg_bound is not None else default_deg_bound(M)
+    parts = M.parts if isinstance(M, Sum) else (M,)
+    cands, _ = modules._sum_candidates(parts, s, bound, None)
+    elements = restrict_degree(cands, bound)
+    tuples = _tuple_span_reduce([modules.phi(F, s) for F in elements], s, bound)
+    return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(tuples))
+
+
+def _gaussian_table(rng):
+    g = rand_gamma(rng)
+    return GammaTable(g.s, {k: a * CoeffQ(rand_rational(rng), rng.choice([-2, -1, 1, 2])) for k, a in g.items()})
+
+
+def _v_space_cases():
+    """72 seeded (M, s, deg_bound): each of six module shapes under every
+    s in 1..3 and deg_bound in 2..4 or the default."""
+    rng = random.Random(0x5EED5)
+    cases = []
+    for k in range(72):
+        table = _gaussian_table(rng) if k % 2 else rand_gamma(rng)
+        # generators past any bound below 5, with random lower parts
+        fin = FiniteGen([BiPoly.monomial(5, rng.randint(0, 2)) + rand_bipoly(rng, 3, 2), rand_bipoly(rng, 4, 1)])
+        M = [
+            MGamma(rand_gamma(rng)),
+            MGamma(table),
+            fin,
+            Sum(Md(rng.randint(0, 3)), MGamma(table)),
+            Sum(fin, MGamma(table)),
+            Md(rng.randint(0, 4)),
+        ][k % 6]
+        cases.append((M, 1 + (k // 6) % 3, [2, 3, 4, None][(k // 6) % 4]))
+    return cases
+
+
+def test_v_space_matches_the_tuple_frame_reduction():
+    dims = []
+    for M, s, bound in _v_space_cases():
+        got = ser.dumps(ser.vspace_to_json(v_space(M, s, deg_bound=bound)))
+        want = ser.dumps(ser.vspace_to_json(_v_space_on_tuple_frames(M, s, bound)))
+        assert got == want, (M, s, bound)
+        dims.append(len(json.loads(got)["basis"]))
+    # most cases reduce several independent prefixes
+    assert sum(d >= 2 for d in dims) >= 50
 
 
 def test_is_translation_invariant_examples():
@@ -301,6 +392,19 @@ def test_separating_probe_within_combined_order():
         assert hit is not None
 
 
+def test_truncated_sum_membership_refuses_a_bound_below_one():
+    g = shift_invariance_table()
+    mixed = Sum(FiniteGen([BiPoly.embed(UniPoly.x())]), MGamma(g))
+    F = BiPoly.monomial(1, 0)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="deg_bound must be >= 1"):
+            contains(mixed, F, deg_bound=bound)
+    assert contains(mixed, F, deg_bound=1)
+    # the exact shapes never read the bound
+    for M in (Md(2), MGamma(g), FiniteGen([X2Y]), Sum(Md(1), MGamma(g))):
+        assert contains(M, F, deg_bound=0) == contains(M, F)
+
+
 def test_default_deg_bound_scans_structure():
     M = Sum(Md(3), MGamma(GammaTable.zero(2)))
     assert default_deg_bound(M) == 4
@@ -325,7 +429,7 @@ def test_finitegen_polls_inside_its_closure_and_cancels_cleanly(monkeypatch):
 
 
 def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatch):
-    spy = _PollSpy(monkeypatch, modules, ["in_span", "restrict_degree", "tuple_span_reduce"])
+    spy = _PollSpy(monkeypatch, modules, ["in_span", "restrict_degree", "span_reduce"])
     fin = FiniteGen([X2Y])
     table = shift_invariance_table()
     mixed = Sum(FiniteGen([BiPoly.embed(UniPoly.x())]), MGamma(table))
@@ -334,8 +438,8 @@ def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatc
         (lambda tok: contains(fin, BiPoly.monomial(2, 0), cancel=tok), ["in_span"]),
         (lambda tok: contains(fin, BiPoly.monomial(3, 0), cancel=tok), ["in_span"]),
         (lambda tok: contains(mixed, member, cancel=tok), ["in_span"]),
-        (lambda tok: v_space(fin, 2, cancel=tok), ["restrict_degree", "tuple_span_reduce"]),
-        (lambda tok: v_space(Sum(Md(2), mixed), 2, deg_bound=3, cancel=tok), ["restrict_degree", "tuple_span_reduce"]),
+        (lambda tok: v_space(fin, 2, cancel=tok), ["restrict_degree", "span_reduce"]),
+        (lambda tok: v_space(Sum(Md(2), mixed), 2, deg_bound=3, cancel=tok), ["restrict_degree", "span_reduce"]),
     ]
     for run, names in runs:
         spy.finished.clear()

@@ -183,13 +183,28 @@ BOOLEAN_INTS = [
 ]
 
 
+# "entries" must be an array; an empty object or string is not an empty table
+NON_ARRAY_ENTRIES = [("urn:polymod:gamma", {"s": 1, "entries": v}) for v in (5, None, True, 1.5, "x", "", {})]
+
+
+def _refused_by_schema_and_parser(ref, doc):
+    with pytest.raises(ValidationError):
+        check_schema(doc, ref)
+    parse = ser.gamma_from_json if ref == "urn:polymod:gamma" else ser.module_from_json
+    with pytest.raises(ParseError):
+        parse(doc)
+
+
 def test_booleans_are_refused_where_the_schemas_ask_for_integers():
     for ref, doc in BOOLEAN_INTS:
-        with pytest.raises(ValidationError):
-            check_schema(doc, ref)
-        parse = ser.gamma_from_json if ref == "urn:polymod:gamma" else ser.module_from_json
-        with pytest.raises(ParseError):
-            parse(doc)
+        _refused_by_schema_and_parser(ref, doc)
+
+
+def test_non_array_entries_are_refused_by_schema_and_parser():
+    for ref, doc in NON_ARRAY_ENTRIES:
+        _refused_by_schema_and_parser(ref, doc)
+    with pytest.raises(ParseError, match='"entries" must be a JSON array'):
+        ser.module_from_json({"type": "MGamma", "gamma": {"s": 1, "entries": None}})
 
 
 def test_module_roundtrip():

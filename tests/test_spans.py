@@ -6,7 +6,8 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, spans
-from polymod.spans import in_span, restrict_degree, span_reduce, tuple_span_reduce, vanishing_part
+from polymod.modules import _seed_order, phi
+from polymod.spans import in_span, restrict_degree, span_reduce, vanishing_part
 
 from conftest import rand_bipoly, rand_scalar, rand_unipoly
 from test_linalg import _CountingToken
@@ -66,14 +67,16 @@ def test_restrict_degree_keeps_everything_when_low():
     assert len(restrict_degree(polys, 1)) == 2
 
 
-def test_tuple_span_reduce_independent_prefixes():
+def test_span_reduce_seed_order_independent_prefixes():
+    # seed tuples reduce as the polynomials BiPoly(tuple); the seed order
+    # puts the x-power 1 pivot before the constant one
     tuples = [
         (UniPoly.const(1), UniPoly.zero()),
         (UniPoly.zero(), UniPoly.x()),
         (UniPoly.const(2), UniPoly.x().scale(1)),
     ]
-    reduced = tuple_span_reduce(tuples, 2, 3)
-    assert len(reduced) == 2
+    reduced = span_reduce([BiPoly(t) for t in tuples], _seed_order)
+    assert [phi(P, 2) for P in reduced] == [(UniPoly.zero(), UniPoly.x()), (UniPoly.const(1), UniPoly.zero())]
 
 
 def _sympy_rank(rows):
@@ -173,7 +176,7 @@ def _span_helper_cases():
         cases.append((restrict_degree, (basis, 2)))
         cases.append((restrict_degree, (basis, 4)))  # no position to cut
         tuples = [(rand_unipoly(rng, 2), rand_unipoly(rng, 2)) for _ in range(4)]
-        cases.append((tuple_span_reduce, (tuples, 2, 3)))
+        cases.append((span_reduce, ([BiPoly(t) for t in tuples], _seed_order)))
     a = BiPoly.from_coords([UniPoly.monomial(2), UniPoly.x()])
     cases.append((restrict_degree, ([a, BiPoly.from_coords([UniPoly.monomial(2)])], 2)))
     return cases
@@ -193,7 +196,7 @@ def test_span_helpers_poll_in_every_elimination(monkeypatch):
     assert (restrict_degree, ["rref", "kernel_basis", "rref"]) in runs
 
 
-@pytest.mark.parametrize("fn", [in_span, restrict_degree, tuple_span_reduce], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", [in_span, restrict_degree, span_reduce], ids=lambda f: f.__name__)
 def test_span_helpers_cancel_cleanly_on_every_poll(fn):
     for case_fn, inputs in _span_helper_cases():
         if case_fn is not fn:
