@@ -24,6 +24,8 @@ Fraction over |d|^2 (less any common factor of d's parts), normalised by one
 gcd. ``mat_mul`` is one product kernel on the same numerators: the rows of
 b are put over one denominator, the Z[i] products are summed on ints and
 each output part is built once. ``reduce_against`` is a product with it.
+Every zero entry of a row that ``rref``, ``mat_mul`` or ``kernel_basis``
+returns is the shared ``_Z``, so callers may skip zeros by identity.
 """
 
 from __future__ import annotations

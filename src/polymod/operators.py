@@ -3,10 +3,12 @@
 Inference inverts generation: a differentiation-closed span whose elements
 are pinned by their first s coordinates admits at most one operator table of
 support j <= deg_bound reproducing coordinate s, and an exact linear solve
-recovers it layer by derivative layer. One search computes the paper's
-L-module order, the smallest K such that a span element vanishing in its
-first K coordinates is zero, with a witness for each smaller K; the module
-order, the sum order and inference's prefix check all call it. The nilpotent
+recovers it layer by derivative layer, reading the rows of one ``span_rows``
+reduction in their frame. One search computes the paper's L-module order,
+the smallest K such that a span element vanishing in its first K coordinates
+is zero, with a witness BiPoly for each smaller K. It takes a frame and
+vectors: the module order and inference's prefix check pass the reduced
+rows, and the sum order its generators' vectors. The nilpotent
 machinery decomposes the coordinatewise derivative acting on truncated
 seed-tuple quotients into shift chains: one rref per height picks that
 height's generators by their pivot columns, and one product per height
@@ -16,28 +18,28 @@ advances every chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
 from .linalg import _Z, is_zero_matrix, kernel_basis, mat_mul, rank, rref, solve
-from .modules import MGamma, Md, Sum, contains, phi
+from .modules import MGamma, Md, Sum, contains
 from .poly import BiPoly
 from .scalars import CoeffQ
-from .spans import PolyFrame, span_reduce, vanishing_part
+from .spans import PolyFrame, span_rows, vanishing_part
 
 
-def _pinning_order(polys, ks, cancel=None):
-    """The paper's L-module order of span(polys): the smallest K in ks such
-    that every span element vanishing in coordinates 0..K-1 is zero.
+def _pinning_order(frame, vecs, ks, cancel=None):
+    """The paper's L-module order of the span of vecs, polynomials as vectors
+    of frame: the smallest K in ks such that every span element vanishing in
+    coordinates 0..K-1 is zero.
 
-    Returns (K, kernel dimension at K, ((K', witness) for each K' in ks before
-    K)); the dimension counts the combinations of polys that vanish at K, so
-    it is 0 for an independent list. K and the dimension are None when no K
-    in ks pins the span.
+    Returns (K, kernel dimension at K, ((K', witness BiPoly) for each K' in ks
+    before K)); the dimension counts the combinations of vecs that vanish at
+    K, so it is 0 for independent rows. K and the dimension are None when no
+    K in ks pins the span.
     """
-    frame = PolyFrame(polys)
-    vecs = [frame.to_vec(p) for p in polys]
     refuted = []
     for K in ks:
         if cancel is not None:
@@ -56,8 +58,8 @@ def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) ->
     first s coordinates; None if every s up to the bound fails."""
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    reduced = span_reduce(list(basis), cancel=cancel)
-    return _pinning_order(reduced, range(1, deg_bound + 1), cancel)[0]
+    frame, reduced = span_rows(list(basis), cancel=cancel)
+    return _pinning_order(frame, reduced, range(1, deg_bound + 1), cancel)[0]
 
 
 def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) -> GammaTable:
@@ -74,8 +76,8 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         raise ValueError("s must be a positive int")
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    reduced = span_reduce(list(basis), cancel=cancel)
-    _, _, refuted = _pinning_order(reduced, (s,), cancel)
+    frame, reduced = span_rows(list(basis), cancel=cancel)
+    _, _, refuted = _pinning_order(frame, reduced, (s,), cancel)
     if refuted:
         raise NotAnLModule(
             "a nonzero element of the span vanishes in its first "
@@ -84,31 +86,27 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         )
     # unknowns a_{i,j} ordered layer by layer: j ascending, then i ascending
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
-    col = {slot: k for k, slot in enumerate(slots)}
-    rows = []
-    rhs = []
-    for F in reduced:
+    # cells[n][e]: the frame index of x^e in coordinate n, for n <= s
+    cells = [[frame.index[(e, n)] for e in range(frame.deg_x + 1)] for n in range(min(s, frame.deg_y) + 1)]
+    rows, rhs = [], []
+    for v in reduced:
         if cancel is not None:
             cancel.check()
-        prefix = phi(F, s)
-        target = F.coord(s)
-        derivs = {}
-        max_m = 0
-        for (i, j) in slots:
-            dP = prefix[i - 1].derivative(j)
-            derivs[(i, j)] = dP
-            if not dP.is_zero():
-                max_m = max(max_m, int(dP.degree))
-        if not target.is_zero():
-            max_m = max(max_m, int(target.degree))
+        # coordinates 0..s of F, trimmed: rref leaves every zero as _Z
+        f = [[v[k] for k in ks] for ks in cells] + [[]] * (s + 1 - len(cells))
+        for c in f:
+            while c and c[-1] is _Z:
+                c.pop()
+        # d^j/dx^j f_{i-1} has x^m coefficient perm(m + j, j) * f_{i-1}[m + j]
+        max_m = max(0, len(f[s]) - 1, *[len(c) - 2 for c in f[:s]])
         for m in range(max_m + 1):
             row = [_Z] * len(slots)
-            for slot in slots:
-                c = derivs[slot].coeff(m)
-                if not c.is_zero():
-                    row[col[slot]] = c
+            for i, c in enumerate(f[:s]):
+                for j in range(1, min(deg_bound, len(c) - 1 - m) + 1):
+                    if c[m + j] is not _Z:
+                        row[(j - 1) * s + i] = c[m + j] * perm(m + j, j)
             rows.append(row)
-            rhs.append(target.coeff(m))
+            rhs.append(f[s][m] if m < len(f[s]) else _Z)
     if not rows:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
     sol = solve(rows, rhs, cancel)
@@ -123,7 +121,7 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
             "the span leaves coefficient slots free",
             free_slots=[slots[c] for c in free_cols],
         )
-    entries = {slot: values[col[slot]] for slot in slots if not values[col[slot]].is_zero()}
+    entries = {slot: x for slot, x in zip(slots, values) if not x.is_zero()}
     return GammaTable(s, entries)
 
 
@@ -147,7 +145,8 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     gens = monomial_seed_elements(g1, deg_bound, cancel) + monomial_seed_elements(g2, deg_bound, cancel)
     # K one past the top coordinate pins every sum
     top = max(int(p.deg_y) for p in gens) + 1
-    order, kernel_dim, refuted = _pinning_order(gens, range(1, top + 1), cancel)
+    frame = PolyFrame(gens)
+    order, kernel_dim, refuted = _pinning_order(frame, [frame.to_vec(p) for p in gens], range(1, top + 1), cancel)
     return SumOrderReport(order=order, deg_bound=deg_bound, kernel_dim=kernel_dim, refuted=refuted)
 
 

@@ -49,6 +49,13 @@ def _unipoly(coeffs: list) -> "UniPoly":
     return f
 
 
+def _bipoly(coords: list) -> "BiPoly":
+    """BiPoly from a list of UniPoly (consumed); drops trailing zero coordinates, coerces nothing."""
+    p = _new(BiPoly)
+    p.coords = _trim(coords)
+    return p
+
+
 def _over(parts) -> tuple:
     """(integer numerators, common denominator) of some Fraction parts."""
     ratios = [p.as_integer_ratio() for p in parts]
@@ -246,10 +253,7 @@ class BiPoly:
     __slots__ = ("coords",)
 
     def __init__(self, coords=()):
-        cs = [c if isinstance(c, UniPoly) else UniPoly(c) for c in coords]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coords = tuple(cs)
+        self.coords = _trim([c if isinstance(c, UniPoly) else UniPoly(c) for c in coords])
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -314,7 +318,7 @@ class BiPoly:
         a, b = CoeffQ.of(a), CoeffQ.of(b)
         if self.is_zero() or not (a or b):
             return self
-        return BiPoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b)])
+        return _bipoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b)])
 
     def evaluate(self, x0, y0) -> CoeffQ:
         y0 = CoeffQ.of(y0)

@@ -30,7 +30,7 @@ from .modules import FiniteGen, MembershipResult, Md, MGamma, Sum, VSpaceBasis
 from .poly import BiPoly, UniPoly
 from .scalars import CoeffQ
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 LOG_DIGITS = 12  # significant digits for labeled log-scale strings
 

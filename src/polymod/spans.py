@@ -5,13 +5,16 @@ cell key, so reduced bases and pivots are deterministic: graded by default,
 seed order where v_space reduces seed tuples (f_0, ..., f_{s-1}) as the
 polynomials BiPoly(tuple). Vector entries are coordinate coefficients (the
 factorial convention's f_n coefficients), a diagonal rescale of monomial
-coefficients, so they span the same lattice of subspaces.
+coefficients, so they span the same lattice of subspaces. ``span_rows``
+returns the frame with the rref rows, for callers that read the reduced
+basis in place; ``span_reduce`` builds those rows back into BiPoly values,
+each coordinate with ``_unipoly`` and no coercion.
 """
 
 from __future__ import annotations
 
 from .linalg import _Z, kernel_basis, mat_mul, reduce_against, rref
-from .poly import BiPoly
+from .poly import BiPoly, _bipoly, _unipoly
 
 
 def _graded(cell):
@@ -51,18 +54,22 @@ class PolyFrame:
     def from_vec(self, v) -> BiPoly:
         coords = [[_Z] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
         for (i, n), k in self.index.items():
-            if not v[k].is_zero():
-                coords[n][i] = v[k]
-        return BiPoly(coords)
+            coords[n][i] = v[k]
+        return _bipoly([_unipoly(f) for f in coords])
+
+
+def span_rows(polys, key=_graded, cancel=None):
+    """(frame, rref rows): the reduced basis of the span of polys as vectors
+    of one frame, pivots in key order. The basis spans the same space as
+    polys, so its frame is theirs."""
+    polys = [p for p in polys if not p.is_zero()]
+    frame = PolyFrame(polys, key)
+    return frame, rref([frame.to_vec(p) for p in polys], cancel=cancel)[0]
 
 
 def span_reduce(polys, key=_graded, cancel=None):
     """Deterministic reduced basis of the span of polys, pivots in key order."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    frame = PolyFrame(polys, key)
-    rows, _ = rref([frame.to_vec(p) for p in polys], cancel=cancel)
+    frame, rows = span_rows(polys, key, cancel)
     return [frame.from_vec(r) for r in rows]
 
 
@@ -94,11 +101,7 @@ def restrict_degree(polys, bound: int, cancel=None):
     Cancellations across generators are honored: the cut is computed on the
     joint span, not per generator.
     """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    frame = PolyFrame(polys)
-    rows, _ = rref([frame.to_vec(p) for p in polys], cancel=cancel)
+    frame, rows = span_rows(polys, cancel=cancel)
     high = [k for (i, _n), k in frame.index.items() if i >= bound]
     if high:
         rows, _ = rref(vanishing_part(rows, high, cancel), cancel=cancel)

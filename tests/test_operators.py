@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,14 @@ from polymod import (
     quotient_derivation,
     shift_invariance_table,
 )
-from polymod import linalg, operators
+from polymod import linalg, operators, serialize
+from polymod.cli import FALLBACK_DEG_BOUND
 from polymod.linalg import is_zero_matrix, kernel_basis, mat_mul, rank, reduce_against, rref
 from polymod.operators import ChainDecomposition, _pinning_order
-from polymod.spans import span_reduce
+from polymod.modules import phi
+from polymod.spans import span_reduce, span_rows
 
-from conftest import identity, invert, rand_nilpotent
+from conftest import identity, invert, rand_nilpotent, rand_scalar
 from test_linalg import _CountingToken
 
 GS = shift_invariance_table()
@@ -99,11 +103,11 @@ def test_infer_l_polls_through_its_solve_and_cancels_cleanly():
     basis = _monomial_basis(GS, 5)
     token = _CountingToken()
     assert infer_L(basis, 1, deg_bound=5, cancel=token) == GS
-    # the polls before the final solve: span_reduce, the pinning check at
+    # the polls before the final solve: span_rows, the pinning check at
     # K = s with its vanishing_part, and one per reduced element
     before = _CountingToken()
-    reduced = span_reduce(list(basis), cancel=before)
-    _pinning_order(reduced, (1,), before)
+    frame, reduced = span_rows(list(basis), cancel=before)
+    _pinning_order(frame, reduced, (1,), before)
     # the solve pins all 5 slots a_{1,1..5}, one pivot and one poll each
     assert token.calls - before.calls - len(reduced) >= 5
     for n in range(1, token.calls + 1):
@@ -118,6 +122,85 @@ def test_infer_l_validation():
         infer_L([], 0, deg_bound=3)
     with pytest.raises(ValueError):
         infer_L([], 1, deg_bound=0)
+
+
+def _reference_system(basis, s, deg_bound):
+    """infer_L's linear system built from polynomial objects: the derivative
+    of each reduced element's seed prefix, slot by slot, against its
+    coordinate s, for m up to the top degree of those and the target."""
+    slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
+    rows, rhs = [], []
+    for F in span_reduce(list(basis)):
+        prefix, target = phi(F, s), F.coord(s)
+        derivs = [prefix[i - 1].derivative(j) for i, j in slots]
+        degs = [int(d.degree) for d in derivs + [target] if not d.is_zero()]
+        for m in range(max([0] + degs) + 1):
+            rows.append([d.coeff(m) for d in derivs])
+            rhs.append(target.coeff(m))
+    return rows, rhs
+
+
+def _seeded_infer_cases():
+    """(basis, s, deg_bound) of monomial-seed bases of seeded width 1-3 tables,
+    real and Gaussian, with deg_bound below, at and past the seed degree."""
+    cases = []
+    for width in (1, 2, 3):
+        for gaussian in (False, True):
+            rng = random.Random(f"infer-system-{width}-{gaussian}")
+            slots = [(i, j) for i in range(1, width + 1) for j in range(1, 4)]
+            entries = {slot: rand_scalar(rng, gaussian) for slot in slots if rng.random() < 0.5}
+            entries[(1, 1)] = CoeffQ(Fraction(1, 2), 1) if gaussian else CoeffQ(1)
+            basis = _monomial_basis(GammaTable(width, {k: c for k, c in entries.items() if c}), 4)
+            cases += [(basis, width, bound) for bound in (2, 4, 5)]
+    return cases
+
+
+def _golden_infer_failures():
+    """(basis, s, deg_bound) of the infer-l cases of the CLI golden file that
+    exit nonzero, deg_bound chosen as the CLI chooses it."""
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    cases = []
+    for case in golden:
+        argv = case["argv"]
+        if argv[0] != "infer-l" or case["code"] == 0:
+            continue
+        basis = [serialize.bipoly_from_json(p) for p in json.loads(argv[argv.index("--basis") + 1])]
+        if "--deg-bound" in argv:
+            bound = int(argv[argv.index("--deg-bound") + 1])
+        else:
+            bound = max([FALLBACK_DEG_BOUND] + [int(F.deg_x) for F in basis if not F.is_zero()])
+        cases.append((basis, int(argv[argv.index("--s") + 1]), bound))
+    return cases
+
+
+def test_infer_l_builds_the_reference_linear_system(monkeypatch):
+    golden = _golden_infer_failures()
+    assert len(golden) == 4
+    unsolved = 0
+    for basis, s, bound in _seeded_infer_cases() + golden:
+        systems, derivatives = [], []
+
+        def solve(rows, rhs, cancel=None):
+            systems.append((rows, rhs))
+            return linalg.solve(rows, rhs, cancel)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "solve", solve)
+            mp.setattr(UniPoly, "derivative", lambda f, order=1: derivatives.append(order))
+            try:
+                infer_L(basis, s, bound)
+            except (NotAnLModule, Underdetermined) as exc:
+                error = exc
+            else:
+                error = None
+        assert not derivatives
+        if not systems:
+            # only the prefix check stops infer_L before its solve
+            assert isinstance(error, NotAnLModule) and error.witness is not None
+            unsolved += 1
+            continue
+        assert systems == [_reference_system(basis, s, bound)]
+    assert unsolved == 2
 
 
 def test_order_of_module_examples():

@@ -92,6 +92,24 @@ def test_parse_rational_matches_fraction_parse():
         assert type(got) is Fraction and (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
+# the scalar schema and parse_rational accept the same rational strings;
+# both ask for ASCII digits, so other Unicode decimal digits are refused
+RATIONAL_PARITY = ["3", "-4/5", "+7/3", "007", "1/0", "1/-2", "3.5", "", "1//2", "½", "٣", "1/٢"]
+
+
+def test_rational_strings_parse_exactly_where_the_scalar_schema_accepts_them():
+    for value in RATIONAL_PARITY:
+        try:
+            check_schema(value, "urn:polymod:scalar")
+        except ValidationError:
+            with pytest.raises(ParseError):
+                ser.parse_rational(value)
+            with pytest.raises(ParseError):
+                ser.scalar_from_json(value)
+        else:
+            assert ser.scalar_from_json(value) == CoeffQ(ser.parse_rational(value))
+
+
 def test_fmt_rational():
     assert ser.fmt_rational(Fraction(3)) == "3"
     assert ser.fmt_rational(Fraction(-4, 6)) == "-2/3"

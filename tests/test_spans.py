@@ -79,6 +79,36 @@ def test_span_reduce_seed_order_independent_prefixes():
     assert [phi(P, 2) for P in reduced] == [(UniPoly.zero(), UniPoly.x()), (UniPoly.const(1), UniPoly.zero())]
 
 
+def _rand_sparse_bipoly(rng, gaussian):
+    """A BiPoly whose coordinates and coefficient lists have zeros in the middle."""
+    coords = []
+    for _n in range(rng.randint(1, 5)):
+        if rng.random() < 0.3:
+            coords.append(UniPoly.zero())
+        else:
+            coeffs = [rand_scalar(rng, gaussian) if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 5))]
+            coords.append(UniPoly(coeffs))
+    return BiPoly(coords)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+@pytest.mark.parametrize("key", [spans._graded, _seed_order], ids=["graded", "seed"])
+def test_from_vec_inverts_to_vec_with_trimmed_lists(gaussian, key):
+    rng = random.Random(f"from-vec-{gaussian}")
+    middle_zero_coords = 0
+    for _ in range(40):
+        p = _rand_sparse_bipoly(rng, gaussian)
+        middle_zero_coords += any(f.is_zero() for f in p.coords)
+        # the second polynomial widens the frame, so p's vector ends in zero cells
+        frame = spans.PolyFrame([p, _rand_sparse_bipoly(rng, gaussian)], key)
+        q = frame.from_vec(frame.to_vec(p))
+        assert q == p and hash(q) == hash(p)
+        assert not q.coords or not q.coords[-1].is_zero()
+        assert all(not f.coeffs or not f.coeffs[-1].is_zero() for f in q.coords)
+        assert frame.from_vec(frame.to_vec(BiPoly.zero())) == BiPoly.zero()
+    assert middle_zero_coords
+
+
 def _sympy_rank(rows):
     """Rank by sympy's QQ_I elimination, independent of polymod.linalg."""
     if not rows or not rows[0]:
