@@ -86,7 +86,7 @@ def _poly_list(arg: str, parse_one) -> list:
     return [parse_one(p) for p in obj]
 
 
-def _deg_bound(args) -> int | None:
+def _deg_bound(args, fallback=None) -> int | None:
     if args.deg_bound is not None:
         return args.deg_bound
     env = os.environ.get("POLYMOD_DEG_BOUND")
@@ -95,7 +95,7 @@ def _deg_bound(args) -> int | None:
             return int(env)
         except ValueError as exc:
             raise ParseError(f"POLYMOD_DEG_BOUND must be an int, got {env!r}") from exc
-    return None
+    return fallback
 
 
 def _emit(args, payload, human_lines) -> int:
@@ -173,11 +173,8 @@ def _cmd_gen_gamma(args) -> int:
 
 def _cmd_infer_l(args) -> int:
     basis = _poly_list(args.basis, ser.bipoly_from_json)
-    bound = _deg_bound(args)
-    if bound is None:
-        degs = [int(F.deg_x) for F in basis if not F.is_zero()]
-        bound = max([FALLBACK_DEG_BOUND] + degs)
-    g = infer_L(basis, args.s, bound, CancelToken(args.timeout))
+    degs = [int(F.deg_x) for F in basis if not F.is_zero()]
+    g = infer_L(basis, args.s, _deg_bound(args, max([FALLBACK_DEG_BOUND] + degs)), CancelToken(args.timeout))
     payload = ser.gamma_to_json(g)
     lines = [f"s: {g.s}"] + [f"  a[{i},{j}] = {a}" for (i, j), a in g.items()]
     return _emit(args, payload, lines)
@@ -185,20 +182,14 @@ def _cmd_infer_l(args) -> int:
 
 def _cmd_order(args) -> int:
     basis = _poly_list(args.basis, ser.bipoly_from_json)
-    bound = _deg_bound(args)
-    if bound is None:
-        bound = FALLBACK_DEG_BOUND
-    result = order_of_module(basis, bound, CancelToken(args.timeout))
+    result = order_of_module(basis, _deg_bound(args, FALLBACK_DEG_BOUND), CancelToken(args.timeout))
     return _emit(args, {"order": result}, [f"order: {result}"])
 
 
 def _cmd_order_sum(args) -> int:
     g1 = ser.gamma_from_json(_load_json(args.gamma1))
     g2 = ser.gamma_from_json(_load_json(args.gamma2))
-    bound = _deg_bound(args)
-    if bound is None:
-        bound = FALLBACK_DEG_BOUND
-    report = order_of_sum_report(g1, g2, bound, CancelToken(args.timeout))
+    report = order_of_sum_report(g1, g2, _deg_bound(args, FALLBACK_DEG_BOUND), CancelToken(args.timeout))
     payload = ser.sum_order_to_json(report)
     lines = [f"order: {report.order}", f"deg_bound: {report.deg_bound}"]
     return _emit(args, payload, lines)

@@ -26,8 +26,9 @@ from itertools import zip_longest
 from .cancel import CancelToken
 from .errors import UnsupportedExpr
 from .gamma import _ZERO_INTS, GammaTable, _ints, _recur, mgamma_contains, monomial_seed_elements
+from .linalg import _Z, rref
 from .poly import NEG_INF, BiPoly, UniPoly
-from .spans import in_span, restrict_degree, span_reduce
+from .spans import PolyFrame, in_span, span_reduce
 
 
 def derivative_closure(gens, cancel: CancelToken | None = None):
@@ -109,7 +110,10 @@ def phi(F: BiPoly, s: int):
 
 
 def _seed_order(cell):
-    """The cell key of seed prefixes: higher x-power first, then lower coordinate."""
+    """The cell key of seed prefixes: higher x-power first, then lower
+    coordinate. Every cell of x-degree >= bound comes before every cell of
+    lower degree, so the rref rows pivoted below the bound span exactly the
+    elements of x-degree < bound."""
     return -cell[0], cell[1]
 
 
@@ -142,7 +146,7 @@ def _contains_md(M: Md, F: BiPoly) -> MembershipResult:
 
 
 def _contains_finite(M: FiniteGen, F: BiPoly, cancel) -> MembershipResult:
-    ok, combo = in_span(F, list(M.basis), return_combo=True, cancel=cancel)
+    ok, combo = in_span(F, list(M.basis), cancel)
     if ok:
         return MembershipResult(True, {"reason": "span-combination", "combination": combo})
     return MembershipResult(False, {"reason": "outside-span", "basis_dim": len(M.basis)})
@@ -226,7 +230,7 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
             if bound < 1:
                 raise ValueError("deg_bound must be >= 1")
             cands, truncated = _sum_candidates(M.parts, None, bound, cancel)
-            ok, combo = in_span(F, cands, return_combo=True, cancel=cancel)
+            ok, combo = in_span(F, cands, cancel)
             cert = {
                 "reason": "sum-span" if ok else "sum-span-infeasible",
                 "deg_bound": bound,
@@ -250,7 +254,12 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")
     cands, _ = _sum_candidates(parts, s, bound, cancel)
-    prefixes = [BiPoly(phi(F, s)) for F in restrict_degree(cands, bound, cancel)]
-    seeds = span_reduce(prefixes, _seed_order, cancel)
-    return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(phi(P, s) for P in seeds))
+    frame = PolyFrame(cands, _seed_order)
+    cells = list(frame.index)
+    rows, pivots = rref([frame.to_vec(F) for F in cands], cancel)
+    # the rows pivoted below the bound span the elements of x-degree < bound;
+    # their seed prefixes reduce on the same frame with every later coordinate cut
+    low = [r for r, k in zip(rows, pivots) if cells[k][0] < bound]
+    seeds, _ = rref([[_Z if n >= s else c for c, (_i, n) in zip(r, cells)] for r in low], cancel)
+    return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(phi(frame.from_vec(r), s) for r in seeds))
 

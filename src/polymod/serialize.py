@@ -41,7 +41,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not RATIONAL_RE.match(value):
+        if not RATIONAL_RE.fullmatch(value):
             raise ParseError(f"malformed rational {value!r}")
         num, _, den = value.partition("/")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))

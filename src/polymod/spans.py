@@ -2,13 +2,13 @@
 
 A frame numbers the cells (i, n), the x^i coefficient of coordinate n, by a
 cell key, so reduced bases and pivots are deterministic: graded by default,
-seed order where v_space reduces seed tuples (f_0, ..., f_{s-1}) as the
-polynomials BiPoly(tuple). Vector entries are coordinate coefficients (the
+and seed order where v_space cuts the elements of a module by x-degree and
+reduces their seed prefixes. Vector entries are coordinate coefficients (the
 factorial convention's f_n coefficients), a diagonal rescale of monomial
 coefficients, so they span the same lattice of subspaces. ``span_rows``
-returns the frame with the rref rows, for callers that read the reduced
-basis in place; ``span_reduce`` builds those rows back into BiPoly values,
-each coordinate with ``_unipoly`` and no coercion.
+returns the graded frame with the rref rows, for callers that read the
+reduced basis in place; ``span_reduce`` builds those rows back into BiPoly
+values, each coordinate with ``_unipoly`` and no coercion.
 """
 
 from __future__ import annotations
@@ -58,32 +58,31 @@ class PolyFrame:
         return _bipoly([_unipoly(f) for f in coords])
 
 
-def span_rows(polys, key=_graded, cancel=None):
+def span_rows(polys, cancel=None):
     """(frame, rref rows): the reduced basis of the span of polys as vectors
-    of one frame, pivots in key order. The basis spans the same space as
-    polys, so its frame is theirs."""
+    of one graded frame. The basis spans the same space as polys, so its
+    frame is theirs."""
     polys = [p for p in polys if not p.is_zero()]
-    frame = PolyFrame(polys, key)
+    frame = PolyFrame(polys)
     return frame, rref([frame.to_vec(p) for p in polys], cancel=cancel)[0]
 
 
-def span_reduce(polys, key=_graded, cancel=None):
-    """Deterministic reduced basis of the span of polys, pivots in key order."""
-    frame, rows = span_rows(polys, key, cancel)
+def span_reduce(polys, cancel=None):
+    """Deterministic reduced basis of the span of polys, pivots in graded order."""
+    frame, rows = span_rows(polys, cancel)
     return [frame.from_vec(r) for r in rows]
 
 
-def in_span(p: BiPoly, basis, return_combo: bool = False, cancel=None):
-    """Exact membership of p in span(basis); basis need not be reduced."""
+def in_span(p: BiPoly, basis, cancel=None):
+    """(ok, combo): exact membership of p in span(basis), and p's coefficients
+    over the reduced basis or None; basis need not be reduced."""
     if p.is_zero():
-        return (True, []) if return_combo else True
+        return True, []
     frame = PolyFrame(list(basis) + [p])
     rows, pivots = rref([frame.to_vec(b) for b in basis], cancel=cancel)
     residual, combo = reduce_against(frame.to_vec(p), rows, pivots)
     ok = all(c.is_zero() for c in residual)
-    if return_combo:
-        return ok, (combo if ok else None)
-    return ok
+    return ok, (combo if ok else None)
 
 
 def vanishing_part(vecs, positions, cancel=None):
@@ -94,15 +93,3 @@ def vanishing_part(vecs, positions, cancel=None):
         return []
     return mat_mul(kernel_basis([[v[k] for v in vecs] for k in positions], len(vecs), cancel), vecs)
 
-
-def restrict_degree(polys, bound: int, cancel=None):
-    """Reduced basis of {p in span(polys) : deg_x p < bound}.
-
-    Cancellations across generators are honored: the cut is computed on the
-    joint span, not per generator.
-    """
-    frame, rows = span_rows(polys, cancel=cancel)
-    high = [k for (i, _n), k in frame.index.items() if i >= bound]
-    if high:
-        rows, _ = rref(vanishing_part(rows, high, cancel), cancel=cancel)
-    return [frame.from_vec(r) for r in rows]

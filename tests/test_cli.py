@@ -317,6 +317,14 @@ def test_malformed_json_is_parse_error(capsys):
     assert payload["error"]["type"] == "parse-error"
 
 
+def test_rational_with_a_trailing_newline_is_parse_error(capsys):
+    for poly in ('{"coords":[["3\\n"]]}', '{"coords":[["-4/5\\n"]]}'):
+        code, payload = _json_out(capsys, ["poly-eval", "--json", "--poly", poly, "--x", "0", "--y", "0"])
+        assert code == 1 and payload["error"]["type"] == "parse-error", poly
+    code, payload = _json_out(capsys, ["poly-eval", "--json", "--poly", '{"coords":[["3"]]}', "--x", "0", "--y", "0"])
+    assert code == 0 and payload["value"]["re"] == "3"
+
+
 def test_at_file_input(tmp_path, capsys):
     f = tmp_path / "poly.json"
     f.write_text('{"coords":[[0,1],[1]]}', encoding="utf-8")
@@ -340,9 +348,15 @@ def test_env_deg_bound(monkeypatch, capsys):
     monkeypatch.setenv("POLYMOD_DEG_BOUND", "4")
     code, payload = _json_out(capsys, ["order", "--json", "--basis", basis])
     assert code == 0 and payload == {"order": 2}
+    # a malformed env var is an error even where the command has a fallback bound
     monkeypatch.setenv("POLYMOD_DEG_BOUND", "soon")
-    code, payload = _json_out(capsys, ["order", "--json", "--basis", basis])
-    assert code == 1 and payload["error"]["type"] == "parse-error"
+    for argv in (
+        ["order", "--json", "--basis", basis],
+        ["infer-l", "--json", "--s", "1", "--basis", basis],
+        ["order-sum", "--json", "--gamma1", GS_JSON, "--gamma2", GS_JSON],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1 and payload["error"]["type"] == "parse-error", argv
 
 
 def test_flag_beats_env(monkeypatch, capsys):

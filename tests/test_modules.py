@@ -26,12 +26,12 @@ from polymod import (
     v_space,
 )
 
-from polymod import modules
+from polymod import linalg, modules, spans
 from polymod import serialize as ser
 from polymod.linalg import rref
 from polymod.modules import VSpaceBasis, _seed_order
 from polymod.poly import NEG_INF
-from polymod.spans import in_span, restrict_degree, span_reduce
+from polymod.spans import in_span, span_reduce, span_rows, vanishing_part
 
 from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
 from test_linalg import _CountingToken
@@ -233,6 +233,31 @@ def test_v_space_finite_gen():
     assert [str(t[0]) for t in vb.tuples] == ["1"]
 
 
+def test_v_space_cuts_the_joint_span():
+    # x^2 + x*y and x^2 each reach x-degree 2; only their difference x*y,
+    # with seed prefix (0, x), lies below the bound
+    a = FiniteGen([BiPoly.from_coords([UniPoly.monomial(2), UniPoly.x()])])
+    b = FiniteGen([BiPoly.monomial(2, 0)])
+    tuples = {
+        name: [tuple(str(f) for f in t) for t in v_space(M, 2, deg_bound=2).tuples]
+        for name, M in (("sum", Sum(a, b)), ("a", a), ("b", b))
+    }
+    assert tuples == {
+        "sum": [("x", "0"), ("0", "x"), ("1", "0"), ("0", "1")],
+        "a": [("x", "0"), ("1", "0"), ("0", "1")],
+        "b": [("x", "0"), ("1", "0")],
+    }
+
+
+def test_v_space_keeps_everything_below_a_high_bound():
+    assert len(v_space(FiniteGen([BiPoly.monomial(0, 0), BiPoly.monomial(0, 1)]), 2, deg_bound=1).tuples) == 2
+    # every element of the closure of x^2*y has x-degree < 3, and two slots tell them apart
+    fin = FiniteGen([X2Y])
+    for bound in (3, 4, 9):
+        assert v_space(fin, 2, deg_bound=bound).tuples == v_space(fin, 2, deg_bound=3).tuples
+        assert len(v_space(fin, 2, deg_bound=bound).tuples) == len(fin.basis) == 6
+
+
 def test_v_space_md_width_two():
     vb = v_space(Md(2), 2, deg_bound=2)
     assert len(vb.tuples) == 4
@@ -300,12 +325,24 @@ def _tuple_span_reduce(tuples, s, bound):
     return [frame.from_vec(r) for r in rows]
 
 
+def _restrict_degree(polys, bound):
+    """Reduced basis of {p in span(polys) : deg_x p < bound}, cut on the joint
+    span of a graded frame: its rref rows, the combinations of them that
+    vanish on every cell of x-degree >= bound, and an rref of those."""
+    frame, rows = span_rows(polys)
+    high = [k for (i, _n), k in frame.index.items() if i >= bound]
+    if high:
+        rows, _ = rref(vanishing_part(rows, high))
+    return [frame.from_vec(r) for r in rows]
+
+
 def _v_space_on_tuple_frames(M, s, deg_bound=None):
-    """v_space as it was: the seed prefixes of the cut reduced on a _TupleFrame."""
+    """v_space as it was: the seed prefixes of the graded degree cut reduced
+    on a _TupleFrame."""
     bound = deg_bound if deg_bound is not None else default_deg_bound(M)
     parts = M.parts if isinstance(M, Sum) else (M,)
     cands, _ = modules._sum_candidates(parts, s, bound, None)
-    elements = restrict_degree(cands, bound)
+    elements = _restrict_degree(cands, bound)
     tuples = _tuple_span_reduce([modules.phi(F, s) for F in elements], s, bound)
     return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(tuples))
 
@@ -316,7 +353,7 @@ def _gaussian_table(rng):
 
 
 def _v_space_cases():
-    """72 seeded (M, s, deg_bound): each of six module shapes under every
+    """84 seeded (M, s, deg_bound): each of seven module shapes under every
     s in 1..3 and deg_bound in 2..4 or the default."""
     rng = random.Random(0x5EED5)
     cases = []
@@ -333,7 +370,37 @@ def _v_space_cases():
             Md(rng.randint(0, 4)),
         ][k % 6]
         cases.append((M, 1 + (k // 6) % 3, [2, 3, 4, None][(k // 6) % 4]))
+    # two FiniteGen parts whose generators share a part past every bound,
+    # so some of their differences fall below it only on the joint span
+    rng = random.Random(0x5EED6)
+    for k in range(12):
+        high = BiPoly.monomial(5, rng.randint(0, 2))
+        M = Sum(
+            FiniteGen([high + rand_bipoly(rng, 3, 2)]),
+            FiniteGen([high + rand_bipoly(rng, 3, 2), rand_bipoly(rng, 4, 1)]),
+        )
+        cases.append((M, 1 + k % 3, [2, 3, 4, None][k % 4]))
     return cases
+
+
+def test_v_space_runs_two_eliminations_and_no_kernel(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # every binding site, so a call through spans or a linalg helper counts too
+    for mod in (linalg, spans, modules):
+        for name in ("rref", "kernel_basis", "mat_mul"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    for M, s, bound in _v_space_cases():
+        calls.clear()
+        v_space(M, s, deg_bound=bound)
+        assert calls == ["rref", "rref"], (M, s, bound)
 
 
 def test_v_space_matches_the_tuple_frame_reduction():
@@ -369,7 +436,7 @@ def test_closures_are_translation_invariant(rng):
         basis = derivative_closure(gens)
         assert len(derivative_closure(basis)) == len(span_reduce(basis))
         for a, b in shifts:
-            assert all(in_span(f.shift(a, b), basis) for f in basis)
+            assert all(in_span(f.shift(a, b), basis)[0] for f in basis)
 
 
 def test_separating_probe_within_combined_order():
@@ -429,7 +496,7 @@ def test_finitegen_polls_inside_its_closure_and_cancels_cleanly(monkeypatch):
 
 
 def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatch):
-    spy = _PollSpy(monkeypatch, modules, ["in_span", "restrict_degree", "span_reduce"])
+    spy = _PollSpy(monkeypatch, modules, ["in_span", "rref"])
     fin = FiniteGen([X2Y])
     table = shift_invariance_table()
     mixed = Sum(FiniteGen([BiPoly.embed(UniPoly.x())]), MGamma(table))
@@ -438,8 +505,8 @@ def test_contains_and_v_space_pass_their_token_to_the_span_reductions(monkeypatc
         (lambda tok: contains(fin, BiPoly.monomial(2, 0), cancel=tok), ["in_span"]),
         (lambda tok: contains(fin, BiPoly.monomial(3, 0), cancel=tok), ["in_span"]),
         (lambda tok: contains(mixed, member, cancel=tok), ["in_span"]),
-        (lambda tok: v_space(fin, 2, cancel=tok), ["restrict_degree", "span_reduce"]),
-        (lambda tok: v_space(Sum(Md(2), mixed), 2, deg_bound=3, cancel=tok), ["restrict_degree", "span_reduce"]),
+        (lambda tok: v_space(fin, 2, cancel=tok), ["rref", "rref"]),
+        (lambda tok: v_space(Sum(Md(2), mixed), 2, deg_bound=3, cancel=tok), ["rref", "rref"]),
     ]
     for run, names in runs:
         spy.finished.clear()

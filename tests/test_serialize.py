@@ -55,7 +55,8 @@ def test_parse_rational_grammar():
     assert ser.parse_rational("+7/3") == Fraction(7, 3)
     assert ser.parse_rational(12) == Fraction(12)
     assert ser.parse_rational("007") == Fraction(7)
-    for bad in ("1/0", "1/-2", "3.5", "", "x", "1 /2", " 3", "3 ", "1//2"):
+    # a trailing newline is refused too: the grammar must match the whole string
+    for bad in ("1/0", "1/-2", "3.5", "", "x", "1 /2", " 3", "3 ", "1//2", "3\n", "-4/5\n", "\n"):
         with pytest.raises(ParseError):
             ser.parse_rational(bad)
     with pytest.raises(ParseError):
@@ -70,7 +71,7 @@ def _parse_rational_by_fraction(value):
     """parse_rational as it was: the same grammar check, then Fraction(str)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParseError("not a rational")
-    if isinstance(value, str) and not ser.RATIONAL_RE.match(value):
+    if isinstance(value, str) and not ser.RATIONAL_RE.fullmatch(value):
         raise ParseError("malformed rational")
     return Fraction(value)
 

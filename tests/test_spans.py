@@ -7,7 +7,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, spans
 from polymod.modules import _seed_order, phi
-from polymod.spans import in_span, restrict_degree, span_reduce, vanishing_part
+from polymod.linalg import rref
+from polymod.spans import in_span, span_reduce, span_rows, vanishing_part
 
 from conftest import rand_bipoly, rand_scalar, rand_unipoly
 from test_linalg import _CountingToken
@@ -32,7 +33,7 @@ def test_in_span_with_combination(rng):
     target = BiPoly.zero()
     for c, b in zip(coeffs, basis):
         target = target + b.scale(c)
-    ok, combo = in_span(target, basis, return_combo=True)
+    ok, combo = in_span(target, basis)
     assert ok
     # the combination is expressed over the reduced basis; re-verify it
     reduced_rows = span_reduce(basis)
@@ -43,28 +44,12 @@ def test_in_span_with_combination(rng):
 
 
 def test_in_span_negative():
-    assert not in_span(BiPoly.monomial(0, 1), [BiPoly.monomial(1, 0)])
-    ok, combo = in_span(BiPoly.monomial(0, 1), [BiPoly.monomial(1, 0)], return_combo=True)
+    ok, combo = in_span(BiPoly.monomial(0, 1), [BiPoly.monomial(1, 0)])
     assert not ok and combo is None
 
 
 def test_in_span_zero_always():
-    assert in_span(BiPoly.zero(), [])
-
-
-def test_restrict_degree_uses_joint_cancellation():
-    # neither generator alone stays below degree 2, but their difference does
-    a = BiPoly.from_coords([UniPoly.monomial(2), UniPoly.x()])
-    b = BiPoly.from_coords([UniPoly.monomial(2)])
-    low = restrict_degree([a, b], 2)
-    assert len(low) == 1
-    assert low[0] == a - b
-    assert all(int(f.degree) < 2 for f in low[0].coords if not f.is_zero())
-
-
-def test_restrict_degree_keeps_everything_when_low():
-    polys = [BiPoly.monomial(0, 0), BiPoly.monomial(0, 1)]
-    assert len(restrict_degree(polys, 1)) == 2
+    assert in_span(BiPoly.zero(), []) == (True, [])
 
 
 def test_span_reduce_seed_order_independent_prefixes():
@@ -75,8 +60,10 @@ def test_span_reduce_seed_order_independent_prefixes():
         (UniPoly.zero(), UniPoly.x()),
         (UniPoly.const(2), UniPoly.x().scale(1)),
     ]
-    reduced = span_reduce([BiPoly(t) for t in tuples], _seed_order)
-    assert [phi(P, 2) for P in reduced] == [(UniPoly.zero(), UniPoly.x()), (UniPoly.const(1), UniPoly.zero())]
+    polys = [BiPoly(t) for t in tuples]
+    frame = spans.PolyFrame(polys, _seed_order)
+    rows, _ = rref([frame.to_vec(P) for P in polys])
+    assert [phi(frame.from_vec(r), 2) for r in rows] == [(UniPoly.zero(), UniPoly.x()), (UniPoly.const(1), UniPoly.zero())]
 
 
 def _rand_sparse_bipoly(rng, gaussian):
@@ -203,12 +190,11 @@ def _span_helper_cases():
             inside = inside + b.scale(rand_scalar(rng))
         cases.append((in_span, (inside, basis)))
         cases.append((in_span, (BiPoly.monomial(4, 1), basis)))
-        cases.append((restrict_degree, (basis, 2)))
-        cases.append((restrict_degree, (basis, 4)))  # no position to cut
+        # the combinations of the reduced rows that vanish on the cells of x-degree >= 2
+        frame, rows = span_rows(basis)
+        cases.append((vanishing_part, (rows, [k for (i, _n), k in frame.index.items() if i >= 2])))
         tuples = [(rand_unipoly(rng, 2), rand_unipoly(rng, 2)) for _ in range(4)]
-        cases.append((span_reduce, ([BiPoly(t) for t in tuples], _seed_order)))
-    a = BiPoly.from_coords([UniPoly.monomial(2), UniPoly.x()])
-    cases.append((restrict_degree, ([a, BiPoly.from_coords([UniPoly.monomial(2)])], 2)))
+        cases.append((span_reduce, ([BiPoly(t) for t in tuples],)))
     return cases
 
 
@@ -222,11 +208,11 @@ def test_span_helpers_poll_in_every_elimination(monkeypatch):
         runs.append((fn, names))
         # every rref and kernel_basis run on a nonempty input polls the token
         assert names and all(polls for _name, polls in spy.finished), fn.__name__
-    # some cut runs the whole chain: rref, vanishing_part's kernel_basis, rref again
-    assert (restrict_degree, ["rref", "kernel_basis", "rref"]) in runs
+    # vanishing_part's elimination is its kernel_basis
+    assert (vanishing_part, ["kernel_basis"]) in runs
 
 
-@pytest.mark.parametrize("fn", [in_span, restrict_degree, span_reduce], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", [in_span, vanishing_part, span_reduce], ids=lambda f: f.__name__)
 def test_span_helpers_cancel_cleanly_on_every_poll(fn):
     for case_fn, inputs in _span_helper_cases():
         if case_fn is not fn:
