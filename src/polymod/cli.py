@@ -146,7 +146,7 @@ def _cmd_closure(args) -> int:
 def _cmd_member(args) -> int:
     tok = CancelToken(args.timeout)
     M = ser.module_from_json(_load_json(args.module), tok)
-    F = ser.bipoly_from_json(_load_json(args.poly))
+    F = ser.bipoly_from_json(_load_json(args.poly), tok)
     result = contains(M, F, deg_bound=_deg_bound(args), cancel=tok)
     payload = ser.membership_to_json(result)
     lines = [f"contains: {str(result.contains).lower()}", f"certificate: {ser.dumps(payload['certificate'])}"]
@@ -196,8 +196,9 @@ def _cmd_order_sum(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    mat = ser.matrix_from_json(_load_json(args.matrix))
-    dec = nilpotent_chains(mat, CancelToken(args.timeout))
+    tok = CancelToken(args.timeout)
+    mat = ser.matrix_from_json(_load_json(args.matrix), tok)
+    dec = nilpotent_chains(mat, tok)
     payload = ser.chains_to_json(dec)
     lines = [f"dim: {dec.dim}"] + [
         f"  chain length {length}" for _, length in dec.chains

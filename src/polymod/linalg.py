@@ -1,31 +1,30 @@
-"""Exact linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals, in two layers.
 
-Matrices are lists of row lists of CoeffQ. The reduced row echelon form is
-unique for a fixed column order, so no output depends on the order in which
-rows are eliminated, and reruns are byte-identical.
+The cores ``eliminate``, ``product`` and ``null_space`` take and return Z[i]
+rows ``(den, {column: (re, im)})``: Gaussian-integer numerators over a
+positive int den, zero entries never stored. A caller that chains cores
+converts once in with ``_numerators`` and once out with ``_dense``. The
+dense functions ``rref``, ``mat_mul``, ``kernel_basis``, ``solve``, ``rank``
+and ``reduce_against`` are the CoeffQ edge: lists of CoeffQ rows in and
+out, and every zero entry of a row they return is the shared ``_Z``, so
+callers may skip zeros by identity.
 
-``rref`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math. Comp. 22,
-1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM Bull. 31,
-1997) on Z[i] numerators, for real and Gaussian input alike. Each row is put
-over the lcm of its part denominators and held as a sparse dict
-``{column: (re, im)}`` of int pairs; zero entries are never stored, and
-products skip zero imaginary parts. Rows are added one at a time, sparsest
-first. A new row is scaled by the latest pivot value and cross-cancelled
-against the rows kept so far; if it survives, its leading entry is a new
-pivot p, and each kept row with an entry f in that column becomes
-(p * row - f * new) / d, where d is the pivot value that row is stored at.
-Every entry is then a minor of the input, so the quotient is exact in Z[i]:
-dividing by d is a product with conj(d) and an exact floor division by
-|d|^2. A kept row that a step leaves alone keeps its old pivot value and is
-rescaled only when a later row cancels against it. Every kept row leads
+``eliminate`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math.
+Comp. 22, 1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM
+Bull. 31, 1997); scaling a row does not change its RREF, so it reads only
+numerators. Rows are added sparsest first. A new row is scaled by the
+latest pivot value and cross-cancelled against the rows kept so far; if it
+survives, its leading entry is a new pivot p, and each kept row with an
+entry f in that column becomes (p * row - f * new) / d, where d is the pivot
+value that row is stored at. Every entry is then a minor of the input, so
+the quotient is exact in Z[i]: a product with conj(d) and a floor division
+by |d|^2. A kept row that a step leaves alone keeps its old pivot value and
+is rescaled only when a later row cancels against it. Every kept row leads
 with its pivot and is zero in every other pivot column, so the result is
-the RREF whatever the row order. Each output part is built once as a
-Fraction over |d|^2 (less any common factor of d's parts), normalised by one
-gcd. ``mat_mul`` is one product kernel on the same numerators: the rows of
-b are put over one denominator, the Z[i] products are summed on ints and
-each output part is built once. ``reduce_against`` is a product with it.
-Every zero entry of a row that ``rref``, ``mat_mul`` or ``kernel_basis``
-returns is the shared ``_Z``, so callers may skip zeros by identity.
+the RREF, unique for the column order, whatever the row order: reruns are
+byte-identical. ``product`` puts the rows of b over one denominator, sums
+Z[i] products on ints and divides each output row by its content with one
+gcd. ``null_space`` reads one vector per free column off the RREF.
 """
 
 from __future__ import annotations
@@ -56,9 +55,15 @@ def _dense(row, den, ncols):
     """Dense CoeffQ row of sparse Z[i] numerators over den; each part is built once."""
     out = [_Z] * ncols
     for j, (re, im) in row.items():
-        if re or im:
-            out[j] = _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
+        out[j] = _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
     return out
+
+
+def _columns(rows, positions):
+    """Z[i] rows of the columns at positions, over the lcm of the row denominators."""
+    den = lcm(*[d for d, _row in rows])
+    scaled = [(den // d, row) for d, row in rows]
+    return [(den, {r: (row[k][0] * f, row[k][1] * f) for r, (f, row) in enumerate(scaled) if k in row}) for k in positions]
 
 
 def _mul(a, b):
@@ -71,10 +76,8 @@ def _mul(a, b):
 
 def _inverse(d):
     """(c, n) with 1/d = c/n, c in Z[i] and n a positive int, for d != 0."""
-    dr, di = d
-    g = gcd(dr, di)
-    dr //= g
-    di //= g
+    g = gcd(*d)
+    dr, di = d[0] // g, d[1] // g
     return (dr, -di), g * (dr * dr + di * di)
 
 
@@ -90,17 +93,16 @@ def _combine(p, row, f, new, d):
     return {k: (xr // n, xi // n) for k, (xr, xi) in out.items() if xr or xi}
 
 
-def rref(rows, cancel=None):
-    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
-    rows = list(rows)
+def eliminate(rows, cancel=None):
+    """RREF of Z[i] rows, whose denominators it ignores. Returns (the nonzero
+    RREF rows as Z[i] rows, each without its pivot entry 1, pivot columns)."""
     if not rows:
         return [], []
     if cancel is not None:
         cancel.check()
-    ncols = len(rows[0])
     done = {}  # pivot column -> (pivot value d the row is stored at, rest of the row)
     den = (1, 0)  # the latest pivot value; each new row is scaled to it
-    for new in sorted(filter(None, (row for _den, row in _numerators(rows))), key=len):
+    for new in sorted(filter(None, (row for _den, row in rows)), key=len):
         if cancel is not None:
             cancel.check()
         # new := den * new - sum of new[j] * done[j] over the pivot columns j,
@@ -133,9 +135,48 @@ def rref(rows, cancel=None):
     for col in pivots:
         d, row = done[col]
         c, n = _inverse(d)
-        dense = _dense({j: _mul(v, c) for j, v in row.items()}, n, ncols)
-        dense[col] = _O
-        out.append(dense)
+        out.append((n, {j: _mul(v, c) for j, v in row.items()}))
+    return out, pivots
+
+
+def product(a, b):
+    """a @ b on Z[i] rows; each output row is divided by its content."""
+    db = lcm(*[d for d, _row in b])  # row k of b is brought to db by a's column k
+    scale = [db // d for d, _row in b]
+    out = []
+    for da, row in a:
+        acc = {}
+        for k, (xr, xi) in row.items():
+            xr, xi = xr * scale[k], xi * scale[k]
+            for j, (yr, yi) in b[k][1].items():
+                sr, si = acc.get(j, _ZZ)
+                acc[j] = (sr + xr * yr - xi * yi, si + xr * yi + xi * yr)
+        den = da * db
+        g = gcd(den, *[part for v in acc.values() for part in v])
+        out.append((den // g, {j: (re // g, im // g) for j, (re, im) in acc.items() if re or im}))
+    return out
+
+
+def null_space(rows, ncols, cancel=None):
+    """Z[i] basis of {x : A x = 0} for A given by Z[i] rows of ncols columns:
+    per free column fc, in order, the vector that is 1 at fc, 0 at the other
+    free columns and minus the RREF's column fc at the pivots."""
+    red, pivots = eliminate(rows, cancel)
+    out = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        ents = [(pc, row[fc], n) for (n, row), pc in zip(red, pivots) if fc in row]
+        den = lcm(*[n for _pc, _v, n in ents])
+        out.append((den, {fc: (den, 0)} | {pc: (-re * (den // n), -im * (den // n)) for pc, (re, im), n in ents}))
+    return out
+
+
+def rref(rows, cancel=None):
+    """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
+    rows = list(rows)
+    red, pivots = eliminate(_numerators(rows), cancel)
+    out = [_dense(row, n, len(rows[0])) for n, row in red]
+    for row, col in zip(out, pivots):
+        row[col] = _O
     return out, pivots
 
 
@@ -154,29 +195,13 @@ def reduce_against(vec, basis_rows, pivots):
 
 
 def rank(rows, cancel=None) -> int:
-    return len(rref(rows, cancel)[0])
+    return len(eliminate(_numerators(rows), cancel)[1])
 
 
 def kernel_basis(rows, ncols=None, cancel=None):
     """Basis of {x : A x = 0} for A given by rows; deterministic order."""
-    if not rows:
-        return [] if not ncols else [
-            [(_O if i == j else _Z) for j in range(ncols)] for i in range(ncols)
-        ]
-    ncols = len(rows[0]) if ncols is None else ncols
-    red, pivots = rref(rows, cancel)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for fc in free:
-        v = [_Z] * ncols
-        v[fc] = _O
-        for r, pc in enumerate(pivots):
-            c = red[r][fc]
-            if c:
-                v[pc] = -c
-        out.append(v)
-    return out
+    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    return [_dense(row, den, ncols) for den, row in null_space(_numerators(rows), ncols, cancel)]
 
 
 def solve(rows, rhs, cancel=None):
@@ -188,37 +213,16 @@ def solve(rows, rhs, cancel=None):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, cancel)
-    for r, col in zip(red, pivots):
-        if col == ncols:
-            return None  # pivot in the rhs column: inconsistent
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], cancel)
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the rhs column: inconsistent
     x = [_Z] * ncols
     for r, col in zip(red, pivots):
         x[col] = r[ncols]
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    return x, free
+    return x, sorted(set(range(ncols)) - set(pivots))
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
-    brows = _numerators(b)
-    db = lcm(*[d for d, _row in brows])  # row k of b is brought to db by a's column k
-    out = []
-    for da, row in _numerators(a):
-        acc = {}
-        for k, x in row.items():
-            d, brow = brows[k]
-            x = _mul(x, (db // d, 0))
-            for j, y in brow.items():
-                pr, pi = _mul(x, y)
-                sr, si = acc.get(j, _ZZ)
-                acc[j] = (sr + pr, si + pi)
-        out.append(_dense(acc, da * db, len(b[0])))
-    return out
-
-
-def is_zero_matrix(rows) -> bool:
-    return all(c.is_zero() for r in rows for c in r)
+    return [_dense(row, den, len(b[0])) for den, row in product(_numerators(a), _numerators(b))]

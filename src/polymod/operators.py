@@ -10,9 +10,9 @@ is zero, with a witness BiPoly for each smaller K. It takes a frame and
 vectors: the module order and inference's prefix check pass the reduced
 rows, and the sum order its generators' vectors. The nilpotent
 machinery decomposes the coordinatewise derivative acting on truncated
-seed-tuple quotients into shift chains: one rref per height picks that
-height's generators by their pivot columns, and one product per height
-advances every chain.
+seed-tuple quotients into shift chains on Z[i] rows: one elimination per
+height picks that height's generators by their pivot columns, and one
+product per height advances every chain.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import perm
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
-from .linalg import _Z, is_zero_matrix, kernel_basis, mat_mul, rank, rref, solve
+from .linalg import _Z, _columns, _dense, _numerators, eliminate, null_space, product, solve
 from .modules import MGamma, Md, Sum, contains
 from .poly import BiPoly
 from .scalars import CoeffQ
@@ -170,46 +170,51 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
 
     Generators are chosen greedily from the highest nilpotency index k down,
     by the pivot-column rule: a column of an RREF is a pivot exactly when it
-    lies outside the span of the columns before it, so the pivots of one rref
-    of [ker D^(k-1) | images D^(length-k) u of the chains so far | ker D^k]
-    in the last block are the generators of height k, in kernel-basis order.
+    lies outside the span of the columns before it, so the pivots of one
+    elimination of [ker D^(k-1) | images D^(length-k) u of the chains so far
+    | ker D^k] in the last block are the generators of height k, in
+    kernel-basis order. D is converted to Z[i] rows once, and only the
+    result is converted back.
     Raises NotNilpotent if D^dim != 0.
     """
     D = _coerce_matrix(mat)
     n = len(D)
     if n == 0:
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
+    # D and its transpose as Z[i] rows; every vector below is a Z[i] row too
+    Dz, Dtz = _numerators(D), _numerators(zip(*D))
     powers = []  # powers[t] = D^(t+1)
     p = None
     for k in range(1, n + 1):
         if cancel is not None:
             cancel.check()
-        powers.append(mat_mul(powers[-1], D) if powers else D)
-        if is_zero_matrix(powers[-1]):
+        powers.append(product(powers[-1], Dz) if powers else Dz)
+        if not any(row for _den, row in powers[-1]):
             p = k
             break
     if p is None:
         raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
     # kernels[k] = ker D^k, and ker D^0 is zero
-    kernels = [[]] + [kernel_basis(P, ncols=n, cancel=cancel) for P in powers]
-    Dt = [list(col) for col in zip(*D)]
-    chains: list[tuple[tuple, int]] = []
+    kernels = [[]] + [null_space(P, n, cancel) for P in powers]
+    chains = []  # (generator, length)
     images = []  # D^(length-k) u of each chain at height k, as rows
     trail = []  # trail[p-k] = images at height k
     for k in range(p, 0, -1):
         cols = kernels[k - 1] + images + kernels[k]
-        _, pivots = rref([list(row) for row in zip(*cols)], cancel)
+        _, pivots = eliminate(_columns(cols, range(n)), cancel)
         new = [cols[j] for j in pivots if j >= len(cols) - len(kernels[k])]
-        chains += [(tuple(u), k) for u in new]
+        chains += [(u, k) for u in new]
         trail.append(images + new)
-        images = mat_mul(trail[-1], Dt)
-    if any(not c.is_zero() for v in images for c in v):
+        images = product(trail[-1], Dtz)
+    if any(row for _den, row in images):
         raise AssertionError("chain does not terminate at zero")
     # D^t u of chain c is its image at height length - t
-    basis_vectors = [tuple(trail[p - length + t][c]) for c, (_u, length) in enumerate(chains) for t in range(length)]
-    if len(basis_vectors) != n or rank([list(v) for v in basis_vectors], cancel) != n:
+    basis = [trail[p - length + t][c] for c, (_u, length) in enumerate(chains) for t in range(length)]
+    if len(basis) != n or len(eliminate(basis, cancel)[1]) != n:
         raise AssertionError("chain vectors do not form a basis")
-    return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))
+    out = [tuple(_dense(row, den, n)) for den, row in [u for u, _length in chains] + basis]
+    chains = tuple((u, length) for u, (_z, length) in zip(out, chains))
+    return ChainDecomposition(dim=n, chains=chains, basis_vectors=tuple(out[len(chains):]))
 
 
 def quotient_derivation(s: int, k: int, d: int):

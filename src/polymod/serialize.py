@@ -78,13 +78,21 @@ def unipoly_to_json(f: UniPoly) -> list:
     return [scalar_to_json(f.coeff(k)) for k in range(int(f.degree) + 1)]
 
 
-def bipoly_from_json(obj) -> BiPoly:
+def _polled(items, cancel):
+    """items, with cancel (if given) polled before each one."""
+    for item in items:
+        if cancel is not None:
+            cancel.check()
+        yield item
+
+
+def bipoly_from_json(obj, cancel=None) -> BiPoly:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise ParseError('bivariate polynomial must be {"coords": [...]}')
     coords = obj["coords"]
     if not isinstance(coords, list):
         raise ParseError('"coords" must be a JSON array')
-    return BiPoly.from_coords([unipoly_from_json(f) for f in coords])
+    return BiPoly.from_coords([unipoly_from_json(f) for f in _polled(coords, cancel)])
 
 
 def bipoly_to_json(F: BiPoly) -> dict:
@@ -136,7 +144,7 @@ def module_from_json(obj, cancel=None):
             gens = obj["gens"]
             if not isinstance(gens, list):
                 raise ParseError('"gens" must be a JSON array')
-            return FiniteGen(tuple(bipoly_from_json(F) for F in gens), cancel)
+            return FiniteGen(tuple(bipoly_from_json(F, cancel) for F in gens), cancel)
         if tag == "Sum":
             parts = obj["parts"]
             if not isinstance(parts, list):
@@ -224,10 +232,10 @@ def sum_order_to_json(report) -> dict:
     }
 
 
-def matrix_from_json(obj) -> list:
+def matrix_from_json(obj, cancel=None) -> list:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a JSON array of rows")
-    rows = [[scalar_from_json(c) for c in r] for r in obj]
+    rows = [[scalar_from_json(c) for c in r] for r in _polled(obj, cancel)]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("matrix rows must have equal length")
     return rows

@@ -13,7 +13,7 @@ values, each coordinate with ``_unipoly`` and no coercion.
 
 from __future__ import annotations
 
-from .linalg import _Z, kernel_basis, mat_mul, reduce_against, rref
+from .linalg import _Z, _dense, _numerators, null_space, product, reduce_against, rref
 from .poly import BiPoly, _bipoly, _unipoly
 
 
@@ -89,7 +89,8 @@ def vanishing_part(vecs, positions, cancel=None):
     """Combinations of vecs that vanish at every position: one vector
     sum_r c_r * vecs[r] per kernel_basis vector c of the restriction of vecs
     to positions, in kernel_basis order and not reduced."""
-    if not vecs:
+    kernel = null_space(_numerators([[v[k] for v in vecs] for k in positions]), len(vecs), cancel)
+    if not kernel:  # convert vecs only when some combination vanishes
         return []
-    return mat_mul(kernel_basis([[v[k] for v in vecs] for k in positions], len(vecs), cancel), vecs)
+    return [_dense(row, den, len(vecs[0])) for den, row in product(kernel, _numerators(vecs))]
 

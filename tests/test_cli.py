@@ -6,9 +6,11 @@ import pytest
 
 from polymod import BiPoly, UniPoly, generate, shift_invariance_table
 from polymod import serialize as ser
+from polymod import cli
 from polymod.cli import run
 
 from conftest import rand_bipoly
+from test_linalg import _CountingToken
 
 GS_JSON = '{"s":1,"entries":[{"i":1,"j":1,"a":"1"}]}'
 
@@ -402,6 +404,25 @@ def test_timeout_holds_inside_the_finitegen_closure(capsys):
         ["member", "--json", "--timeout", "0.05", "--module", fin, "--poly", poly],
         ["vspace", "--json", "--timeout", "0.05", "--module", fin, "--s", "2"],
         ["split", "--json", "--timeout", "0.05", "--module", ser.dumps({"type": "Sum", "parts": [{"type": "Md", "d": 1}, fin_json]})],
+    ):
+        code, payload = _json_out(capsys, argv)
+        assert code == 1
+        assert payload["error"]["type"] == "cancelled", argv[0]
+
+
+def test_timeout_holds_while_the_input_is_parsed(capsys, monkeypatch):
+    # the token starts before the parse and the parse polls it, so a token
+    # that fires on its first poll stops member and chains before their algebra
+    def unreachable(*args, **kwargs):
+        pytest.fail("the computation started before the parse was cancelled")
+
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=1))
+    monkeypatch.setattr(cli, "contains", unreachable)
+    monkeypatch.setattr(cli, "nilpotent_chains", unreachable)
+    poly = ser.dumps(ser.bipoly_to_json(BiPoly.monomial(1, 1)))
+    for argv in (
+        ["member", "--json", "--module", '{"type": "Md", "d": 1}', "--poly", poly],
+        ["chains", "--json", "--matrix", '[["0", "1"], ["0", "0"]]'],
     ):
         code, payload = _json_out(capsys, argv)
         assert code == 1

@@ -2,8 +2,8 @@
 
 sympy's QQ and QQ_I matrices are an independent implementation of exact
 elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
-(5-10 % density, up to the 27x243 shape that infer_L builds) and dense (up
-to 24x24), and rank-deficient with zero rows. The elimination order must not
+(5-15 % density, up to the 27x243 shape that infer_L builds, and a wide
+8x256) and dense (up to 24x24), and rank-deficient with zero rows. The elimination order must not
 show: a shuffled copy with zero rows appended has the same rref. The product
 kernel behind mat_mul and reduce_against is checked on the same
 shapes, on vectors with mixed denominators, on chained powers of a
@@ -27,6 +27,7 @@ SHAPES = [
     ("sparse-real-infer", 27, 243, 0.06, False, False),
     ("sparse-real-tall", 40, 30, 0.08, False, False),
     ("sparse-gauss-infer", 27, 243, 0.05, True, False),
+    ("sparse-gauss-wide", 8, 256, 0.15, True, False),
     ("sparse-gauss-square", 20, 20, 0.1, True, False),
     ("dense-real", 7, 9, 1.0, False, False),
     ("dense-gauss", 8, 6, 1.0, True, False),

@@ -30,7 +30,7 @@ from polymod import (
 )
 from polymod import linalg, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
-from polymod.linalg import is_zero_matrix, kernel_basis, mat_mul, rank, reduce_against, rref
+from polymod.linalg import kernel_basis, mat_mul, rank, reduce_against, rref
 from polymod.operators import ChainDecomposition, _pinning_order
 from polymod.modules import phi
 from polymod.spans import span_reduce, span_rows
@@ -325,6 +325,10 @@ def test_nilpotent_chains_random_corpus(rng):
         assert _reconstruct(dec) == D
 
 
+def is_zero_matrix(rows):
+    return all(c.is_zero() for r in rows for c in r)
+
+
 def ref_nilpotent_chains(mat):
     """The earlier greedy selection, kept as a reference: one reduce_against
     per kernel candidate, one rref per chain added, and one product per chain
@@ -395,18 +399,38 @@ def test_nilpotent_chains_makes_at_most_2p_minus_1_products(monkeypatch):
     # D^2..D^p, then one step of every chain per height: 2p - 1 products in all
     cases = [(D, max(length for _u, length in ref_nilpotent_chains(D).chains)) for D in _chain_corpus()]
     products = []
-    real = linalg.mat_mul
+    real = linalg.product
 
     def spy(a, b):
         products.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(linalg, "mat_mul", spy)
-    monkeypatch.setattr(operators, "mat_mul", spy)
+    monkeypatch.setattr(linalg, "product", spy)
+    monkeypatch.setattr(operators, "product", spy)
     for D, p in cases:
         products.clear()
         nilpotent_chains(D)
         assert 0 < len(products) <= 2 * p - 1
+
+
+def test_nilpotent_chains_converts_once_in_and_once_out(monkeypatch):
+    # D and its transpose in; each chain generator and each basis vector out
+    calls = {"_numerators": 0, "_dense": 0}
+
+    def spy(name):
+        real = getattr(operators, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, spy(name))
+    for D in _chain_corpus():
+        calls.update(dict.fromkeys(calls, 0))
+        dec = nilpotent_chains(D)
+        assert calls == {"_numerators": 2, "_dense": len(dec.chains) + dec.dim}
 
 
 def test_nilpotent_chains_rejects_non_nilpotent():
@@ -444,14 +468,14 @@ def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng,
                 active[-1][1] += 1
             super().check()
 
-    monkeypatch.setattr(operators, "kernel_basis", spy("kernel_basis", operators.kernel_basis))
-    monkeypatch.setattr(operators, "rref", spy("rref", operators.rref))
+    monkeypatch.setattr(operators, "null_space", spy("null_space", operators.null_space))
+    monkeypatch.setattr(operators, "eliminate", spy("eliminate", operators.eliminate))
     for D in (quotient_derivation(2, 5, 1), rand_nilpotent(rng, 6)):
         finished.clear()
         token = _Token()
         nilpotent_chains(D, cancel=token)
-        # every kernel_basis and rref it runs polls the token
-        assert {name for name, _polls in finished} == {"kernel_basis", "rref"}
+        # every null_space and eliminate it runs polls the token
+        assert {name for name, _polls in finished} == {"null_space", "eliminate"}
         assert all(polls for _name, polls in finished)
         for m in range(1, token.calls + 1):
             stub = _CountingToken(fire_at=m)
@@ -462,18 +486,22 @@ def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng,
 
 def test_nilpotent_chains_polls_in_its_closing_rank_check(rng, monkeypatch):
     token = _CountingToken()
-    polls = []  # polls made inside each rank call
+    calls = []  # (rows, polls made inside) of each eliminate call
+    real = operators.eliminate
 
     def spy(rows, *args, **kwargs):
         before = token.calls
         try:
-            return rank(rows, *args, **kwargs)
+            return real(rows, *args, **kwargs)
         finally:
-            polls.append(token.calls - before)
+            calls.append((rows, token.calls - before))
 
-    monkeypatch.setattr(operators, "rank", spy)
-    nilpotent_chains(rand_nilpotent(rng, 6), cancel=token)
-    assert polls and all(polls)
+    monkeypatch.setattr(operators, "eliminate", spy)
+    dec = nilpotent_chains(rand_nilpotent(rng, 6), cancel=token)
+    # the last elimination is the rank check on the chain vectors
+    rows, polls = calls[-1]
+    assert [tuple(linalg._dense(row, den, dec.dim)) for den, row in rows] == list(dec.basis_vectors)
+    assert polls
 
 
 def test_quotient_derivation_examples():

@@ -251,6 +251,44 @@ def test_module_from_json_passes_its_token_to_every_closure():
             ser.module_from_json(obj, _CountingToken(fire_at=1))
 
 
+def test_bipoly_from_json_polls_once_per_coordinate():
+    obj = {"coords": [["1"], [], ["0", {"re": "2", "im": "1"}], ["-1/2"]]}
+    token = _CountingToken()
+    assert ser.bipoly_from_json(obj, token) == ser.bipoly_from_json(obj)
+    assert token.calls == 4
+    for m in range(1, 5):
+        stub = _CountingToken(fire_at=m)
+        with pytest.raises(Cancelled):
+            ser.bipoly_from_json(obj, stub)
+        assert stub.calls == m
+
+
+def test_module_from_json_polls_while_it_parses_the_generators(monkeypatch):
+    fin = {"type": "FiniteGen", "gens": [{"coords": [["1"], ["0", "1"]]}, {"coords": [["0", "0", "1"]]}]}
+    seen = []  # polls made before the closure starts
+    monkeypatch.setattr(ser, "FiniteGen", lambda gens, cancel: seen.append(cancel.calls))
+    ser.module_from_json(fin, _CountingToken())
+    assert seen == [3]
+    for m in range(1, 4):
+        stub = _CountingToken(fire_at=m)
+        with pytest.raises(Cancelled):
+            ser.module_from_json(fin, stub)
+        assert stub.calls == m
+    assert seen == [3]
+
+
+def test_matrix_from_json_polls_once_per_row():
+    obj = [["0", "1", "0"], ["0", "0", {"re": "2", "im": "-1"}], ["0", "0", "0"]]
+    token = _CountingToken()
+    assert ser.matrix_from_json(obj, token) == ser.matrix_from_json(obj)
+    assert token.calls == 3
+    for m in range(1, 4):
+        stub = _CountingToken(fire_at=m)
+        with pytest.raises(Cancelled):
+            ser.matrix_from_json(obj, stub)
+        assert stub.calls == m
+
+
 def test_module_malformed():
     cases = [
         {"type": "Mystery"},

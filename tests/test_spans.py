@@ -199,17 +199,17 @@ def _span_helper_cases():
 
 
 def test_span_helpers_poll_in_every_elimination(monkeypatch):
-    spy = _PollSpy(monkeypatch, spans, ["rref", "kernel_basis"])
+    spy = _PollSpy(monkeypatch, spans, ["rref", "null_space"])
     runs = []
     for fn, inputs in _span_helper_cases():
         spy.finished.clear()
         fn(*inputs, cancel=spy.token())
         names = [name for name, _polls in spy.finished]
         runs.append((fn, names))
-        # every rref and kernel_basis run on a nonempty input polls the token
+        # every rref and null_space run on a nonempty input polls the token
         assert names and all(polls for _name, polls in spy.finished), fn.__name__
-    # vanishing_part's elimination is its kernel_basis
-    assert (vanishing_part, ["kernel_basis"]) in runs
+    # vanishing_part's elimination is its null_space
+    assert (vanishing_part, ["null_space"]) in runs
 
 
 @pytest.mark.parametrize("fn", [in_span, vanishing_part, span_reduce], ids=lambda f: f.__name__)
