@@ -3,11 +3,17 @@
 The cores ``eliminate``, ``product`` and ``null_space`` take and return Z[i]
 rows ``(den, {column: (re, im)})``: Gaussian-integer numerators over a
 positive int den, zero entries never stored. A caller that chains cores
-converts once in with ``_numerators`` and once out with ``_dense``. The
-dense functions ``rref``, ``mat_mul``, ``kernel_basis``, ``solve``, ``rank``
-and ``reduce_against`` are the CoeffQ edge: lists of CoeffQ rows in and
-out, and every zero entry of a row they return is the shared ``_Z``, so
-callers may skip zeros by identity.
+converts once in with ``_numerators`` and once out with ``_dense``. Each
+core polls its optional cancel token once per row it takes in or puts out.
+
+The dense edge is ``rref`` and ``solve``: lists of CoeffQ rows in and out,
+and every zero entry of a row they return is the shared ``_Z``, as in every
+row ``_dense`` builds, so callers may skip zeros by identity. They stay
+dense because their callers are: ``spans`` and ``modules`` reduce CoeffQ
+vectors of a ``PolyFrame`` and read the reduced rows in place, ``infer_L``
+builds a CoeffQ system and reads its table off the solution (``solve`` is
+its route to ``rref``), and perfbench's traced runs read ``rref``'s rows as
+CoeffQ lists.
 
 ``eliminate`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math.
 Comp. 22, 1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM
@@ -139,12 +145,14 @@ def eliminate(rows, cancel=None):
     return out, pivots
 
 
-def product(a, b):
+def product(a, b, cancel=None):
     """a @ b on Z[i] rows; each output row is divided by its content."""
     db = lcm(*[d for d, _row in b])  # row k of b is brought to db by a's column k
     scale = [db // d for d, _row in b]
     out = []
     for da, row in a:
+        if cancel is not None:
+            cancel.check()
         acc = {}
         for k, (xr, xi) in row.items():
             xr, xi = xr * scale[k], xi * scale[k]
@@ -180,30 +188,6 @@ def rref(rows, cancel=None):
     return out, pivots
 
 
-def reduce_against(vec, basis_rows, pivots):
-    """Reduce vec against an rref basis; returns (residual, combination).
-
-    residual is zero iff vec lies in the row span; combination holds the
-    coefficients f_r of the basis rows. An rref row is 1 at its own pivot and
-    0 at the others, so f_r is vec at row r's pivot, and the residual is
-    [1, -f_1, ..., -f_r] @ [vec; row_1; ...; row_r].
-    """
-    combo = [vec[col] for col in pivots]
-    used = [(f, row) for f, row in zip(combo, basis_rows) if f]
-    residual = mat_mul([[_O] + [-f for f, _row in used]], [vec] + [row for _f, row in used])[0]
-    return residual, combo
-
-
-def rank(rows, cancel=None) -> int:
-    return len(eliminate(_numerators(rows), cancel)[1])
-
-
-def kernel_basis(rows, ncols=None, cancel=None):
-    """Basis of {x : A x = 0} for A given by rows; deterministic order."""
-    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
-    return [_dense(row, den, ncols) for den, row in null_space(_numerators(rows), ncols, cancel)]
-
-
 def solve(rows, rhs, cancel=None):
     """Solve A x = rhs. Returns (solution with free vars 0, free columns) or None.
 
@@ -220,9 +204,3 @@ def solve(rows, rhs, cancel=None):
     for r, col in zip(red, pivots):
         x[col] = r[ncols]
     return x, sorted(set(range(ncols)) - set(pivots))
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    return [_dense(row, den, len(b[0])) for den, row in product(_numerators(a), _numerators(b))]

@@ -186,9 +186,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     powers = []  # powers[t] = D^(t+1)
     p = None
     for k in range(1, n + 1):
-        if cancel is not None:
-            cancel.check()
-        powers.append(product(powers[-1], Dz) if powers else Dz)
+        powers.append(product(powers[-1], Dz, cancel) if powers else Dz)
         if not any(row for _den, row in powers[-1]):
             p = k
             break
@@ -205,7 +203,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
         new = [cols[j] for j in pivots if j >= len(cols) - len(kernels[k])]
         chains += [(u, k) for u in new]
         trail.append(images + new)
-        images = product(trail[-1], Dtz)
+        images = product(trail[-1], Dtz, cancel)
     if any(row for _den, row in images):
         raise AssertionError("chain does not terminate at zero")
     # D^t u of chain c is its image at height length - t

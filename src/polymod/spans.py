@@ -13,7 +13,7 @@ values, each coordinate with ``_unipoly`` and no coercion.
 
 from __future__ import annotations
 
-from .linalg import _Z, _dense, _numerators, null_space, product, reduce_against, rref
+from .linalg import _O, _Z, _dense, _numerators, null_space, product, rref
 from .poly import BiPoly, _bipoly, _unipoly
 
 
@@ -75,22 +75,30 @@ def span_reduce(polys, cancel=None):
 
 def in_span(p: BiPoly, basis, cancel=None):
     """(ok, combo): exact membership of p in span(basis), and p's coefficients
-    over the reduced basis or None; basis need not be reduced."""
+    over the reduced basis or None; basis need not be reduced.
+
+    A reduced row is 1 at its own pivot and 0 at the others, so the
+    coefficient f_r of row r is p's entry at that pivot. p is in the span
+    iff its residual, the one Z[i] product [1, -f_1, ..., -f_r] @
+    [p; row_1; ...; row_r] over the rows with f_r != 0, has no entry."""
     if p.is_zero():
         return True, []
     frame = PolyFrame(list(basis) + [p])
     rows, pivots = rref([frame.to_vec(b) for b in basis], cancel=cancel)
-    residual, combo = reduce_against(frame.to_vec(p), rows, pivots)
-    ok = all(c.is_zero() for c in residual)
-    return ok, (combo if ok else None)
+    vec = frame.to_vec(p)
+    combo = [vec[col] for col in pivots]
+    used = [(f, row) for f, row in zip(combo, rows) if f]
+    coeffs = _numerators([[_O] + [-f for f, _row in used]])
+    residual = product(coeffs, _numerators([vec] + [row for _f, row in used]), cancel)[0][1]
+    return (False, None) if residual else (True, combo)
 
 
 def vanishing_part(vecs, positions, cancel=None):
     """Combinations of vecs that vanish at every position: one vector
-    sum_r c_r * vecs[r] per kernel_basis vector c of the restriction of vecs
-    to positions, in kernel_basis order and not reduced."""
+    sum_r c_r * vecs[r] per null_space vector c of the restriction of vecs
+    to positions, in null_space order and not reduced."""
     kernel = null_space(_numerators([[v[k] for v in vecs] for k in positions]), len(vecs), cancel)
     if not kernel:  # convert vecs only when some combination vanishes
         return []
-    return [_dense(row, den, len(vecs[0])) for den, row in product(kernel, _numerators(vecs))]
+    return [_dense(row, den, len(vecs[0])) for den, row in product(kernel, _numerators(vecs), cancel)]
 

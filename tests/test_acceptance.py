@@ -33,10 +33,10 @@ from polymod import (
     verify_e14,
     witness_x_not_in_M,
 )
-from polymod.linalg import kernel_basis, mat_mul, rank
 from polymod.spans import PolyFrame
 
-from conftest import identity, invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
+import sympy_oracle as sym
+from conftest import identity, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
 
 
 def _verdict(capsys, k, ok, detail):
@@ -221,7 +221,7 @@ def _kernel_is_trivial(g1, g2, bound, K):
         for (_i, n), k in frame.index.items()
         if n < K
     ]
-    for combo in kernel_basis(prefix_rows, ncols=len(vecs)):
+    for combo in sym.nullspace(prefix_rows, len(vecs)):
         elem = BiPoly.zero()
         for ci, p in zip(combo, gens):
             if not ci.is_zero():
@@ -260,8 +260,8 @@ def _rank_lengths(D):
     counts = []
     prev, prev_rank = identity(n), n
     while prev_rank:
-        cur = mat_mul(prev, D)
-        cur_rank = rank(cur)
+        cur = sym.product(prev, D)
+        cur_rank = sym.rank(cur)
         counts.append(prev_rank - cur_rank)
         prev, prev_rank = cur, cur_rank
     lengths = []
@@ -283,7 +283,7 @@ def _rebuild(dec):
         pos += length
     B = [[cols[c][r] for c in range(dec.dim)] for r in range(dec.dim)]
     S = [[images[c][r] for c in range(dec.dim)] for r in range(dec.dim)]
-    return mat_mul(S, invert(B))
+    return sym.product(S, sym.inverse(B))
 
 
 def test_criterion_7_nilpotent_chains(capsys):

@@ -1,9 +1,12 @@
-"""mpmath loads on the first log-space call, not when polymod is imported.
+"""What polymod's modules import, and when.
 
-Each check runs in a fresh interpreter, because this test process has long
-since imported mpmath through other modules.
+mpmath loads on the first log-space call, not when polymod is imported. Each
+such check runs in a fresh interpreter, because this test process has long
+since imported mpmath through other modules. And no module imports a name
+it never uses, which no linter checks here.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -48,3 +51,21 @@ def test_cli_loads_mpmath_only_for_log_space_commands():
     assert seen["e14"] == [0, True]
     # the dyadic pads convert to mpf without rounding
     assert seen["exact"] == [True, True]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted((Path(SRC) / "polymod").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]: node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name: node.lineno for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polymod import Cancelled, CoeffQ
-from polymod.linalg import (
-    kernel_basis,
-    mat_mul,
-    rank,
-    reduce_against,
-    rref,
-    solve,
-)
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly
+from polymod.linalg import _numerators, eliminate, null_space, product, rref, solve
+from polymod.spans import in_span, span_reduce
 
 from conftest import identity, rand_scalar
 
@@ -34,17 +28,26 @@ def test_rref_known():
     assert rows == [[CoeffQ.of(1), CoeffQ.of(2)]]
 
 
+def _rank(m) -> int:
+    return len(eliminate(_numerators(m))[1])
+
+
+def _apply(m, x):
+    """m x on CoeffQ rows and a CoeffQ vector, entry by entry."""
+    return [sum((a * b for a, b in zip(row, x)), CoeffQ(0)) for row in m]
+
+
 def test_rank_and_identity():
-    assert rank(identity(4)) == 4
-    assert rank([[CoeffQ.of(0)] * 3]) == 0
+    assert _rank(identity(4)) == 4
+    assert _rank([[CoeffQ.of(0)] * 3]) == 0
 
 
 def test_kernel_of_empty_and_zero():
     # no constraints: the kernel is everything
-    basis = kernel_basis([], ncols=3)
+    basis = null_space([], 3)
     assert len(basis) == 3
     z = [[CoeffQ.of(0)] * 3]
-    assert len(kernel_basis(z, ncols=3)) == 3
+    assert len(null_space(_numerators(z), 3)) == 3
 
 
 def test_solve_unique():
@@ -79,43 +82,44 @@ def test_rref_idempotent(m):
 
 @given(matrices())
 def test_kernel_annihilates(m):
-    ncols = len(m[0])
-    for v in kernel_basis(m, ncols=ncols):
-        assert all(c.is_zero() for (c,) in mat_mul(m, [[x] for x in v]))
+    # each kernel vector v gives v @ m^T = (m v)^T = 0
+    for _den, row in product(null_space(_numerators(m), len(m[0])), _numerators(zip(*m))):
+        assert not row
 
 
 @given(matrices())
 def test_rank_respects_transpose(m):
-    assert rank(m) == rank([list(col) for col in zip(*m)])
+    assert _rank(m) == _rank([list(col) for col in zip(*m)])
 
 
 @given(matrices())
 def test_solve_solutions_satisfy(m):
     rng = random.Random(7)
     x = [CoeffQ.of(rng.randint(-3, 3)) for _ in range(len(m[0]))]
-    rhs = [r[0] for r in mat_mul(m, [[c] for c in x])]
+    rhs = _apply(m, x)
     sol = solve(m, rhs)
     assert sol is not None  # consistent by construction
     values, _free = sol
-    assert mat_mul(m, [[c] for c in values]) == [[b] for b in rhs]
+    assert _apply(m, values) == rhs
 
 
 @given(matrices())
-def test_reduce_against_stays_in_span(m):
-    rows, pivots = rref(m)
-    if not rows:
+def test_in_span_of_row_sums(m):
+    # the rows as one-coordinate polynomials; the sum of the reduced basis
+    # has the coefficient 1 on each reduced row
+    basis = [BiPoly.from_coords([UniPoly(row)]) for row in m]
+    red = span_reduce(basis)
+    if not red:
         return
-    vec = [sum((r[k] for r in rows), CoeffQ.of(0)) for k in range(len(m[0]))]
-    residual, combo = reduce_against(vec, rows, pivots)
-    assert all(c.is_zero() for c in residual)
-    assert len(combo) == len(rows)
+    p = sum(red[1:], red[0])
+    assert in_span(p, basis) == (True, [CoeffQ(1)] * len(red))
 
 
-def test_mat_mul_associates():
-    a = [[CoeffQ.of(1), CoeffQ.of(2)], [CoeffQ.of(0), CoeffQ.of(1)]]
-    b = [[CoeffQ.of(3), CoeffQ.of(0)], [CoeffQ.of(1), CoeffQ.of(1)]]
-    c = [[CoeffQ.of(1), CoeffQ.of(1)], [CoeffQ.of(1), CoeffQ.of(0)]]
-    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+def test_product_associates():
+    a = _numerators([[CoeffQ.of(1), CoeffQ.of(2)], [CoeffQ.of(0), CoeffQ.of(1)]])
+    b = _numerators([[CoeffQ.of(3), CoeffQ.of(0)], [CoeffQ.of(1), CoeffQ.of(1)]])
+    c = _numerators([[CoeffQ.of(1), CoeffQ.of(1)], [CoeffQ.of(1), CoeffQ.of(0)]])
+    assert product(product(a, b), c) == product(a, product(b, c))
 
 
 class _CountingToken:
@@ -164,35 +168,57 @@ def test_rref_polls_once_per_pivot_and_cancels_cleanly():
 
 def test_rank_polls_and_cancels_cleanly():
     for m in _cancel_corpus():
-        snapshot = [list(r) for r in m]
+        rows = _numerators(m)
+        snapshot = _numerators(m)
         token = _CountingToken()
-        want = rank(m, cancel=token)
+        want = len(eliminate(rows, token)[1])
         assert want == len(rref(m)[1]) and token.calls >= want
-        # a token firing on any poll stops rank with no result and the input untouched
+        # a token firing on any poll stops eliminate with no result and the input untouched
         for n in range(1, token.calls + 1):
             stub = _CountingToken(fire_at=n)
             with pytest.raises(Cancelled):
-                rank(m, cancel=stub)
+                eliminate(rows, stub)
             assert stub.calls == n
-            assert m == snapshot
-        assert rank(m, cancel=_CountingToken(fire_at=token.calls + 1)) == want
+            assert rows == snapshot
+        assert len(eliminate(rows, _CountingToken(fire_at=token.calls + 1))[1]) == want
 
 
-@pytest.mark.parametrize("which", ["solve", "kernel_basis"])
-def test_solve_and_kernel_basis_poll_once_per_pivot_and_cancel_cleanly(which):
+def test_product_polls_once_per_row_and_cancels_cleanly():
+    for m in _cancel_corpus():
+        # m @ m^T, one output row per row of m
+        a, b = _numerators(m), _numerators(zip(*m))
+        snapshot = _numerators(m), _numerators(zip(*m))
+        token = _CountingToken()
+        want = product(a, b, token)
+        assert token.calls == len(m)
+        # a token firing on any poll stops product with no result and the input untouched
+        for n in range(1, len(m) + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                product(a, b, stub)
+            assert stub.calls == n
+            assert (a, b) == snapshot
+        assert product(a, b, _CountingToken(fire_at=len(m) + 1)) == want
+
+
+@pytest.mark.parametrize("which", ["solve", "null_space"])
+def test_solve_and_null_space_poll_once_per_pivot_and_cancel_cleanly(which):
     rng = random.Random(12)
     for m in _cancel_corpus():
         ncols = len(m[0])
-        rhs = [r[0] for r in mat_mul(m, [[rand_scalar(rng)] for _ in range(ncols)])]
+        rhs = _apply(m, [rand_scalar(rng) for _ in range(ncols)])
         if which == "solve":
+            data, snapshot = m, [list(r) for r in m]
+
             def run(cancel):
-                return solve(m, rhs, cancel=cancel)
+                return solve(data, rhs, cancel=cancel)
             pivots = rref([list(r) + [b] for r, b in zip(m, rhs)])[1]
         else:
+            data, snapshot = _numerators(m), _numerators(m)
+
             def run(cancel):
-                return kernel_basis(m, ncols=ncols, cancel=cancel)
+                return null_space(data, ncols, cancel=cancel)
             pivots = rref(m)[1]
-        snapshot = [list(r) for r in m]
         token = _CountingToken()
         want = run(token)
         assert pivots and token.calls >= len(pivots)
@@ -202,5 +228,5 @@ def test_solve_and_kernel_basis_poll_once_per_pivot_and_cancel_cleanly(which):
             with pytest.raises(Cancelled):
                 run(stub)
             assert stub.calls == n
-            assert m == snapshot
+            assert data == snapshot
         assert run(_CountingToken(fire_at=token.calls + 1)) == want

@@ -30,12 +30,12 @@ from polymod import (
 )
 from polymod import linalg, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
-from polymod.linalg import kernel_basis, mat_mul, rank, reduce_against, rref
 from polymod.operators import ChainDecomposition, _pinning_order
 from polymod.modules import phi
 from polymod.spans import span_reduce, span_rows
 
-from conftest import identity, invert, rand_nilpotent, rand_scalar
+import sympy_oracle as sym
+from conftest import dense_product, identity, invert, rand_nilpotent, rand_scalar
 from test_linalg import _CountingToken
 
 GS = shift_invariance_table()
@@ -260,8 +260,8 @@ def _rank_profile_lengths(D):
     prev_rank = n
     k = 1
     while prev_rank:
-        cur = mat_mul(prev, D)
-        cur_rank = rank(cur)
+        cur = sym.product(prev, D)
+        cur_rank = sym.rank(cur)
         counts.append(prev_rank - cur_rank)
         prev, prev_rank = cur, cur_rank
         k += 1
@@ -283,7 +283,7 @@ def _reconstruct(dec):
         pos += length
     B = [[cols[c][r] for c in range(dec.dim)] for r in range(dec.dim)]
     S = [[images[c][r] for c in range(dec.dim)] for r in range(dec.dim)]
-    return mat_mul(S, invert(B))
+    return sym.product(S, sym.inverse(B))
 
 
 def test_nilpotent_chains_zero_matrix():
@@ -310,7 +310,7 @@ def test_nilpotent_chains_differentiation_matrix():
     seen = []
     for _ in range(3):
         seen.append(any(not c.is_zero() for c in v))
-        v = [r[0] for r in mat_mul([[CoeffQ.of(c) for c in row] for row in D], [[x] for x in v])]
+        v = [r[0] for r in dense_product([[CoeffQ.of(c) for c in row] for row in D], [[x] for x in v])]
     assert all(seen) and all(c.is_zero() for c in v)
 
 
@@ -330,31 +330,31 @@ def is_zero_matrix(rows):
 
 
 def ref_nilpotent_chains(mat):
-    """The earlier greedy selection, kept as a reference: one reduce_against
-    per kernel candidate, one rref per chain added, and one product per chain
-    image and per basis vector."""
+    """The earlier greedy selection, kept as a reference: one residual per
+    kernel candidate, one rref per chain added, and one product per chain
+    image and per basis vector, each on sympy."""
     D = [[CoeffQ.of(c) for c in row] for row in mat]
     n = len(D)
     if n == 0:
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
 
     def apply(P, v):
-        return [r[0] for r in mat_mul(P, [[x] for x in v])]
+        return [r[0] for r in sym.product(P, [[x] for x in v])]
 
     powers = [D]  # powers[t] = D^(t+1)
     while not is_zero_matrix(powers[-1]):
-        powers.append(mat_mul(powers[-1], D))
-    kernels = [[]] + [kernel_basis(P, ncols=n) for P in powers]
+        powers.append(sym.product(powers[-1], D))
+    kernels = [[]] + [sym.nullspace(P, n) for P in powers]
     chains = []
     for k in range(len(powers), 0, -1):
         U = [list(v) for v in kernels[k - 1]]
         U += [apply(powers[length - k - 1], list(u)) for u, length in chains]
-        red, pivots = rref(U)
+        red, pivots = sym.rref(U, n)
         for cand in kernels[k]:
-            residual, _ = reduce_against(list(cand), red, pivots)
+            residual = sym.residual(list(cand), red, pivots)
             if any(not c.is_zero() for c in residual):
                 chains.append((tuple(cand), k))
-                red, pivots = rref(red + [list(cand)])
+                red, pivots = sym.rref(red + [list(cand)], n)
     basis_vectors = []
     for u, length in chains:
         v = list(u)
@@ -371,7 +371,7 @@ def _gaussian_conjugate(rng, D):
         [CoeffQ.of(1) if c == r else (CoeffQ(rng.randint(-2, 2), rng.randint(-2, 2)) if c < r else CoeffQ.of(0)) for c in range(n)]
         for r in range(n)
     ]
-    return mat_mul(mat_mul(L, D), invert(L))
+    return dense_product(dense_product(L, D), invert(L))
 
 
 def _chain_corpus():
@@ -401,9 +401,9 @@ def test_nilpotent_chains_makes_at_most_2p_minus_1_products(monkeypatch):
     products = []
     real = linalg.product
 
-    def spy(a, b):
+    def spy(a, b, cancel=None):
         products.append(1)
-        return real(a, b)
+        return real(a, b, cancel)
 
     monkeypatch.setattr(linalg, "product", spy)
     monkeypatch.setattr(operators, "product", spy)
@@ -448,8 +448,8 @@ def test_nilpotent_chains_empty():
 
 
 def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng, monkeypatch):
-    active = []  # the elimination running now, as [name, polls so far]
-    finished = []  # (name, polls) of each elimination run on a nonempty input
+    active = []  # the core running now, as [name, polls so far]
+    finished = []  # (name, polls) of each core run on a nonempty input
 
     def spy(name, fn):
         def wrapped(rows, *args, **kwargs):
@@ -468,14 +468,14 @@ def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng,
                 active[-1][1] += 1
             super().check()
 
-    monkeypatch.setattr(operators, "null_space", spy("null_space", operators.null_space))
-    monkeypatch.setattr(operators, "eliminate", spy("eliminate", operators.eliminate))
+    for name in ("null_space", "eliminate", "product"):
+        monkeypatch.setattr(operators, name, spy(name, getattr(operators, name)))
     for D in (quotient_derivation(2, 5, 1), rand_nilpotent(rng, 6)):
         finished.clear()
         token = _Token()
         nilpotent_chains(D, cancel=token)
-        # every null_space and eliminate it runs polls the token
-        assert {name for name, _polls in finished} == {"null_space", "eliminate"}
+        # every null_space, eliminate and product it runs polls the token
+        assert {name for name, _polls in finished} == {"null_space", "eliminate", "product"}
         assert all(polls for _name, polls in finished)
         for m in range(1, token.calls + 1):
             stub = _CountingToken(fire_at=m)
