@@ -19,3 +19,11 @@ class CancelToken:
     def check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise Cancelled("computation cancelled by timeout")
+
+
+def _polled(items, cancel):
+    """items, with cancel (if given) polled before each one."""
+    for item in items:
+        if cancel is not None:
+            cancel.check()
+        yield item

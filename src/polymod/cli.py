@@ -30,7 +30,6 @@ from .operators import (
     order_of_module,
     order_of_sum_report,
 )
-from .poly import BiPoly
 from .scalars import CoeffQ
 from . import serialize as ser
 
@@ -79,11 +78,11 @@ def _bind_scalar_values(argv) -> list:
     return out
 
 
-def _poly_list(arg: str, parse_one) -> list:
+def _poly_list(arg: str, parse_one, tok) -> list:
     obj = _load_json(arg)
     if not isinstance(obj, list):
         raise ParseError("expected a JSON array")
-    return [parse_one(p) for p in obj]
+    return [parse_one(p, tok) for p in obj]
 
 
 def _deg_bound(args, fallback=None) -> int | None:
@@ -107,44 +106,39 @@ def _emit(args, payload, human_lines) -> int:
     return 0
 
 
-def _human_poly(F: BiPoly) -> list:
-    return [f"monomial form: {F}"]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_poly_eval(args) -> int:
-    F = ser.bipoly_from_json(_load_json(args.poly))
+def _cmd_poly_eval(args, tok) -> int:
+    F = ser.bipoly_from_json(_load_json(args.poly), tok)
     value = F.evaluate(_scalar_arg(args.x), _scalar_arg(args.y))
     return _emit(args, {"value": ser.scalar_to_json(value)}, [f"value: {value}"])
 
 
-def _cmd_poly_shift(args) -> int:
-    F = ser.bipoly_from_json(_load_json(args.poly))
-    G = F.shift(_scalar_arg(args.a), _scalar_arg(args.b))
-    return _emit(args, ser.bipoly_to_json(G), _human_poly(G))
+def _cmd_poly_shift(args, tok) -> int:
+    F = ser.bipoly_from_json(_load_json(args.poly), tok)
+    G = F.shift(_scalar_arg(args.a), _scalar_arg(args.b), tok)
+    return _emit(args, ser.bipoly_to_json(G), [f"monomial form: {G}"])
 
 
-def _cmd_poly_diff(args) -> int:
-    F = ser.bipoly_from_json(_load_json(args.poly))
+def _cmd_poly_diff(args, tok) -> int:
+    F = ser.bipoly_from_json(_load_json(args.poly), tok)
     if args.order < 0:
         raise ParseError("--order must be nonnegative")
     G = F.d_dx(args.order) if args.var == "x" else F.d_dy(args.order)
-    return _emit(args, ser.bipoly_to_json(G), _human_poly(G))
+    return _emit(args, ser.bipoly_to_json(G), [f"monomial form: {G}"])
 
 
-def _cmd_closure(args) -> int:
-    gens = _poly_list(args.gens, ser.bipoly_from_json)
-    basis = derivative_closure(gens, CancelToken(args.timeout))
+def _cmd_closure(args, tok) -> int:
+    gens = _poly_list(args.gens, ser.bipoly_from_json, tok)
+    basis = derivative_closure(gens, tok)
     payload = {"dim": len(basis), "basis": [ser.bipoly_to_json(F) for F in basis]}
     lines = [f"dim: {len(basis)}"] + [f"  {F}" for F in basis]
     return _emit(args, payload, lines)
 
 
-def _cmd_member(args) -> int:
-    tok = CancelToken(args.timeout)
+def _cmd_member(args, tok) -> int:
     M = ser.module_from_json(_load_json(args.module), tok)
     F = ser.bipoly_from_json(_load_json(args.poly), tok)
     result = contains(M, F, deg_bound=_deg_bound(args), cancel=tok)
@@ -153,8 +147,7 @@ def _cmd_member(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _cmd_vspace(args) -> int:
-    tok = CancelToken(args.timeout)
+def _cmd_vspace(args, tok) -> int:
     M = ser.module_from_json(_load_json(args.module), tok)
     V = v_space(M, args.s, deg_bound=_deg_bound(args), cancel=tok)
     payload = ser.vspace_to_json(V)
@@ -164,39 +157,38 @@ def _cmd_vspace(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _cmd_gen_gamma(args) -> int:
+def _cmd_gen_gamma(args, tok) -> int:
     g = ser.gamma_from_json(_load_json(args.gamma))
-    seeds = _poly_list(args.seeds, ser.unipoly_from_json)
-    F = generate(g, seeds, CancelToken(args.timeout))
-    return _emit(args, ser.bipoly_to_json(F), _human_poly(F))
+    seeds = _poly_list(args.seeds, ser.unipoly_from_json, tok)
+    F = generate(g, seeds, tok)
+    return _emit(args, ser.bipoly_to_json(F), [f"monomial form: {F}"])
 
 
-def _cmd_infer_l(args) -> int:
-    basis = _poly_list(args.basis, ser.bipoly_from_json)
+def _cmd_infer_l(args, tok) -> int:
+    basis = _poly_list(args.basis, ser.bipoly_from_json, tok)
     degs = [int(F.deg_x) for F in basis if not F.is_zero()]
-    g = infer_L(basis, args.s, _deg_bound(args, max([FALLBACK_DEG_BOUND] + degs)), CancelToken(args.timeout))
+    g = infer_L(basis, args.s, _deg_bound(args, max([FALLBACK_DEG_BOUND] + degs)), tok)
     payload = ser.gamma_to_json(g)
-    lines = [f"s: {g.s}"] + [f"  a[{i},{j}] = {a}" for (i, j), a in g.items()]
+    lines = [f"s: {g.s}"] + [f"  a[{i},{j}] = {a}" for (i, j), a in g.entries.items()]
     return _emit(args, payload, lines)
 
 
-def _cmd_order(args) -> int:
-    basis = _poly_list(args.basis, ser.bipoly_from_json)
-    result = order_of_module(basis, _deg_bound(args, FALLBACK_DEG_BOUND), CancelToken(args.timeout))
+def _cmd_order(args, tok) -> int:
+    basis = _poly_list(args.basis, ser.bipoly_from_json, tok)
+    result = order_of_module(basis, _deg_bound(args, FALLBACK_DEG_BOUND), tok)
     return _emit(args, {"order": result}, [f"order: {result}"])
 
 
-def _cmd_order_sum(args) -> int:
+def _cmd_order_sum(args, tok) -> int:
     g1 = ser.gamma_from_json(_load_json(args.gamma1))
     g2 = ser.gamma_from_json(_load_json(args.gamma2))
-    report = order_of_sum_report(g1, g2, _deg_bound(args, FALLBACK_DEG_BOUND), CancelToken(args.timeout))
+    report = order_of_sum_report(g1, g2, _deg_bound(args, FALLBACK_DEG_BOUND), tok)
     payload = ser.sum_order_to_json(report)
     lines = [f"order: {report.order}", f"deg_bound: {report.deg_bound}"]
     return _emit(args, payload, lines)
 
 
-def _cmd_chains(args) -> int:
-    tok = CancelToken(args.timeout)
+def _cmd_chains(args, tok) -> int:
     mat = ser.matrix_from_json(_load_json(args.matrix), tok)
     dec = nilpotent_chains(mat, tok)
     payload = ser.chains_to_json(dec)
@@ -206,17 +198,15 @@ def _cmd_chains(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _cmd_split(args) -> int:
-    tok = CancelToken(args.timeout)
+def _cmd_split(args, tok) -> int:
     M = ser.module_from_json(_load_json(args.module), tok)
     d, order = canonical_split(M, tok)
     return _emit(args, {"d": d, "order": order}, [f"d: {d}", f"order: {order}"])
 
 
-def _cmd_nonclosed_demo(args) -> int:
+def _cmd_nonclosed_demo(args, tok) -> int:
     if args.n_min < 2 or args.n_min > args.n_max:
         raise ParseError("need 2 <= n-min <= n-max")
-    tok = CancelToken(args.timeout)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         tok.check()
@@ -240,8 +230,8 @@ def _cmd_nonclosed_demo(args) -> int:
     return 0
 
 
-def _cmd_e14(args) -> int:
-    pairs = verify_e14(args.n_max, cancel=CancelToken(args.timeout))
+def _cmd_e14(args, tok) -> int:
+    pairs = verify_e14(args.n_max, cancel=tok)
     from mpmath import nstr
 
     rows = [{"n": n, "log_ratio": nstr(v, ser.LOG_DIGITS)} for n, v in pairs]
@@ -355,8 +345,10 @@ def run(argv) -> int:
         args = parser.parse_args(_bind_scalar_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # one clock per run, started before any input is read
+    tok = CancelToken(args.timeout)
     try:
-        return args.func(args)
+        return args.func(args, tok)
     except PolymodError as exc:
         payload = exc.payload()
         if isinstance(exc, NotAnLModule) and exc.witness is not None:

@@ -54,17 +54,6 @@ class GammaTable:
         self.s = s
         self.entries = dict(sorted(table.items()))
 
-    @classmethod
-    def zero(cls, s: int) -> "GammaTable":
-        return cls(s, {})
-
-    @property
-    def max_j(self) -> int:
-        return max((j for (_i, j) in self.entries), default=0)
-
-    def items(self):
-        return self.entries.items()
-
     def __eq__(self, other):
         if not isinstance(other, GammaTable):
             return NotImplemented
@@ -110,9 +99,10 @@ def _recur(g: GammaTable, window, cancel=None):
     until the window is all zero; polls cancel once per coordinate."""
     win = [_ints(f) for f in window]
     width = max(len(re) for re, _im, _den in win)
-    avals, Q = _over([a.re for _k, a in g.items()] + [a.im for _k, a in g.items()])
+    entries = g.entries.items()
+    avals, Q = _over([a.re for _k, a in entries] + [a.im for _k, a in entries])
     terms = []
-    for ((i, j), _a), ar, ai in zip(g.items(), avals, avals[len(g.entries) :]):
+    for ((i, j), _a), ar, ai in zip(entries, avals, avals[len(entries) :]):
         row = [perm(m + j, j) for m in range(width - j)]
         terms.append((i - 1, j, [ar * k for k in row], [ai * k for k in row] if ai else None))
     stop = [_ZERO_INTS] * len(win)
@@ -171,7 +161,7 @@ def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
     seeds = [f if isinstance(f, UniPoly) else UniPoly(f) for f in seeds]
     if len(seeds) != g.s:
         raise ArityMismatch(f"{len(seeds)} seeds for a width-{g.s} table")
-    return BiPoly.from_coords(seeds + [_poly(t) for t in _recur(g, seeds, cancel)])
+    return BiPoly(seeds + [_poly(t) for t in _recur(g, seeds, cancel)])
 
 
 def monomial_seed_elements(g: GammaTable, bound: int, cancel=None) -> list:

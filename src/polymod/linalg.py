@@ -4,16 +4,18 @@ The cores ``eliminate``, ``product`` and ``null_space`` take and return Z[i]
 rows ``(den, {column: (re, im)})``: Gaussian-integer numerators over a
 positive int den, zero entries never stored. A caller that chains cores
 converts once in with ``_numerators`` and once out with ``_dense``. Each
-core polls its optional cancel token once per row it takes in or puts out.
+core, and ``_numerators``, polls its optional cancel token once per row it
+takes in or puts out.
 
 The dense edge is ``rref`` and ``solve``: lists of CoeffQ rows in and out,
-and every zero entry of a row they return is the shared ``_Z``, as in every
-row ``_dense`` builds, so callers may skip zeros by identity. They stay
-dense because their callers are: ``spans`` and ``modules`` reduce CoeffQ
-vectors of a ``PolyFrame`` and read the reduced rows in place, ``infer_L``
-builds a CoeffQ system and reads its table off the solution (``solve`` is
-its route to ``rref``), and perfbench's traced runs read ``rref``'s rows as
-CoeffQ lists.
+and every zero entry of a row they return is ``scalars.ZERO``, the library's
+one zero: every row ``_dense`` builds and every ``PolyFrame`` vector holds
+it, and ``UniPoly.coeff`` returns it past the end, so callers may skip zeros
+by identity. They stay dense because their callers are: ``spans`` and
+``modules`` reduce CoeffQ vectors of a ``PolyFrame`` and read the reduced
+rows in place, ``infer_L`` builds a CoeffQ system and reads its table off
+the solution (``solve`` is its route to ``rref``), and perfbench's traced
+runs read ``rref``'s rows as CoeffQ lists.
 
 ``eliminate`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math.
 Comp. 22, 1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM
@@ -39,19 +41,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .poly import _F0
-from .scalars import CoeffQ, _make
+from .scalars import ONE, ZERO, _make
 
-_Z = CoeffQ(0)
-_O = CoeffQ(1)
 _ZZ = (0, 0)
 
 
-def _numerators(rows):
+def _numerators(rows, cancel=None):
     """[(den, {column: (re, im)})]: each dense CoeffQ row as Z[i] numerators
     over den, the lcm of its part denominators; zero entries are left out."""
     out = []
     for row in rows:
-        ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not _Z]
+        if cancel is not None:
+            cancel.check()
+        ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not ZERO]
         den = lcm(*[d for _j, (_a, r), (_b, i) in ents for d in (r, i)])
         out.append((den, {j: (a * (den // r), b * (den // i)) for j, (a, r), (b, i) in ents if a or b}))
     return out
@@ -59,7 +61,7 @@ def _numerators(rows):
 
 def _dense(row, den, ncols):
     """Dense CoeffQ row of sparse Z[i] numerators over den; each part is built once."""
-    out = [_Z] * ncols
+    out = [ZERO] * ncols
     for j, (re, im) in row.items():
         out[j] = _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
     return out
@@ -181,10 +183,10 @@ def null_space(rows, ncols, cancel=None):
 def rref(rows, cancel=None):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
     rows = list(rows)
-    red, pivots = eliminate(_numerators(rows), cancel)
+    red, pivots = eliminate(_numerators(rows, cancel), cancel)
     out = [_dense(row, n, len(rows[0])) for n, row in red]
     for row, col in zip(out, pivots):
-        row[col] = _O
+        row[col] = ONE
     return out, pivots
 
 
@@ -200,7 +202,7 @@ def solve(rows, rhs, cancel=None):
     red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], cancel)
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the rhs column: inconsistent
-    x = [_Z] * ncols
+    x = [ZERO] * ncols
     for r, col in zip(red, pivots):
         x[col] = r[ncols]
     return x, sorted(set(range(ncols)) - set(pivots))

@@ -26,19 +26,23 @@ from itertools import zip_longest
 from .cancel import CancelToken
 from .errors import UnsupportedExpr
 from .gamma import _ZERO_INTS, GammaTable, _ints, _recur, mgamma_contains, monomial_seed_elements
-from .linalg import _Z, rref
+from .linalg import rref
 from .poly import NEG_INF, BiPoly, UniPoly
+from .scalars import ZERO
 from .spans import PolyFrame, in_span, span_reduce
 
 
 def derivative_closure(gens, cancel: CancelToken | None = None):
     """Reduced basis of the smallest differentiation-closed space over gens:
-    one reduction of every partial d_x^a d_y^b g of every generator g."""
+    one reduction of every partial d_x^a d_y^b g of every generator g;
+    polls cancel once per partial."""
     partials = []
     for g in gens:
         while not g.is_zero():
             f = g
             while not f.is_zero():
+                if cancel is not None:
+                    cancel.check()
                 partials.append(f)
                 f = f.d_dx()
             g = g.d_dy()
@@ -75,8 +79,6 @@ class Sum:
     parts: tuple
 
     def __init__(self, *parts):
-        if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-            parts = tuple(parts[0])
         flat = []
         for p in parts:
             if isinstance(p, Sum):
@@ -199,7 +201,7 @@ def _sum_candidates(parts, s_probe: int | None, bound: int, cancel) -> tuple[lis
             for n in range(s_probe):
                 for m in range(min(part.d, bound)):
                     coords = [UniPoly.zero()] * n + [UniPoly.monomial(m)]
-                    cands.append(BiPoly.from_coords(coords))
+                    cands.append(BiPoly(coords))
         else:
             raise UnsupportedExpr(f"unsupported sum part {type(part).__name__}")
     return cands, truncated
@@ -260,6 +262,6 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     # the rows pivoted below the bound span the elements of x-degree < bound;
     # their seed prefixes reduce on the same frame with every later coordinate cut
     low = [r for r, k in zip(rows, pivots) if cells[k][0] < bound]
-    seeds, _ = rref([[_Z if n >= s else c for c, (_i, n) in zip(r, cells)] for r in low], cancel)
+    seeds, _ = rref([[ZERO if n >= s else c for c, (_i, n) in zip(r, cells)] for r in low], cancel)
     return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(phi(frame.from_vec(r), s) for r in seeds))
 

@@ -104,7 +104,7 @@ def poly_membership(f: UniPoly) -> MembershipResult:
 
 def witness_x_not_in_M() -> MembershipResult:
     """The classic rejection: for F = x, coordinate 1 is forced to 1 != 0."""
-    result = poly_membership(UniPoly.x())
+    result = poly_membership(UniPoly.monomial(1))
     assert not result.contains
     assert result.certificate["residual_coefficient"] == 1
     return result
@@ -351,7 +351,7 @@ def surrogate_bridge(coeffs) -> list:
         )
 
     gamma = GammaTable(1, {(1, j): CoeffQ.of(v) for j, v in table.items()})
-    g = UniPoly.x() + UniPoly.monomial(n, eps)
+    g = UniPoly.monomial(1) + UniPoly.monomial(n, eps)
 
     b1 = log_mul(
         log_mul(

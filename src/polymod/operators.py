@@ -23,10 +23,10 @@ from math import perm
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
-from .linalg import _Z, _columns, _dense, _numerators, eliminate, null_space, product, solve
+from .linalg import _columns, _dense, _numerators, eliminate, null_space, product, solve
 from .modules import MGamma, Md, Sum, contains
 from .poly import BiPoly
-from .scalars import CoeffQ
+from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
 
 
@@ -92,21 +92,21 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     for v in reduced:
         if cancel is not None:
             cancel.check()
-        # coordinates 0..s of F, trimmed: rref leaves every zero as _Z
+        # coordinates 0..s of F, trimmed: rref leaves every zero as ZERO
         f = [[v[k] for k in ks] for ks in cells] + [[]] * (s + 1 - len(cells))
         for c in f:
-            while c and c[-1] is _Z:
+            while c and c[-1] is ZERO:
                 c.pop()
         # d^j/dx^j f_{i-1} has x^m coefficient perm(m + j, j) * f_{i-1}[m + j]
         max_m = max(0, len(f[s]) - 1, *[len(c) - 2 for c in f[:s]])
         for m in range(max_m + 1):
-            row = [_Z] * len(slots)
+            row = [ZERO] * len(slots)
             for i, c in enumerate(f[:s]):
                 for j in range(1, min(deg_bound, len(c) - 1 - m) + 1):
-                    if c[m + j] is not _Z:
+                    if c[m + j] is not ZERO:
                         row[(j - 1) * s + i] = c[m + j] * perm(m + j, j)
             rows.append(row)
-            rhs.append(f[s][m] if m < len(f[s]) else _Z)
+            rhs.append(f[s][m] if m < len(f[s]) else ZERO)
     if not rows:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
     sol = solve(rows, rhs, cancel)
@@ -232,7 +232,7 @@ def quotient_derivation(s: int, k: int, d: int):
     def idx(i: int, m: int) -> int:
         return (i - 1) * width + (m - d)
 
-    mat = [[_Z] * size for _ in range(size)]
+    mat = [[ZERO] * size for _ in range(size)]
     for i in range(1, s + 1):
         for m in range(d + 1, k):
             mat[idx(i, m - 1)][idx(i, m)] = CoeffQ(m)

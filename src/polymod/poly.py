@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm, perm
 
-from .scalars import ZERO, CoeffQ, _make
+from .scalars import ONE, ZERO, CoeffQ, _make
 
 NEG_INF = float("-inf")
 _F0 = Fraction(0)
@@ -63,9 +63,10 @@ def _over(parts) -> tuple:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _shift(cols, a: CoeffQ, b: CoeffQ) -> list:
+def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
     """Coefficient lists of the coordinates of F(x + a, y + b), F given by its
-    coordinates' coefficient tuples cols (see the module doc for the kernel)."""
+    coordinates' coefficient tuples cols (see the module doc for the kernel);
+    polls cancel once per coordinate of each pass."""
     den = lcm(*(p.denominator for f in cols for c in f for p in (c.re, c.im)))
     re = [[c.re.numerator * (den // c.re.denominator) for c in f] for f in cols]
     im = [[c.im.numerator * (den // c.im.denominator) for c in f] for f in cols]
@@ -75,6 +76,8 @@ def _shift(cols, a: CoeffQ, b: CoeffQ) -> list:
         (ar, ai), q = _over((a.re, a.im))
         qk = [q**k for k in range(width)]
         for r, m in zip(re, im):
+            if cancel is not None:
+                cancel.check()
             n = len(r)
             if q != 1:
                 r[:] = [c * k for c, k in zip(r, reversed(qk))]
@@ -112,6 +115,8 @@ def _shift(cols, a: CoeffQ, b: CoeffQ) -> list:
         den *= s[0]
         gre, gim = [], []
         for k in range(n):
+            if cancel is not None:
+                cancel.check()
             gr = [0] * width
             gi = [0] * width
             for j in range(n - k):
@@ -147,14 +152,6 @@ class UniPoly:
     @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
-
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "UniPoly":
@@ -214,7 +211,7 @@ class UniPoly:
 
     def evaluate(self, x0) -> CoeffQ:
         x0 = CoeffQ.of(x0)
-        acc = CoeffQ(0)
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
@@ -241,9 +238,9 @@ class UniPoly:
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
-                parts.append(f"{c}*x" if c != CoeffQ(1) else "x")
+                parts.append(f"{c}*x" if c != ONE else "x")
             else:
-                parts.append(f"{c}*x^{k}" if c != CoeffQ(1) else f"x^{k}")
+                parts.append(f"{c}*x^{k}" if c != ONE else f"x^{k}")
         return " + ".join(parts)
 
 
@@ -258,15 +255,6 @@ class BiPoly:
     @classmethod
     def zero(cls) -> "BiPoly":
         return cls(())
-
-    @classmethod
-    def from_coords(cls, coords) -> "BiPoly":
-        return cls(coords)
-
-    @classmethod
-    def embed(cls, f: UniPoly) -> "BiPoly":
-        """The univariate f viewed as a y-free bivariate polynomial."""
-        return cls((f,))
 
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
@@ -308,22 +296,23 @@ class BiPoly:
             raise ValueError("negative derivative order")
         return BiPoly(self.coords[order:])
 
-    def shift(self, a, b) -> "BiPoly":
+    def shift(self, a, b, cancel=None) -> "BiPoly":
         """Returns G with G(x, y) = F(x + a, y + b), exactly.
 
         Coordinates of G are G_k = sum_j f_{k+j}(x + a) * w_j with weights
         w_j = b^j / j!, the y-direction Taylor expansion written in
-        coordinate form; both directions run on the integer kernel.
+        coordinate form; both directions run on the integer kernel, which
+        polls cancel once per coordinate of each direction.
         """
         a, b = CoeffQ.of(a), CoeffQ.of(b)
         if self.is_zero() or not (a or b):
             return self
-        return _bipoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b)])
+        return _bipoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b, cancel)])
 
     def evaluate(self, x0, y0) -> CoeffQ:
         y0 = CoeffQ.of(y0)
-        acc = CoeffQ(0)
-        yp = CoeffQ(1)
+        acc = ZERO
+        yp = ONE
         for n, f in enumerate(self.coords):
             acc = acc + f.evaluate(x0) * yp * Fraction(1, factorial(n))
             yp = yp * y0
@@ -381,7 +370,7 @@ class BiPoly:
             body = "*".join(p for p in (xs, ys) if p)
             if not body:
                 terms.append(str(c))
-            elif c == CoeffQ(1):
+            elif c == ONE:
                 terms.append(body)
             else:
                 terms.append(f"{c}*{body}")

@@ -105,7 +105,7 @@ class CoeffQ:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("CoeffQ power needs a nonnegative int")
-        out = CoeffQ(1)
+        out = ONE
         base = self
         while exp:
             if exp & 1:

@@ -23,6 +23,7 @@ import json
 import re
 from fractions import Fraction
 
+from .cancel import _polled
 from .errors import ParseError
 from .gamma import GammaTable
 from .lognum import LogNum
@@ -66,10 +67,10 @@ def scalar_to_json(c: CoeffQ) -> dict:
     return {"re": fmt_rational(c.re), "im": fmt_rational(c.im)}
 
 
-def unipoly_from_json(obj) -> UniPoly:
+def unipoly_from_json(obj, cancel=None) -> UniPoly:
     if not isinstance(obj, list):
         raise ParseError("univariate polynomial must be a JSON array of scalars")
-    return UniPoly([scalar_from_json(c) for c in obj])
+    return UniPoly([scalar_from_json(c) for c in _polled(obj, cancel)])
 
 
 def unipoly_to_json(f: UniPoly) -> list:
@@ -78,21 +79,13 @@ def unipoly_to_json(f: UniPoly) -> list:
     return [scalar_to_json(f.coeff(k)) for k in range(int(f.degree) + 1)]
 
 
-def _polled(items, cancel):
-    """items, with cancel (if given) polled before each one."""
-    for item in items:
-        if cancel is not None:
-            cancel.check()
-        yield item
-
-
 def bipoly_from_json(obj, cancel=None) -> BiPoly:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise ParseError('bivariate polynomial must be {"coords": [...]}')
     coords = obj["coords"]
     if not isinstance(coords, list):
         raise ParseError('"coords" must be a JSON array')
-    return BiPoly.from_coords([unipoly_from_json(f) for f in _polled(coords, cancel)])
+    return BiPoly([unipoly_from_json(f) for f in _polled(coords, cancel)])
 
 
 def bipoly_to_json(F: BiPoly) -> dict:
@@ -126,7 +119,7 @@ def gamma_to_json(g: GammaTable) -> dict:
     return {
         "s": g.s,
         "entries": [
-            {"i": i, "j": j, "a": scalar_to_json(a)} for (i, j), a in g.items()
+            {"i": i, "j": j, "a": scalar_to_json(a)} for (i, j), a in g.entries.items()
         ],
     }
 
@@ -149,7 +142,7 @@ def module_from_json(obj, cancel=None):
             parts = obj["parts"]
             if not isinstance(parts, list):
                 raise ParseError('"parts" must be a JSON array')
-            return Sum(tuple(module_from_json(p, cancel) for p in parts))
+            return Sum(*[module_from_json(p, cancel) for p in parts])
     except KeyError as exc:
         raise ParseError(f"module expression {tag!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

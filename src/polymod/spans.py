@@ -13,8 +13,10 @@ values, each coordinate with ``_unipoly`` and no coercion.
 
 from __future__ import annotations
 
-from .linalg import _O, _Z, _dense, _numerators, null_space, product, rref
+from .cancel import _polled
+from .linalg import _dense, _numerators, eliminate, null_space, product, rref
 from .poly import BiPoly, _bipoly, _unipoly
+from .scalars import ONE, ZERO
 
 
 def _graded(cell):
@@ -40,11 +42,8 @@ class PolyFrame:
         cells.sort(key=key)
         self.index = {c: k for k, c in enumerate(cells)}
 
-    def __len__(self):
-        return len(self.index)
-
     def to_vec(self, p: BiPoly):
-        v = [_Z] * len(self.index)
+        v = [ZERO] * len(self.index)
         for n, f in enumerate(p.coords):
             for i, c in enumerate(f.coeffs):
                 if not c.is_zero():
@@ -52,7 +51,7 @@ class PolyFrame:
         return v
 
     def from_vec(self, v) -> BiPoly:
-        coords = [[_Z] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
+        coords = [[ZERO] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
         for (i, n), k in self.index.items():
             coords[n][i] = v[k]
         return _bipoly([_unipoly(f) for f in coords])
@@ -64,7 +63,7 @@ def span_rows(polys, cancel=None):
     frame is theirs."""
     polys = [p for p in polys if not p.is_zero()]
     frame = PolyFrame(polys)
-    return frame, rref([frame.to_vec(p) for p in polys], cancel=cancel)[0]
+    return frame, rref([frame.to_vec(p) for p in _polled(polys, cancel)], cancel=cancel)[0]
 
 
 def span_reduce(polys, cancel=None):
@@ -80,16 +79,18 @@ def in_span(p: BiPoly, basis, cancel=None):
     A reduced row is 1 at its own pivot and 0 at the others, so the
     coefficient f_r of row r is p's entry at that pivot. p is in the span
     iff its residual, the one Z[i] product [1, -f_1, ..., -f_r] @
-    [p; row_1; ...; row_r] over the rows with f_r != 0, has no entry."""
+    [p; row_1; ...; row_r] over the rows with f_r != 0, has no entry; the
+    rows stay Z[i] rows from the elimination on, each with its pivot entry
+    1 put back."""
     if p.is_zero():
         return True, []
     frame = PolyFrame(list(basis) + [p])
-    rows, pivots = rref([frame.to_vec(b) for b in basis], cancel=cancel)
+    rows, pivots = eliminate(_numerators([frame.to_vec(b) for b in basis], cancel), cancel)
     vec = frame.to_vec(p)
     combo = [vec[col] for col in pivots]
-    used = [(f, row) for f, row in zip(combo, rows) if f]
-    coeffs = _numerators([[_O] + [-f for f, _row in used]])
-    residual = product(coeffs, _numerators([vec] + [row for _f, row in used]), cancel)[0][1]
+    used = [((n, row | {col: (n, 0)}), f) for (n, row), col, f in zip(rows, pivots, combo) if f]
+    coeffs = _numerators([[ONE] + [-f for _row, f in used]])
+    residual = product(coeffs, _numerators([vec]) + [row for row, _f in used], cancel)[0][1]
     return (False, None) if residual else (True, combo)
 
 

@@ -42,7 +42,7 @@ def rand_unipoly(rng: random.Random, max_deg: int, complex_ok: bool = True) -> U
 
 def rand_bipoly(rng: random.Random, max_dx: int, max_dy: int, complex_ok: bool = True) -> BiPoly:
     ncoords = rng.randint(1, max_dy + 1)
-    return BiPoly.from_coords([rand_unipoly(rng, max_dx, complex_ok) for _ in range(ncoords)])
+    return BiPoly([rand_unipoly(rng, max_dx, complex_ok) for _ in range(ncoords)])
 
 
 def rand_gamma(

@@ -43,7 +43,7 @@ def test_poly_shift(capsys):
     )
     assert code == 0
     got = ser.bipoly_from_json(payload)
-    want = BiPoly.embed(UniPoly([1, 2, 1]))
+    want = BiPoly([UniPoly([1, 2, 1])])
     assert got == want
 
 
@@ -84,7 +84,7 @@ def test_poly_diff(capsys):
         ["poly-diff", "--json", "--poly", '{"coords":[[],[0,0,1]]}', "--var", "y"],
     )
     assert code == 0
-    assert ser.bipoly_from_json(payload) == BiPoly.embed(UniPoly.monomial(2))
+    assert ser.bipoly_from_json(payload) == BiPoly([UniPoly.monomial(2)])
 
 
 def test_closure(capsys):
@@ -411,22 +411,70 @@ def test_timeout_holds_inside_the_finitegen_closure(capsys):
 
 
 def test_timeout_holds_while_the_input_is_parsed(capsys, monkeypatch):
-    # the token starts before the parse and the parse polls it, so a token
-    # that fires on its first poll stops member and chains before their algebra
+    # the token starts before the parse and every polynomial or matrix parse
+    # polls it, so a token that fires on its first poll stops each command
+    # that reads one before its algebra
     def unreachable(*args, **kwargs):
         pytest.fail("the computation started before the parse was cancelled")
 
     monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=1))
-    monkeypatch.setattr(cli, "contains", unreachable)
-    monkeypatch.setattr(cli, "nilpotent_chains", unreachable)
+    for name in ("derivative_closure", "contains", "v_space", "generate", "infer_L", "order_of_module", "nilpotent_chains"):
+        monkeypatch.setattr(cli, name, unreachable)
+    for name in ("evaluate", "shift", "d_dx"):
+        monkeypatch.setattr(BiPoly, name, unreachable)
     poly = ser.dumps(ser.bipoly_to_json(BiPoly.monomial(1, 1)))
+    fin = ser.dumps({"type": "FiniteGen", "gens": [json.loads(poly)]})
     for argv in (
+        ["poly-eval", "--json", "--poly", poly, "--x", "1", "--y", "2"],
+        ["poly-shift", "--json", "--poly", poly, "--a", "1", "--b", "2"],
+        ["poly-diff", "--json", "--poly", poly, "--var", "x"],
+        ["closure", "--json", "--gens", f"[{poly}]"],
         ["member", "--json", "--module", '{"type": "Md", "d": 1}', "--poly", poly],
+        ["vspace", "--json", "--module", fin, "--s", "2"],
+        ["gen-gamma", "--json", "--gamma", GS_JSON, "--seeds", '[["0", "1"]]'],
+        ["infer-l", "--json", "--basis", f"[{poly}]", "--s", "1"],
+        ["order", "--json", "--basis", f"[{poly}]"],
         ["chains", "--json", "--matrix", '[["0", "1"], ["0", "0"]]'],
     ):
         code, payload = _json_out(capsys, argv)
         assert code == 1
         assert payload["error"]["type"] == "cancelled", argv[0]
+
+
+def test_every_run_builds_one_clock(monkeypatch):
+    # run() builds one token from --timeout for the whole run, on every
+    # subcommand, and the outputs stay the golden ones
+    from test_cli_golden import _cases, _run
+
+    built = []
+
+    def clock(timeout=None):
+        built.append(timeout)
+        return _CountingToken()
+
+    monkeypatch.setattr(cli, "CancelToken", clock)
+    commands = set()
+    for case in _cases():
+        if case["code"] == 2:
+            continue
+        built.clear()
+        assert _run(case["argv"] + ["--timeout", "30"]) == (case["code"], case["stdout"])
+        assert built == [30.0], case["argv"][0]
+        commands.add(case["argv"][0])
+    assert len(commands) == 14
+
+
+def test_poly_shift_honours_the_timeout(capsys, monkeypatch):
+    # the parse polls once per coordinate, then the shift polls the same token
+    F = BiPoly([UniPoly([1, 2, 3]), UniPoly([0, 1]), UniPoly([5])])
+    argv = ["poly-shift", "--json", "--poly", ser.dumps(ser.bipoly_to_json(F)), "--a", "1/2", "--b", "-3"]
+    want = _json_out(capsys, argv)
+    assert want[0] == 0
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=F.num_coords + 1))
+    code, payload = _json_out(capsys, argv)
+    assert code == 1 and payload["error"]["type"] == "cancelled"
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=3 * F.num_coords + 1))
+    assert _json_out(capsys, argv) == want
 
 
 def test_timeout_cancels_sweeps(capsys):

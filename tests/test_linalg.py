@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polymod import BiPoly, Cancelled, CoeffQ, UniPoly
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, linalg
 from polymod.linalg import _numerators, eliminate, null_space, product, rref, solve
 from polymod.spans import in_span, span_reduce
 
@@ -107,7 +107,7 @@ def test_solve_solutions_satisfy(m):
 def test_in_span_of_row_sums(m):
     # the rows as one-coordinate polynomials; the sum of the reduced basis
     # has the coefficient 1 on each reduced row
-    basis = [BiPoly.from_coords([UniPoly(row)]) for row in m]
+    basis = [BiPoly([UniPoly(row)]) for row in m]
     red = span_reduce(basis)
     if not red:
         return
@@ -164,6 +164,30 @@ def test_rref_polls_once_per_pivot_and_cancels_cleanly():
             assert stub.calls == n
             assert m == snapshot
         assert rref(m, cancel=_CountingToken(fire_at=token.calls + 1)) == (rows, pivots)
+
+
+def test_rref_polls_once_per_row_before_it_eliminates(monkeypatch):
+    seen = []  # polls made before eliminate starts
+    real = linalg.eliminate
+
+    def spy(rows, cancel=None):
+        seen.append(cancel.calls)
+        return real(rows, cancel)
+
+    monkeypatch.setattr(linalg, "eliminate", spy)
+    for m in _cancel_corpus():
+        seen.clear()
+        token = _CountingToken()
+        assert _numerators(m, token) == _numerators(m) and token.calls == len(m)
+        rref(m, cancel=_CountingToken())
+        # the conversion polls once per input row, the all-zero one included
+        assert seen == [len(m)]
+        for n in range(1, len(m) + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                rref(m, cancel=stub)
+            assert stub.calls == n
+        assert seen == [len(m)]
 
 
 def test_rank_polls_and_cancels_cleanly():

@@ -23,7 +23,8 @@ import pytest
 from sympy import QQ, QQ_I
 
 from polymod import BiPoly, CoeffQ, UniPoly
-from polymod.linalg import _Z, _dense, _numerators, null_space, product, rref, solve
+from polymod.linalg import _dense, _numerators, null_space, product, rref, solve
+from polymod.scalars import ZERO
 from polymod.spans import in_span, span_reduce
 
 from sympy_oracle import from_domain, to_domain
@@ -95,7 +96,7 @@ def _mul(a, b):
 
 def _poly(row):
     """The row as the coefficients of one polynomial in x."""
-    return BiPoly.from_coords([UniPoly(row)])
+    return BiPoly([UniPoly(row)])
 
 
 @pytest.mark.parametrize("name, seed, nrows, ncols, density, gaussian, deficient", _cases())
@@ -219,18 +220,18 @@ def test_product_kernel_degenerate_shapes():
     # all-zero matrices, of built CoeffQ(0) entries and of the shared zero
     rng = random.Random(7)
     B = [[_mixed(rng, True) for _ in range(3)] for _ in range(4)]
-    for zero in (CoeffQ(0), _Z):
+    for zero in (CoeffQ(0), ZERO):
         assert _mul([[zero] * 4] * 2, B) == [[CoeffQ(0)] * 3] * 2
         assert _mul(B, [[zero] * 3] * 3) == [[CoeffQ(0)] * 3] * 4
         assert _mul([[zero] * 4] * 2, [[x] for x in B[0] + [c]]) == [[CoeffQ(0)]] * 2
-    # an all-_Z row keeps its place in the product
-    A = [[c, d, c, d], [_Z] * 4, [d, _Z, _Z, c]]
+    # an all-ZERO row keeps its place in the product
+    A = [[c, d, c, d], [ZERO] * 4, [d, ZERO, ZERO, c]]
     assert _mul(A, B) == from_domain(to_domain(A, QQ_I) * to_domain(B, QQ_I))
     assert _mul(A, B)[1] == [CoeffQ(0)] * 3
     # the zero vector lies in every span with the empty combination, and
     # against an empty basis no other vector does
     basis = [_poly(r) for r in A]
-    for zero in ([CoeffQ(0)] * 4, [_Z] * 4):
+    for zero in ([CoeffQ(0)] * 4, [ZERO] * 4):
         assert in_span(_poly(zero), basis) == (True, [])
         assert _mul(A, [[x] for x in zero]) == [[CoeffQ(0)]] * 3
-    assert in_span(_poly([c, _Z, d]), []) == (False, None)
+    assert in_span(_poly([c, ZERO, d]), []) == (False, None)

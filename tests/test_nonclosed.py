@@ -33,7 +33,7 @@ def test_witness_x_rejected_exactly():
 
 def test_poly_membership_constants_accepted():
     assert poly_membership(UniPoly.zero()).contains
-    res = poly_membership(UniPoly.const(5))
+    res = poly_membership(UniPoly([5]))
     assert res.contains and res.certificate["reason"] == "constant-seed"
 
 
@@ -42,7 +42,7 @@ def test_poly_membership_rejects_every_nonconstant():
     assert not res.contains
     assert res.certificate["monomial_degree"] == 1
     assert res.certificate["residual_coefficient"] == 2
-    res = poly_membership(UniPoly.monomial(4, 3) + UniPoly.x())
+    res = poly_membership(UniPoly.monomial(4, 3) + UniPoly.monomial(1))
     assert res.certificate["residual_coefficient"] == 12
 
 

@@ -85,7 +85,7 @@ def test_infer_l_zero_prefix_witness():
 
 def test_infer_l_no_consistent_table():
     # coordinate 1 has higher x-degree than any derivative of the prefix
-    F = BiPoly.from_coords([UniPoly.monomial(2), UniPoly.monomial(2)])
+    F = BiPoly([UniPoly.monomial(2), UniPoly.monomial(2)])
     with pytest.raises(NotAnLModule) as exc:
         infer_L([F], 1, deg_bound=2)
     assert exc.value.witness is None
@@ -227,7 +227,7 @@ def test_order_of_sum_same_table():
 
 
 def test_order_of_sum_shift_vs_constants():
-    rep = order_of_sum_report(GS, GammaTable.zero(1), 4)
+    rep = order_of_sum_report(GS, GammaTable(1), 4)
     assert rep.order == 2
     (K, w) = rep.refuted[0]
     assert K == 1
@@ -533,13 +533,13 @@ def test_quotient_derivation_validation():
 def test_canonical_split_examples():
     assert canonical_split(Sum(Md(1), MGamma(GS))) == (1, 1)
     assert canonical_split(Sum(Md(0), MGamma(GS))) == (0, 1)
-    assert canonical_split(Sum(Md(2), MGamma(GammaTable.zero(1)))) == (2, 1)
+    assert canonical_split(Sum(Md(2), MGamma(GammaTable(1)))) == (2, 1)
     assert canonical_split(Sum(Md(2), MGamma(GS))) == (2, 1)
 
 
 def test_canonical_split_order_component():
     # the excluded-exponent component equals the generated part's order
-    assert canonical_split(Sum(Md(1), MGamma(GammaTable.zero(2)))) == (1, 2)
+    assert canonical_split(Sum(Md(1), MGamma(GammaTable(2)))) == (1, 2)
 
 
 def test_canonical_split_ignores_part_order():

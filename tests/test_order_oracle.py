@@ -44,7 +44,7 @@ def _table_pair(rng, draw):
     g1 = rand_gamma(rng, max_s=2, max_j=3)
     g2 = rand_gamma(rng, max_s=2, max_j=3)
     if draw % 2:  # every other pair has a Gaussian table
-        g2 = GammaTable(g2.s, {k: a * CoeffQ(1, 1) for k, a in g2.items()})
+        g2 = GammaTable(g2.s, {k: a * CoeffQ(1, 1) for k, a in g2.entries.items()})
     return g1, g2
 
 

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.rings import ring
 
-from polymod import BiPoly, CoeffQ, UniPoly
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly
 from polymod.poly import NEG_INF
+
+from test_linalg import _CountingToken
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 scalars = st.builds(CoeffQ, rationals, rationals)
 unipolys = st.lists(scalars, max_size=7).map(UniPoly)
-bipolys = st.lists(unipolys, max_size=5).map(BiPoly.from_coords)
+bipolys = st.lists(unipolys, max_size=5).map(BiPoly)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +85,14 @@ def test_bipoly_monomial_convention():
 
 
 def test_bipoly_trailing_zero_coords_dropped():
-    F = BiPoly.from_coords([UniPoly.x(), UniPoly.zero(), UniPoly.zero()])
+    F = BiPoly([UniPoly.monomial(1), UniPoly.zero(), UniPoly.zero()])
     assert F.num_coords == 1
 
 
 def test_y_derivative_is_index_shift():
-    F = BiPoly.from_coords([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
-    assert F.d_dy() == BiPoly.from_coords([UniPoly([0, 2]), UniPoly([2])])
-    assert F.d_dy(2) == BiPoly.from_coords([UniPoly([2])])
+    F = BiPoly([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
+    assert F.d_dy() == BiPoly([UniPoly([0, 2]), UniPoly([2])])
+    assert F.d_dy(2) == BiPoly([UniPoly([2])])
     assert F.d_dy(3).is_zero()
 
 
@@ -100,12 +102,12 @@ def test_x_derivative_coordinatewise():
 
 
 def test_taylor_tower_is_shift():
-    # from_coords([f, f', f'', ...]) represents f(x + y)
+    # BiPoly([f, f', f'', ...]) represents f(x + y)
     f = UniPoly([1, -2, 0, 1])  # 1 - 2x + x^3
     coords = [f]
     while not coords[-1].is_zero():
         coords.append(coords[-1].derivative())
-    F = BiPoly.from_coords(coords[:-1])
+    F = BiPoly(coords[:-1])
     for p in (0, 1, Fraction(-3, 2)):
         for q in (0, 2, Fraction(1, 3)):
             assert F.evaluate(p, q) == f.evaluate(p + q)
@@ -113,7 +115,7 @@ def test_taylor_tower_is_shift():
 
 def test_evaluate_uses_factorial_weights():
     # F = y^2 via coordinate 2 = 2: F(.., q) = q^2
-    F = BiPoly.from_coords([UniPoly.zero(), UniPoly.zero(), UniPoly.const(2)])
+    F = BiPoly([UniPoly.zero(), UniPoly.zero(), UniPoly([2])])
     assert F.evaluate(0, 3) == CoeffQ(9)
 
 
@@ -138,6 +140,23 @@ def test_partials_commute_with_shift(F, a, b):
     assert F.shift(a, b).d_dy() == F.d_dy().shift(a, b)
 
 
+def test_bipoly_shift_polls_once_per_coordinate_of_each_pass():
+    rng = random.Random(0x5417)
+    F = BiPoly([rand_unipoly(rng, 4, True) for _ in range(5)])
+    n = F.num_coords
+    a, b = CoeffQ(Fraction(1, 2), 3), CoeffQ(Fraction(-2, 3))
+    for x, y, polls in ((a, 0, n), (0, b, n), (a, b, 2 * n), (0, 0, 0)):
+        token = _CountingToken()
+        want = F.shift(x, y)
+        assert F.shift(x, y, token) == want and token.calls == polls
+        # a token firing on any poll stops the shift with no result
+        for m in range(1, polls + 1):
+            stub = _CountingToken(fire_at=m)
+            with pytest.raises(Cancelled):
+                F.shift(x, y, stub)
+            assert stub.calls == m
+
+
 def test_monomial_terms_display_weights():
     F = BiPoly.monomial(1, 2, 5)  # 5 x y^2
     terms = dict(F.monomial_terms())
@@ -145,7 +164,7 @@ def test_monomial_terms_display_weights():
 
 
 def test_str_conventional_notation():
-    g = BiPoly.from_coords([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
+    g = BiPoly([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
     assert str(g) == "x^2 + 2*x*y + y^2"
 
 
@@ -189,11 +208,11 @@ def ref_bipoly_shift(F: BiPoly, a, b) -> BiPoly:
 def _shift_cases():
     rng = random.Random(0x7A1105)
     gauss = CoeffQ(Fraction(-3, 2), Fraction(2, 3))
-    const = BiPoly.embed(UniPoly.const(CoeffQ(5, -1)))
+    const = BiPoly([UniPoly([CoeffQ(5, -1)])])
     yield "zero", BiPoly.zero(), gauss, CoeffQ(1, 1)
-    yield "real-const", BiPoly.embed(UniPoly.const(Fraction(-7, 3))), gauss, gauss
+    yield "real-const", BiPoly([UniPoly([Fraction(-7, 3)])]), gauss, gauss
     yield "gauss-const", const, CoeffQ(0), gauss
-    yield "y-const", BiPoly.from_coords([UniPoly.zero(), UniPoly.zero(), UniPoly.const(2)]), gauss, gauss
+    yield "y-const", BiPoly([UniPoly.zero(), UniPoly.zero(), UniPoly([2])]), gauss, gauss
     # (coordinates, x-degree, complex coefficients, a, b); "0" forces a zero shift
     shapes = [
         (40, 12, False, "real", "gauss"),
@@ -212,7 +231,7 @@ def _shift_cases():
         # a last coordinate of full x-degree, so every case has its stated shape
         coords.append(UniPoly([rand_scalar(rng, complex_ok) for _ in range(deg)] + [CoeffQ(1, int(complex_ok))]))
         name = f"{ncoords}x{deg}-{'gauss' if complex_ok else 'real'}-a_{a_kind}-b_{b_kind}"
-        yield name, BiPoly.from_coords(coords), _rand_shift(rng, a_kind), _rand_shift(rng, b_kind)
+        yield name, BiPoly(coords), _rand_shift(rng, a_kind), _rand_shift(rng, b_kind)
 
 
 def _rand_shift(rng: random.Random, kind: str) -> CoeffQ:
@@ -270,7 +289,7 @@ P61 = 2**61 - 1
 
 def _kernel_polys():
     q = Fraction
-    yield "unequal-with-zero-coords", BiPoly.from_coords([
+    yield "unequal-with-zero-coords", BiPoly([
         UniPoly([CoeffQ(q(3, 997), q(-1, P61)), q(-2, 7), 0, q(1, 6), CoeffQ(0, q(4, 5))]),
         UniPoly.zero(),
         UniPoly([q(5, P61), CoeffQ(q(-1, 3), 2)]),
@@ -278,9 +297,9 @@ def _kernel_polys():
         UniPoly.zero(),
         UniPoly([1, 0, CoeffQ(q(2, 997), q(1, 11)), q(-9, 4), 0, q(P61 - 2, 997 * 3), CoeffQ(1, -1)]),
     ])
-    yield "single-coord", BiPoly.embed(
+    yield "single-coord", BiPoly([
         UniPoly([q(1, 997), CoeffQ(q(-2, 3), q(5, P61)), 0, 0, q(7, 2), CoeffQ(0, q(-1, 6)), 0, q(11, 997)])
-    )
+    ])
 
 
 KERNEL_SHIFTS = [

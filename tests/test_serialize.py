@@ -232,7 +232,7 @@ def test_module_roundtrip():
         MGamma(shift_invariance_table()),
         polymod.FiniteGen([BiPoly.monomial(2, 1)]),
         Sum(Md(1), MGamma(shift_invariance_table())),
-        Sum(Md(0), MGamma(GammaTable.zero(2)), polymod.FiniteGen([BiPoly.monomial(0, 1)])),
+        Sum(Md(0), MGamma(GammaTable(2)), polymod.FiniteGen([BiPoly.monomial(0, 1)])),
     ]
     for M in exprs:
         j = ser.module_to_json(M)
@@ -331,7 +331,7 @@ def test_lognum_to_json():
 def test_jsonable_dispatch():
     assert ser.jsonable(Fraction(2, 4)) == "1/2"
     assert ser.jsonable((1, "a", None)) == [1, "a", None]
-    assert ser.jsonable({"k": UniPoly.x()}) == {"k": [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}]}
+    assert ser.jsonable({"k": UniPoly.monomial(1)}) == {"k": [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}]}
     from mpmath import mpf
 
     assert isinstance(ser.jsonable(mpf(2) ** 100), str)
@@ -347,7 +347,7 @@ def test_payload_schemas():
     vb = v_space(MGamma(shift_invariance_table()), 1, deg_bound=3)
     check_schema(ser.vspace_to_json(vb), "urn:polymod:results#/$defs/vspace")
     rep = order_of_sum_report(
-        shift_invariance_table(), GammaTable.zero(1), 3
+        shift_invariance_table(), GammaTable(1), 3
     )
     check_schema(ser.sum_order_to_json(rep), "urn:polymod:results#/$defs/sum-order")
     dec = nilpotent_chains([[0, 1], [0, 0]])

@@ -56,14 +56,14 @@ def test_span_reduce_seed_order_independent_prefixes():
     # seed tuples reduce as the polynomials BiPoly(tuple); the seed order
     # puts the x-power 1 pivot before the constant one
     tuples = [
-        (UniPoly.const(1), UniPoly.zero()),
-        (UniPoly.zero(), UniPoly.x()),
-        (UniPoly.const(2), UniPoly.x().scale(1)),
+        (UniPoly([1]), UniPoly.zero()),
+        (UniPoly.zero(), UniPoly.monomial(1)),
+        (UniPoly([2]), UniPoly.monomial(1).scale(1)),
     ]
     polys = [BiPoly(t) for t in tuples]
     frame = spans.PolyFrame(polys, _seed_order)
     rows, _ = rref([frame.to_vec(P) for P in polys])
-    assert [phi(frame.from_vec(r), 2) for r in rows] == [(UniPoly.zero(), UniPoly.x()), (UniPoly.const(1), UniPoly.zero())]
+    assert [phi(frame.from_vec(r), 2) for r in rows] == [(UniPoly.zero(), UniPoly.monomial(1)), (UniPoly([1]), UniPoly.zero())]
 
 
 def _rand_sparse_bipoly(rng, gaussian):
@@ -199,17 +199,41 @@ def _span_helper_cases():
 
 
 def test_span_helpers_poll_in_every_elimination(monkeypatch):
-    spy = _PollSpy(monkeypatch, spans, ["rref", "null_space"])
+    spy = _PollSpy(monkeypatch, spans, ["rref", "eliminate", "null_space"])
     runs = []
     for fn, inputs in _span_helper_cases():
         spy.finished.clear()
         fn(*inputs, cancel=spy.token())
         names = [name for name, _polls in spy.finished]
         runs.append((fn, names))
-        # every rref and null_space run on a nonempty input polls the token
+        # every rref, eliminate and null_space run on a nonempty input polls the token
         assert names and all(polls for _name, polls in spy.finished), fn.__name__
-    # vanishing_part's elimination is its null_space
+    # in_span eliminates on Z[i] rows, and vanishing_part's elimination is its null_space
+    assert (in_span, ["eliminate"]) in runs
     assert (vanishing_part, ["null_space"]) in runs
+
+
+def test_span_rows_polls_once_per_vector_before_it_reduces(monkeypatch):
+    rng = random.Random(0x5BA3)
+    polys = [rand_bipoly(rng, 4, 3) for _ in range(6)] + [BiPoly.zero()]
+    seen = []  # polls made before rref starts
+    real = spans.rref
+
+    def spy(rows, cancel=None):
+        seen.append(cancel.calls)
+        return real(rows, cancel=cancel)
+
+    frame, want = span_rows(polys)
+    monkeypatch.setattr(spans, "rref", spy)
+    got = span_rows(polys, _CountingToken())
+    assert got[0].index == frame.index and got[1] == want
+    # one poll per nonzero polynomial's vector; the zero one is dropped first
+    assert seen == [6]
+    for n in range(1, 7):
+        seen.clear()
+        with pytest.raises(Cancelled):
+            span_rows(polys, _CountingToken(fire_at=n))
+        assert seen == []
 
 
 @pytest.mark.parametrize("fn", [in_span, vanishing_part, span_reduce], ids=lambda f: f.__name__)
