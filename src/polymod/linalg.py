@@ -74,14 +74,6 @@ def _columns(rows, positions):
     return [(den, {r: (row[k][0] * f, row[k][1] * f) for r, (f, row) in enumerate(scaled) if k in row}) for k in positions]
 
 
-def _mul(a, b):
-    """Product of two Z[i] numbers held as (re, im) int pairs."""
-    (ar, ai), (br, bi) = a, b
-    if ai or bi:
-        return ar * br - ai * bi, ar * bi + ai * br
-    return ar * br, 0
-
-
 def _inverse(d):
     """(c, n) with 1/d = c/n, c in Z[i] and n a positive int, for d != 0."""
     g = gcd(*d)
@@ -91,13 +83,14 @@ def _inverse(d):
 
 def _combine(p, row, f, new, d):
     """(p * row - f * new) / d on sparse Z[i] rows, known to be exact."""
-    c, n = _inverse(d)
-    a, b = _mul(p, c), _mul(f, c)
-    out = {k: _mul(a, x) for k, x in row.items()}
-    for k, y in new.items():
-        br, bi = _mul(b, y)
+    (cr, ci), n = _inverse(d)
+    (pr, pi), (fr, fi) = p, f
+    ar, ai = pr * cr - pi * ci, pr * ci + pi * cr  # p * c
+    br, bi = fr * cr - fi * ci, fr * ci + fi * cr  # f * c
+    out = {k: (ar * xr - ai * xi, ar * xi + ai * xr) for k, (xr, xi) in row.items()}
+    for k, (yr, yi) in new.items():
         xr, xi = out.get(k, _ZZ)
-        out[k] = (xr - br, xi - bi)
+        out[k] = (xr - br * yr + bi * yi, xi - br * yi - bi * yr)
     return {k: (xr // n, xi // n) for k, (xr, xi) in out.items() if xr or xi}
 
 
@@ -115,17 +108,17 @@ def eliminate(rows, cancel=None):
             cancel.check()
         # new := den * new - sum of new[j] * done[j] over the pivot columns j,
         # each done[j] first brought from its own d to den
-        acc = {k: _mul(den, v) for k, v in new.items() if k not in done}
+        dr, di = den
+        acc = {k: (dr * vr - di * vi, dr * vi + di * vr) for k, (vr, vi) in new.items() if k not in done}
         for j in done.keys() & new.keys():
             d, row = done[j]
             if row and d != den:
                 row = _combine(den, row, _ZZ, {}, d)
                 done[j] = den, row
-            f = new[j]
-            for k, b in row.items():
-                br, bi = _mul(f, b)
+            fr, fi = new[j]
+            for k, (br, bi) in row.items():
                 vr, vi = acc.get(k, _ZZ)
-                acc[k] = (vr - br, vi - bi)
+                acc[k] = (vr - fr * br + fi * bi, vi - fr * bi - fi * br)
         new = {k: v for k, v in acc.items() if v[0] or v[1]}
         if not new:
             continue
@@ -142,8 +135,8 @@ def eliminate(rows, cancel=None):
     out = []
     for col in pivots:
         d, row = done[col]
-        c, n = _inverse(d)
-        out.append((n, {j: _mul(v, c) for j, v in row.items()}))
+        (cr, ci), n = _inverse(d)
+        out.append((n, {j: (vr * cr - vi * ci, vr * ci + vi * cr) for j, (vr, vi) in row.items()}))
     return out, pivots
 
 

@@ -10,6 +10,11 @@ differentiation-closed linear subspace. Module expressions:
                   at construction time
     Sum(parts)    pointwise sum of spaces
 
+The nine result classes (these four, MembershipResult, VSpaceBasis,
+SumOrderReport, ChainDecomposition, BoundReport) are immutable values whose
+base _Value derives from their __slots__ the __init__, repr, per-class
+equality and hashing (FiniteGen's basis left out), and copy and pickle.
+
 Membership decisions are exact except where noted: sums that mix several
 FiniteGen/MGamma parts are decided against seeds of degree < deg_bound and
 the certificate records that truncation. The special shape Md + MGamma is
@@ -20,7 +25,6 @@ residual F - generate(g, first s coords of F) lies in Md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .cancel import CancelToken
@@ -49,34 +53,70 @@ def derivative_closure(gens, cancel: CancelToken | None = None):
     return span_reduce(partials, cancel=cancel)
 
 
-@dataclass(frozen=True)
-class Md:
-    d: int
+class _Value:
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.d) is not int or self.d < 0:
+    def __init_subclass__(cls):
+        # _fill(self, <fields>), generated as a dataclass's __init__ is and as fast,
+        # stores each field through its slot descriptor, past the frozen __setattr__
+        env = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in cls.__slots__)
+        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", env)
+        cls._fill = env["__init__"]
+        cls._fill.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = vars(cls).get("__init__", cls._fill)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        self._fill(*state)
+
+    _key = __getstate__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Md(_Value):
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        if type(d) is not int or d < 0:
             raise ValueError("Md degree bound must be an int >= 0")
+        self._fill(d)
 
 
-@dataclass(frozen=True)
-class MGamma:
-    gamma: GammaTable
+class MGamma(_Value):
+    __slots__ = ("gamma",)
 
 
-@dataclass(frozen=True, init=False)
-class FiniteGen:
-    gens: tuple
-    basis: tuple = field(compare=False)
+class FiniteGen(_Value):
+    __slots__ = ("gens", "basis")
 
     def __init__(self, gens, cancel: CancelToken | None = None):
         gens = tuple(gens)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "basis", tuple(derivative_closure(gens, cancel)))
+        self._fill(gens, tuple(derivative_closure(gens, cancel)))
+
+    def _key(self):
+        # the basis follows from the generators
+        return (self.gens,)
 
 
-@dataclass(frozen=True, init=False)
-class Sum:
-    parts: tuple
+class Sum(_Value):
+    __slots__ = ("parts",)
 
     def __init__(self, *parts):
         flat = []
@@ -87,23 +127,18 @@ class Sum:
                 flat.append(p)
         if len(flat) < 2:
             raise ValueError("Sum needs at least two parts")
-        object.__setattr__(self, "parts", tuple(flat))
+        self._fill(tuple(flat))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    contains: bool
-    certificate: dict
+class MembershipResult(_Value):
+    __slots__ = ("contains", "certificate")
 
     def __bool__(self):
         return self.contains
 
 
-@dataclass(frozen=True)
-class VSpaceBasis:
-    s: int
-    deg_bound: int
-    tuples: tuple
+class VSpaceBasis(_Value):
+    __slots__ = ("s", "deg_bound", "tuples")
 
 
 def phi(F: BiPoly, s: int):

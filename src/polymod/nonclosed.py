@@ -25,7 +25,6 @@ large" threshold in its source form. Nothing here trusts those thresholds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RangeExceeded, ThresholdUnmet
@@ -40,7 +39,7 @@ from .lognum import (
     log_mul,
     log_pow,
 )
-from .modules import MembershipResult
+from .modules import MembershipResult, _Value
 from .poly import UniPoly
 from .scalars import CoeffQ
 
@@ -220,16 +219,10 @@ def side_conditions(n: int):
     return conds
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    log_linear_term: LogNum
-    log_tail_term: LogNum
-    log_total: LogNum
-    box_radius_log: object  # ln of the box radius, = n
-    below_one: bool
-    certified: bool
-    conditions: tuple
+class BoundReport(_Value):
+    # the three log_ terms are LogNums; box_radius_log is ln of the box radius, = n
+    __slots__ = ("n", "log_linear_term", "log_tail_term", "log_total", "box_radius_log", "below_one",
+                 "certified", "conditions")
 
 
 def sup_bound(n: int) -> BoundReport:

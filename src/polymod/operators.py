@@ -17,14 +17,13 @@ product per height advances every chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import perm
 
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
 from .linalg import _columns, _dense, _numerators, eliminate, null_space, product, solve
-from .modules import MGamma, Md, Sum, contains
+from .modules import MGamma, Md, Sum, _Value, contains
 from .poly import BiPoly
 from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
@@ -125,12 +124,8 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     return GammaTable(s, entries)
 
 
-@dataclass(frozen=True)
-class SumOrderReport:
-    order: int
-    deg_bound: int
-    kernel_dim: int
-    refuted: tuple  # (K, witness BiPoly) for each K < order
+class SumOrderReport(_Value):
+    __slots__ = ("order", "deg_bound", "kernel_dim", "refuted")  # refuted: (K, witness BiPoly) for each K < order
 
 
 def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: CancelToken | None = None) -> SumOrderReport:
@@ -150,11 +145,9 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     return SumOrderReport(order=order, deg_bound=deg_bound, kernel_dim=kernel_dim, refuted=refuted)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
-    dim: int
-    chains: tuple  # ((generator vector, length), ...)
-    basis_vectors: tuple  # concatenation of D^j u per chain, in selection order
+class ChainDecomposition(_Value):
+    # chains: ((generator vector, length), ...); basis_vectors: D^j u per chain, in selection order
+    __slots__ = ("dim", "chains", "basis_vectors")
 
 
 def _coerce_matrix(mat):

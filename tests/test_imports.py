@@ -1,15 +1,16 @@
 """What polymod's modules import, and when, and what polymod exports.
 
-mpmath loads on the first log-space call, not when polymod is imported. Each
-such check runs in a fresh interpreter, because this test process has long
-since imported mpmath through other modules. No module imports a name it
-never uses, which no linter checks here. And the public surface is pinned:
-adding or removing a public name (a new alias constructor, say) fails here
-until the list below is edited, so the change shows up in review.
+mpmath loads on the first log-space call, not when polymod is imported, and
+start-up never loads dataclasses, inspect, ast, dis or tokenize, which cost
+every CLI run several milliseconds. Each such check runs in a fresh
+interpreter, because this test process has long since imported them through
+other modules. No module imports a name it never uses, which no linter
+checks here. And the public surface is pinned: adding or removing a public
+name (a new alias constructor, say) fails here until the list below is
+edited, so the change shows up in review.
 """
 
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -22,12 +23,14 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 PROBE = """
 import json, sys
 import polymod.cli
-seen = {"import": "mpmath" in sys.modules}
+startup = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+seen = {"import": "mpmath" in sys.modules, "startup": [m for m in startup if m in sys.modules]}
 # perfbench's tracer wraps only the polymod modules loaded at this point
 seen["log_modules"] = all(m in sys.modules for m in ("polymod.lognum", "polymod.nonclosed"))
 member = ["member", "--json", "--module", '{"type":"FiniteGen","gens":[{"coords":[[0,0,1]]}]}',
           "--poly", '{"coords":[[0,1]]}']
 seen["member"] = [polymod.cli.run(member), "mpmath" in sys.modules]
+seen["startup"] += [m for m in startup if m in sys.modules]
 seen["e14"] = [polymod.cli.run(["e14", "--json", "--n-max", "3"]), "mpmath" in sys.modules]
 from mpmath import mpf
 from polymod.lognum import SLACK_LOG
@@ -50,6 +53,7 @@ def test_importing_polymod_loads_no_mpmath():
 def test_cli_loads_mpmath_only_for_log_space_commands():
     seen = json.loads(_run(PROBE))
     assert seen["import"] is False
+    assert seen["startup"] == []
     assert seen["log_modules"] is True
     assert seen["member"] == [0, False]
     assert seen["e14"] == [0, True]
@@ -105,10 +109,7 @@ _PROTOCOL = {"__bool__", "__len__", "__iter__", "__getitem__", "__contains__", "
 
 
 def _members(cls):
-    names = {n for n in dir(cls) if not n.startswith("_")} | (_PROTOCOL & set(vars(cls)))
-    if dataclasses.is_dataclass(cls):
-        names |= {f.name for f in dataclasses.fields(cls)}
-    return sorted(names)
+    return sorted({n for n in dir(cls) if not n.startswith("_")} | (_PROTOCOL & set(vars(cls))))
 
 
 def test_public_surface_is_pinned():
