@@ -16,22 +16,21 @@ degree for s - 1 more steps.
 
 One generator, _recur, runs every recursion: generate, apply_L (one step),
 mgamma_contains and the Md + M_g residual test. It converts the table once per
-run and keeps the window as canonical Z[i] triples (re, im, den), trailing
-zeros trimmed and gcd(den, *re, *im) = 1, so equal polynomials give equal
-triples. A step sums out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on
-integers and divides out the content, so membership compares on integers and
-Fractions are built only for generate's output and a mismatch's residual.
+run and reads the window as the canonical Z[i] triples (re, im, den) that
+UniPoly stores (see ``poly``), so equal polynomials give equal triples. A
+step sums out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on integers and
+divides out the content, and its output is a UniPoly on that triple: the
+recursion, membership and generate's output build no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm, perm
+from math import lcm, perm
 
 from .errors import ArityMismatch
-from .poly import _F0, _ZERO_POLY, BiPoly, UniPoly, _over, _unipoly
-from .scalars import CoeffQ, _make
+from .poly import _ZERO_POLY, BiPoly, UniPoly, _bipoly, _canon, _over
+from .scalars import CoeffQ
 
 
 class GammaTable:
@@ -77,27 +76,10 @@ def dilated_shift_table(a) -> GammaTable:
     return GammaTable(1, {(1, 1): a})
 
 
-_ZERO_INTS = ((), (), 1)
-
-
-def _ints(f: UniPoly) -> tuple:
-    """The canonical Z[i] triple (re, im, den) of f (see the module doc)."""
-    cs = f.coeffs
-    if not cs:
-        return _ZERO_INTS
-    nums, den = _over([c.re for c in cs] + [c.im for c in cs])
-    return nums[: len(cs)], nums[len(cs) :], den
-
-
-def _poly(t) -> UniPoly:
-    re, im, den = t
-    return _unipoly([_make(Fraction(r, den) if r else _F0, Fraction(c, den) if c else _F0) for r, c in zip(re, im)])
-
-
 def _recur(g: GammaTable, window, cancel=None):
-    """Yield f_s, f_{s+1}, ... as canonical triples, from the window f_0..f_{s-1},
+    """Yield f_s, f_{s+1}, ... as UniPoly, from the window f_0..f_{s-1},
     until the window is all zero; polls cancel once per coordinate."""
-    win = [_ints(f) for f in window]
+    win = [f._z for f in window]
     width = max(len(re) for re, _im, _den in win)
     entries = g.entries.items()
     avals, Q = _over([a.re for _k, a in entries] + [a.im for _k, a in entries])
@@ -105,12 +87,12 @@ def _recur(g: GammaTable, window, cancel=None):
     for ((i, j), _a), ar, ai in zip(entries, avals, avals[len(entries) :]):
         row = [perm(m + j, j) for m in range(width - j)]
         terms.append((i - 1, j, [ar * k for k in row], [ai * k for k in row] if ai else None))
-    stop = [_ZERO_INTS] * len(win)
+    stop = [_ZERO_POLY._z] * len(win)
     while win != stop:
         if cancel is not None:
             cancel.check()
         live = [(win[i], j, prow, irow) for i, j, prow, irow in terms if len(win[i][0]) > j]
-        out = _ZERO_INTS
+        out = _ZERO_POLY
         if live:
             D = lcm(*[w[2] for w, *_ in live])
             n = max([len(w[0]) - j for w, j, *_ in live])
@@ -128,17 +110,9 @@ def _recur(g: GammaTable, window, cancel=None):
                         im[m] += prow[m] * cm
                         if irow:
                             re[m] -= irow[m] * cm
-            while n and not (re[n - 1] or im[n - 1]):
-                n -= 1
-            if n:
-                del re[n:], im[n:]
-                den = Q * D
-                c = gcd(den, *re, *im)
-                if c != 1:
-                    re, im, den = [r // c for r in re], [r // c for r in im], den // c
-                out = (re, im, den)
+            out = _canon(re, im, Q * D)
         yield out
-        win.append(out)
+        win.append(out._z)
         del win[0]
 
 
@@ -147,7 +121,7 @@ def apply_L(g: GammaTable, window) -> UniPoly:
     window = list(window)
     if len(window) != g.s:
         raise ArityMismatch(f"window has {len(window)} entries, table width is {g.s}")
-    return next(map(_poly, _recur(g, window)), _ZERO_POLY)
+    return next(_recur(g, window), _ZERO_POLY)
 
 
 def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
@@ -161,7 +135,7 @@ def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:
     seeds = [f if isinstance(f, UniPoly) else UniPoly(f) for f in seeds]
     if len(seeds) != g.s:
         raise ArityMismatch(f"{len(seeds)} seeds for a width-{g.s} table")
-    return BiPoly(seeds + [_poly(t) for t in _recur(g, seeds, cancel)])
+    return _bipoly(seeds + list(_recur(g, seeds, cancel)))
 
 
 def monomial_seed_elements(g: GammaTable, bound: int, cancel=None) -> list:
@@ -186,8 +160,8 @@ def mgamma_contains(g: GammaTable, F: BiPoly, cancel=None):
     window. Returns (bool, certificate dict).
     """
     top = (int(F.deg_y) if not F.is_zero() else -1) + g.s
-    stream = chain(_recur(g, [F.coord(k) for k in range(g.s)], cancel), repeat(_ZERO_INTS))
-    for n, t in zip(range(g.s, top + 1), stream):
-        if _ints(F.coord(n)) != t:
-            return False, {"reason": "recursion-mismatch", "n": n, "residual": F.coord(n) - _poly(t)}
+    stream = chain(_recur(g, [F.coord(k) for k in range(g.s)], cancel), repeat(_ZERO_POLY))
+    for n, f in zip(range(g.s, top + 1), stream):
+        if F.coord(n) != f:
+            return False, {"reason": "recursion-mismatch", "n": n, "residual": F.coord(n) - f}
     return True, {"reason": "recursion-verified", "checked_upto": top}

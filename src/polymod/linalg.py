@@ -37,11 +37,9 @@ gcd. ``null_space`` reads one vector per free column off the RREF.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import _F0
-from .scalars import ONE, ZERO, _make
+from .scalars import ONE, ZERO, _entry
 
 _ZZ = (0, 0)
 
@@ -63,7 +61,7 @@ def _dense(row, den, ncols):
     """Dense CoeffQ row of sparse Z[i] numerators over den; each part is built once."""
     out = [ZERO] * ncols
     for j, (re, im) in row.items():
-        out[j] = _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
+        out[j] = _entry(re, im, den)
     return out
 
 

@@ -29,9 +29,9 @@ from itertools import zip_longest
 
 from .cancel import CancelToken
 from .errors import UnsupportedExpr
-from .gamma import _ZERO_INTS, GammaTable, _ints, _recur, mgamma_contains, monomial_seed_elements
+from .gamma import GammaTable, _recur, mgamma_contains, monomial_seed_elements
 from .linalg import rref
-from .poly import NEG_INF, BiPoly, UniPoly
+from .poly import _ZERO_POLY, NEG_INF, BiPoly, UniPoly
 from .scalars import ZERO
 from .spans import PolyFrame, in_span, span_reduce
 
@@ -192,11 +192,11 @@ def _contains_finite(M: FiniteGen, F: BiPoly, cancel) -> MembershipResult:
 def _contains_md_plus_gamma(d: int, g: GammaTable, F: BiPoly, cancel) -> MembershipResult:
     completion = _recur(g, phi(F, g.s), cancel)
     offending = []
-    for n, (a, b) in enumerate(zip_longest(map(_ints, F.coords[g.s :]), completion, fillvalue=_ZERO_INTS), g.s):
+    for n, (a, b) in enumerate(zip_longest(F.coords[g.s :], completion, fillvalue=_ZERO_POLY), g.s):
         if a == b:
             continue
         # the x-degree of the residual a - b: cross products scanned from the top down to d
-        (ar, ai, ad), (br, bi, bd) = a, b
+        (ar, ai, ad), (br, bi, bd) = a._z, b._z
         top = max(len(ar), len(br)) - 1
         if len(ar) == len(br):
             diff = (m for m in range(top, d - 1, -1) if ar[m] * bd != br[m] * ad or ai[m] * bd != bi[m] * ad)

@@ -1,5 +1,13 @@
 """Polynomials in one and two variables over exact Gaussian rationals.
 
+A univariate polynomial stores its canonical Z[i] triple (re, im, den):
+coefficient k is (re[k] + im[k] * i) / den, re and im int tuples without a
+trailing zero pair, gcd(den, *re, *im) = 1, zero exactly ((), (), 1). Equal
+polynomials have equal triples, so equality, hashing and ``gamma``'s
+recursion compare integers. Arithmetic works on the integers with one gcd
+per result; ``coeffs``, ``coeff``, ``lead``, ``evaluate`` and the reprs
+build CoeffQ values (one Fraction per nonzero part) only at the edge.
+
 A bivariate polynomial is stored through its y-coordinates with a factorial
 convention:
 
@@ -12,65 +20,79 @@ what makes differentiation-closed subspaces cheap to manipulate.
 Degrees of the zero polynomial are NEG_INF, which orders below every int.
 
 Both Taylor shifts run on one exact integer kernel, ``_shift``, in the
-fraction-free manner of von zur Gathen and Gerhard (ISSAC 1997). Every input
-part is put over one common denominator D, so the coefficients become
-numerators in Z[i] (two int lists, re and im). For the x-shift, a = A/q with
-A in Z[i]: c_j is scaled by q^(N-j), N the largest x-degree, the Horner loop
-c[j] += A * c[j + 1] runs on integers, and output k is multiplied by q^k;
-the denominator is now D * q^N. For the y-shift, b = B/q': the weights
-w_j = b^j / j! are integers over W = q'^(n-1) * (n-1)!, and each
-G_k = sum_j f_{k+j} * w_j is accumulated on integers. Zero parts are
-skipped throughout. Each output part is built once with Fraction(num, den),
-so it is normalised by one gcd, not by one per product and sum.
+fraction-free manner of von zur Gathen and Gerhard (ISSAC 1997). The
+coordinates' triples are put over one common denominator D, so the
+coefficients are numerators in Z[i] (two int lists, re and im). For the
+x-shift, a = A/q with A in Z[i]: c_j is scaled by q^(N-j), N the largest
+x-degree, the Horner loop c[j] += A * c[j + 1] runs on integers, and output
+k is multiplied by q^k; the denominator is now D * q^N. For the y-shift,
+b = B/q': the weights w_j = b^j / j! are integers over
+W = q'^(n-1) * (n-1)!, and each G_k = sum_j f_{k+j} * w_j is accumulated on
+integers. Zero parts are skipped throughout. Each output coordinate is made
+canonical with one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 
-from .scalars import ONE, ZERO, CoeffQ, _make
+from .scalars import ONE, ZERO, CoeffQ, _entry, _operand
 
 NEG_INF = float("-inf")
-_F0 = Fraction(0)
 _new = object.__new__
 
 
-def _trim(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _unipoly(coeffs: list) -> "UniPoly":
-    """UniPoly from a list of CoeffQ (consumed); trims trailing zeros, coerces nothing."""
+def _canon(re: list, im: list, den: int) -> "UniPoly":
+    """UniPoly of the Z[i] numerators re, im (int lists of one length, consumed)
+    over a positive den: trailing zeros trimmed, the content divided out."""
+    n = len(re)
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    if not n:
+        return _ZERO_POLY
+    del re[n:], im[n:]
+    c = gcd(den, *re, *im)
+    if c != 1:
+        re, im, den = [r // c for r in re], [m // c for m in im], den // c
     f = _new(UniPoly)
-    f.coeffs = _trim(coeffs)
+    f._z = (tuple(re), tuple(im), den)
     return f
+
+
+def _unipoly(coeffs) -> "UniPoly":
+    """UniPoly of a sequence of CoeffQ, coercing nothing: the one way from
+    CoeffQ values into the triple."""
+    nums, den = _over([c.re for c in coeffs] + [c.im for c in coeffs])
+    n = len(coeffs)
+    return _canon(nums[:n], nums[n:], den)
 
 
 def _bipoly(coords: list) -> "BiPoly":
     """BiPoly from a list of UniPoly (consumed); drops trailing zero coordinates, coerces nothing."""
+    while coords and not coords[-1]._z[0]:
+        coords.pop()
     p = _new(BiPoly)
-    p.coords = _trim(coords)
+    p.coords = tuple(coords)
     return p
 
 
 def _over(parts) -> tuple:
-    """(integer numerators, common denominator) of some Fraction parts."""
+    """(integer numerators, common denominator) of some int or Fraction parts."""
     ratios = [p.as_integer_ratio() for p in parts]
     den = lcm(*[d for _n, d in ratios])
     return [n * (den // d) for n, d in ratios], den
 
 
 def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
-    """Coefficient lists of the coordinates of F(x + a, y + b), F given by its
-    coordinates' coefficient tuples cols (see the module doc for the kernel);
-    polls cancel once per coordinate of each pass."""
-    den = lcm(*(p.denominator for f in cols for c in f for p in (c.re, c.im)))
-    re = [[c.re.numerator * (den // c.re.denominator) for c in f] for f in cols]
-    im = [[c.im.numerator * (den // c.im.denominator) for c in f] for f in cols]
-    width = max(map(len, cols), default=0)
+    """The coordinates of F(x + a, y + b) as UniPoly, F given by its
+    coordinates' triples cols (see the module doc for the kernel); polls
+    cancel once per coordinate of each pass."""
+    den = lcm(*[d for _re, _im, d in cols])
+    ks = [den // d for _re, _im, d in cols]
+    re = [[c * k for c in r] for (r, _m, _d), k in zip(cols, ks)]
+    im = [[c * k for c in m] for (_r, m, _d), k in zip(cols, ks)]
+    width = max(map(len, re), default=0)
     if a:
         # a = A/q: shift q^N f(z/q) by A on integers, then z^k carries q^k
         (ar, ai), q = _over((a.re, a.im))
@@ -135,79 +157,91 @@ def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
             gre.append(gr)
             gim.append(gi)
         re, im = gre, gim
-    return [
-        [_make(Fraction(cr, den) if cr else _F0, Fraction(cm, den) if cm else _F0) for cr, cm in zip(r, m)]
-        for r, m in zip(re, im)
-    ]
+    return [_canon(r, m, den) for r, m in zip(re, im)]
 
 
 class UniPoly:
-    """Dense univariate polynomial; coeffs[k] multiplies x^k, no trailing zeros."""
+    """Dense univariate polynomial, stored as its canonical Z[i] triple (see the module doc)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_z",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([CoeffQ.of(c) for c in coeffs])
+        self._z = _unipoly([CoeffQ.of(c) for c in coeffs])._z
 
     @classmethod
     def zero(cls) -> "UniPoly":
-        return cls(())
+        return _ZERO_POLY
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power")
-        return cls((0,) * k + (c,))
+        (cr, ci), q = _over(_operand(c))
+        return _canon([0] * k + [cr], [0] * k + [ci], q)
+
+    @property
+    def coeffs(self) -> tuple:
+        """coeffs[k] multiplies x^k, no trailing zeros; zero entries are ZERO."""
+        re, im, den = self._z
+        return tuple([_entry(r, m, den) for r, m in zip(re, im)])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._z[0]) - 1 if self._z[0] else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._z[0]
 
     def coeff(self, k: int) -> CoeffQ:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return ZERO
+        re, im, den = self._z
+        return _entry(re[k], im[k], den) if 0 <= k < len(re) else ZERO
 
     def lead(self) -> CoeffQ:
-        return self.coeffs[-1] if self.coeffs else ZERO
+        re, im, den = self._z
+        return _entry(re[-1], im[-1], den) if re else ZERO
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
+        a, b = self._z, other._z
+        if len(a[0]) < len(b[0]):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return _unipoly(out)
+        (ar, ai, ad), (br, bi, bd) = a, b
+        den = lcm(ad, bd)
+        fa, fb = den // ad, den // bd
+        re, im = [r * fa for r in ar], [m * fa for m in ai]
+        for k, (r, m) in enumerate(zip(br, bi)):
+            re[k] += r * fb
+            im[k] += m * fb
+        return _canon(re, im, den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return _unipoly([-c for c in self.coeffs])
+        re, im, den = self._z
+        f = _new(UniPoly)
+        f._z = (tuple([-r for r in re]), tuple([-m for m in im]), den)
+        return f
 
     def scale(self, c) -> "UniPoly":
-        c = CoeffQ.of(c)
-        if c.is_zero():
-            return _ZERO_POLY
-        return _unipoly([a * c for a in self.coeffs])
+        (cr, ci), q = _over(_operand(c))
+        re, im, den = self._z
+        return _canon([r * cr - m * ci for r, m in zip(re, im)], [r * ci + m * cr for r, m in zip(re, im)], den * q)
 
     def derivative(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("negative derivative order")
         if order == 0:
             return self
-        return _unipoly([self.coeffs[k] * perm(k, order) for k in range(order, len(self.coeffs))])
+        re, im, den = self._z
+        ks = [perm(k, order) for k in range(order, len(re))]
+        return _canon([r * k for r, k in zip(re[order:], ks)], [m * k for m, k in zip(im[order:], ks)], den)
 
     def shift(self, a) -> "UniPoly":
         """Taylor shift: returns g with g(x) = f(x + a), exactly (integer Horner kernel)."""
         a = CoeffQ.of(a)
         if a.is_zero() or self.is_zero():
             return self
-        return _unipoly(_shift([self.coeffs], a, ZERO)[0])
+        return _shift([self._z], a, ZERO)[0]
 
     def evaluate(self, x0) -> CoeffQ:
         x0 = CoeffQ.of(x0)
@@ -219,10 +253,10 @@ class UniPoly:
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._z == other._z
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._z)
 
     def __repr__(self):
         return f"UniPoly({[str(c) for c in self.coeffs]})"
@@ -231,8 +265,9 @@ class UniPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c.is_zero():
                 continue
             if k == 0:
@@ -250,7 +285,7 @@ class BiPoly:
     __slots__ = ("coords",)
 
     def __init__(self, coords=()):
-        self.coords = _trim([c if isinstance(c, UniPoly) else UniPoly(c) for c in coords])
+        self.coords = _bipoly([c if isinstance(c, UniPoly) else UniPoly(c) for c in coords]).coords
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -261,9 +296,9 @@ class BiPoly:
         """c * x^i * y^j; coordinate j holds c * j! * x^i under the convention."""
         if i < 0 or j < 0:
             raise ValueError("negative power")
-        coeff = CoeffQ.of(c) * factorial(j)
-        coords = [UniPoly.zero()] * j + [UniPoly.monomial(i, coeff)]
-        return cls(coords)
+        (cr, ci), q = _over(_operand(c))
+        f = factorial(j)
+        return _bipoly([_ZERO_POLY] * j + [_canon([0] * i + [cr * f], [0] * i + [ci * f], q)])
 
     def coord(self, n: int) -> UniPoly:
         if 0 <= n < len(self.coords):
@@ -307,7 +342,7 @@ class BiPoly:
         a, b = CoeffQ.of(a), CoeffQ.of(b)
         if self.is_zero() or not (a or b):
             return self
-        return _bipoly([_unipoly(f) for f in _shift([f.coeffs for f in self.coords], a, b, cancel)])
+        return _bipoly(_shift([f._z for f in self.coords], a, b, cancel))
 
     def evaluate(self, x0, y0) -> CoeffQ:
         y0 = CoeffQ.of(y0)
@@ -377,4 +412,5 @@ class BiPoly:
         return " + ".join(terms) if terms else "0"
 
 
-_ZERO_POLY = UniPoly.zero()
+_ZERO_POLY = _new(UniPoly)
+_ZERO_POLY._z = ((), (), 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _Q = (int, Fraction)
+_F0 = Fraction(0)
 _new = object.__new__
 
 
@@ -26,6 +27,14 @@ def _make(re: Fraction, im: Fraction) -> "CoeffQ":
     c.re = re
     c.im = im
     return c
+
+
+def _entry(re: int, im: int, den: int) -> "CoeffQ":
+    """(re + im * i) / den for int numerators over a positive den: ZERO when
+    both are 0, otherwise each nonzero part is built once as a Fraction."""
+    if not (re or im):
+        return ZERO
+    return _make(Fraction(re, den) if re else _F0, Fraction(im, den) if im else _F0)
 
 
 def _operand(value):

@@ -46,7 +46,7 @@ class PolyFrame:
         v = [ZERO] * len(self.index)
         for n, f in enumerate(p.coords):
             for i, c in enumerate(f.coeffs):
-                if not c.is_zero():
+                if c is not ZERO:
                     v[self.index[(i, n)]] = c
         return v
 

@@ -24,7 +24,7 @@ from polymod import (
     phi,
     shift_invariance_table,
 )
-from polymod.gamma import _ints, _poly, _recur
+from polymod.gamma import _recur
 
 from conftest import rand_gamma, rand_scalar, rand_unipoly
 from test_poly import _qq_i
@@ -364,7 +364,10 @@ def test_stream_generate_and_split_match_the_window_algorithms():
 
 def _canonical(t) -> bool:
     re, im, den = t
-    return len(re) == len(im) and (not re or re[-1] or im[-1]) and den > 0 and gcd(den, *re, *im) == 1
+    return (
+        type(re) is tuple and type(im) is tuple and len(re) == len(im)
+        and (not re or re[-1] or im[-1]) and den > 0 and gcd(den, *re, *im) == 1
+    )
 
 
 def test_ints_is_canonical():
@@ -373,20 +376,55 @@ def test_ints_is_canonical():
     polys += [f for _name, _g, window, _zero in KERNEL_CASES for f in window]
     polys += [rand_unipoly(rng, 6) for _ in range(60)]
     for f in polys:
-        t = _ints(f)
+        t = f._z
         re, im, den = t
         assert _canonical(t) and len(re) == len(f.coeffs)
         assert den == lcm(*(p.denominator for c in f.coeffs for p in (c.re, c.im)))
-        assert _poly(t) == f
+        assert UniPoly(f.coeffs)._z == t
         # the same polynomial built another way gives the same triple
-        assert _ints(UniPoly(list(f.coeffs) + [0, CoeffQ(0, 0)])) == t
-        assert _ints((f + f).scale(Fraction(1, 2))) == t
-        assert _ints(f + UniPoly.monomial(len(f.coeffs))) != t
-    assert _ints(UniPoly([Fraction(6, 4), Fraction(1, 3)])) == ([9, 2], [0, 0], 6)
+        assert UniPoly(list(f.coeffs) + [0, CoeffQ(0, 0)])._z == t
+        assert (f + f).scale(Fraction(1, 2))._z == t
+        assert (f + UniPoly.monomial(len(f.coeffs)))._z != t
+    assert UniPoly([Fraction(6, 4), Fraction(1, 3)])._z == ((9, 2), (0, 0), 6)
 
 
 def test_stream_yields_canonical_triples():
     for g, F, _d, _perturbed in STREAM_CASES[:80]:
-        for t in _recur(g, phi(F, g.s)):
-            assert _canonical(t)
-            assert _ints(_poly(t)) == t
+        for f in _recur(g, phi(F, g.s)):
+            assert _canonical(f._z)
+            assert UniPoly(f.coeffs)._z == f._z
+
+
+def test_recursion_path_builds_no_fraction(monkeypatch):
+    """generate, the shift, membership, the Md + M_g test and canonical_split
+    hand canonical Z[i] triples to each other: once the inputs exist, not one
+    Fraction is built on that path."""
+    rng = random.Random(0xF4AC)
+    cases = []
+    for _ in range(24):
+        g = rand_gamma(rng)
+        d = rng.randint(1, 4)
+        seeds = [rand_unipoly(rng, 5) for _ in range(g.s)]
+        cases.append((g, d, seeds, rand_scalar(rng), rand_scalar(rng), Sum(Md(d), MGamma(g))))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results bypass __new__ from Python 3.12 on
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    answers = []
+    for g, d, seeds, a, b, M in cases:
+        F = generate(g, seeds)
+        G = F.shift(a, b)
+        member, _cert = mgamma_contains(g, G)
+        probe = BiPoly.monomial(d, g.s)
+        answers.append((F, G, member, contains(M, probe).contains, canonical_split(M)))
+    assert built == []
+    assert answers[0][0].coord(0).coeffs and built  # the API edge builds Fraction parts, and the counter sees them
+    monkeypatch.undo()
+    assert sum(F.num_coords for F, *_ in answers) > 100
+    zero = CoeffQ(0)
+    for (g, d, seeds, a, b, _M), (F, G, member, excluded, split) in zip(cases, answers):
+        assert phi(F, g.s) == tuple(seeds) and mgamma_contains(g, F)[0]
+        assert G == F.shift(a, zero).shift(zero, b)
+        assert member and not excluded and split[0] == d

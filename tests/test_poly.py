@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.rings import ring
 
-from polymod import BiPoly, Cancelled, CoeffQ, UniPoly
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, apply_L, generate, shift_invariance_table
 from polymod.poly import NEG_INF
+from polymod.scalars import ZERO
+from polymod.serialize import unipoly_from_json
+from polymod.spans import PolyFrame, span_reduce
 
 from test_linalg import _CountingToken
 
@@ -327,3 +330,63 @@ def test_integer_kernel_matches_reference_and_sympy(name, F, a, b):
     assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for g in G.coords for c in g.coeffs)
     want, ring_vars = _sympy_shift(F, a, b)
     assert _to_ring(G, *ring_vars) == want
+
+
+# ---------------------------------------------------------------------------
+# the stored triple: one zero, and hashes that agree with equality
+# ---------------------------------------------------------------------------
+
+def test_every_zero_is_the_one_zero_triple():
+    f = UniPoly([1, CoeffQ(0, 2), Fraction(1, 3)])
+    # a zero coordinate below a nonzero one survives BiPoly's trimming
+    frame = PolyFrame([BiPoly([f, f])])
+    vec = [ZERO] * len(frame.index)
+    vec[frame.index[(0, 1)]] = CoeffQ(5)
+    zeros = {
+        "UniPoly()": UniPoly(),
+        "UniPoly([0, 0])": UniPoly([0, 0]),
+        "zero parts": UniPoly([CoeffQ(0), Fraction(0), CoeffQ(0, 0)]),
+        "f - f": f - f,
+        "-zero": -UniPoly.zero(),
+        "scale(0)": f.scale(0),
+        "scale(CoeffQ(0))": f.scale(CoeffQ(0)),
+        "monomial(3, 0)": UniPoly.monomial(3, 0),
+        "derivative at the degree + 1": f.derivative(3),
+        "derivative past the degree": f.derivative(7),
+        "shift of zero": UniPoly.zero().shift(CoeffQ(1, 1)),
+        "x-shift kernel on a zero coordinate": BiPoly([UniPoly.zero(), f]).shift(CoeffQ(2, -1), 0).coord(0),
+        "y-shift kernel cancelling a coordinate": BiPoly([UniPoly([1]), UniPoly([1])]).shift(0, -1).coord(0),
+        "from_vec": frame.from_vec(vec).coord(0),
+        "unipoly_from_json([])": unipoly_from_json([]),
+        "unipoly_from_json(['0', '0'])": unipoly_from_json(["0", "0"]),
+        "generate past the window": generate(shift_invariance_table(), [f]).coord(3),
+    }
+    for name, z in zeros.items():
+        assert z._z == ((), (), 1), name
+        assert type(z._z[0]) is tuple and type(z._z[1]) is tuple, name
+        assert z == UniPoly.zero() and hash(z) == hash(UniPoly.zero()), name
+        assert z.is_zero() and z.coeffs == () and z.degree == NEG_INF, name
+    assert frame.from_vec([ZERO] * len(frame.index)).coords == ()
+    assert generate(shift_invariance_table(), [UniPoly([0, 0])]).is_zero()
+
+
+def test_equal_polynomials_hash_alike_whatever_the_route():
+    # 1/2 + (2/3)i x, built nine ways
+    want = UniPoly([Fraction(1, 2), CoeffQ(0, Fraction(2, 3))])
+    routes = [
+        UniPoly([CoeffQ(Fraction(2, 4)), CoeffQ(0, Fraction(4, 6)), 0]),
+        (want + want).scale(Fraction(1, 2)),
+        UniPoly([3, CoeffQ(0, 4)]).scale(Fraction(1, 6)),
+        UniPoly.monomial(1, CoeffQ(0, Fraction(2, 3))).shift(CoeffQ(0, Fraction(-3, 4))),
+        UniPoly([0, Fraction(1, 2), CoeffQ(0, Fraction(1, 3))]).derivative(),
+        apply_L(shift_invariance_table(), [UniPoly([7, Fraction(1, 2), CoeffQ(0, Fraction(1, 3))])]),
+        generate(shift_invariance_table(), [UniPoly([0, Fraction(1, 2), CoeffQ(0, Fraction(1, 3))])]).coord(1),
+        unipoly_from_json(["1/2", {"re": "0", "im": "2/3"}]),
+        span_reduce([BiPoly([want.scale(6)])])[0].coord(0).scale(CoeffQ(0, Fraction(2, 3))),  # x - (3/4)i
+    ]
+    for f in routes:
+        assert f == want and hash(f) == hash(want) and f._z == want._z
+    assert len(set(routes + [want])) == 1
+    assert want.coeffs == (CoeffQ(Fraction(1, 2)), CoeffQ(0, Fraction(2, 3)))
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for c in want.coeffs)
+    assert want != want.scale(CoeffQ(0, 1)) and hash(BiPoly([want])) == hash(BiPoly([routes[0], UniPoly()]))
