@@ -200,7 +200,7 @@ def _cmd_chains(args, tok) -> int:
 
 def _cmd_split(args, tok) -> int:
     M = ser.module_from_json(_load_json(args.module), tok)
-    d, order = canonical_split(M, tok)
+    d, order = canonical_split(M)
     return _emit(args, {"d": d, "order": order}, [f"d: {d}", f"order: {order}"])
 
 
@@ -214,20 +214,16 @@ def _cmd_nonclosed_demo(args, tok) -> int:
             rows.append(ser.bound_report_to_json(sup_bound(n)))
         except ThresholdUnmet as exc:
             rows.append({"n": n, "certified": False, "failures": list(exc.failures)})
-    if args.json:
-        print(ser.dumps(rows))
-        return 0
-    header = f"{'n':>4}  {'log10_linear':>22}  {'log10_tail':>22}  {'log10_total':>22}  certified"
-    print(header)
+    lines = [f"{'n':>4}  {'log10_linear':>22}  {'log10_tail':>22}  {'log10_total':>22}  certified"]
     for row in rows:
         if row["certified"]:
-            print(
+            lines.append(
                 f"{row['n']:>4}  {row['log10_linear']:>22}  {row['log10_tail']:>22}  "
                 f"{row['log10_total']:>22}  true"
             )
         else:
-            print(f"{row['n']:>4}  {'-':>22}  {'-':>22}  {'-':>22}  false ({', '.join(row['failures'])})")
-    return 0
+            lines.append(f"{row['n']:>4}  {'-':>22}  {'-':>22}  {'-':>22}  false ({', '.join(row['failures'])})")
+    return _emit(args, rows, lines)
 
 
 def _cmd_e14(args, tok) -> int:
@@ -235,12 +231,7 @@ def _cmd_e14(args, tok) -> int:
     from mpmath import nstr
 
     rows = [{"n": n, "log_ratio": nstr(v, ser.LOG_DIGITS)} for n, v in pairs]
-    if args.json:
-        print(ser.dumps(rows))
-        return 0
-    for row in rows:
-        print(f"n={row['n']}  log_ratio={row['log_ratio']}")
-    return 0
+    return _emit(args, rows, [f"n={row['n']}  log_ratio={row['log_ratio']}" for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ equality and hashing (FiniteGen's basis left out), and copy and pickle.
 
 Membership decisions are exact except where noted: sums that mix several
 FiniteGen/MGamma parts are decided against seeds of degree < deg_bound and
-the certificate records that truncation. The special shape Md + MGamma is
-exact both ways: any recursion tail grown from seeds of degree < d stays of
-degree < d (each step strictly drops degree), so F lies in the sum iff the
-residual F - generate(g, first s coords of F) lies in Md.
+the certificate records that truncation. The special shape Md + MGamma,
+which _md_gamma recognizes in either part order for contains and
+canonical_split, is exact both ways: any recursion tail grown from seeds of
+degree < d stays of degree < d (each step strictly drops degree), so F lies
+in the sum iff the residual F - generate(g, first s coords of F) lies in Md.
 """
 
 from __future__ import annotations
@@ -156,9 +157,7 @@ def _seed_order(cell):
 
 def default_deg_bound(M, F: BiPoly | None = None) -> int:
     vals = [1]
-    stack = [M]
-    while stack:
-        part = stack.pop()
+    for part in M.parts if isinstance(M, Sum) else (M,):
         if isinstance(part, Md):
             vals.append(part.d)
         elif isinstance(part, MGamma):
@@ -167,8 +166,6 @@ def default_deg_bound(M, F: BiPoly | None = None) -> int:
             for b in part.basis:
                 vals.append(int(b.deg_x) if b.deg_x != NEG_INF else 0)
                 vals.append(int(b.deg_y) if b.deg_y != NEG_INF else 0)
-        elif isinstance(part, Sum):
-            stack.extend(part.parts)
     if F is not None and not F.is_zero():
         vals.append(int(F.deg_x))
         vals.append(int(F.deg_y))
@@ -189,18 +186,20 @@ def _contains_finite(M: FiniteGen, F: BiPoly, cancel) -> MembershipResult:
     return MembershipResult(False, {"reason": "outside-span", "basis_dim": len(M.basis)})
 
 
+def _md_gamma(M):
+    """(d, g) when M is Sum(Md(d), MGamma(g)) in either part order, else None."""
+    if isinstance(M, Sum) and len(M.parts) == 2:
+        a, b = M.parts if isinstance(M.parts[0], Md) else M.parts[::-1]
+        if isinstance(a, Md) and isinstance(b, MGamma):
+            return a.d, b.gamma
+    return None
+
+
 def _contains_md_plus_gamma(d: int, g: GammaTable, F: BiPoly, cancel) -> MembershipResult:
     completion = _recur(g, phi(F, g.s), cancel)
     offending = []
     for n, (a, b) in enumerate(zip_longest(F.coords[g.s :], completion, fillvalue=_ZERO_POLY), g.s):
-        if a == b:
-            continue
-        # the x-degree of the residual a - b: cross products scanned from the top down to d
-        (ar, ai, ad), (br, bi, bd) = a._z, b._z
-        top = max(len(ar), len(br)) - 1
-        if len(ar) == len(br):
-            diff = (m for m in range(top, d - 1, -1) if ar[m] * bd != br[m] * ad or ai[m] * bd != bi[m] * ad)
-            top = next(diff, -1)
+        top = (a - b).degree
         if top >= d:
             offending.append({"n": n, "deg_x": top})
     cert = {
@@ -258,10 +257,9 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
     if isinstance(M, FiniteGen):
         return _contains_finite(M, F, cancel)
     if isinstance(M, Sum):
-        mds = [p for p in M.parts if isinstance(p, Md)]
-        gammas = [p for p in M.parts if isinstance(p, MGamma)]
-        if len(M.parts) == 2 and len(mds) == 1 and len(gammas) == 1:
-            return _contains_md_plus_gamma(mds[0].d, gammas[0].gamma, F, cancel)
+        shape = _md_gamma(M)
+        if shape is not None:
+            return _contains_md_plus_gamma(*shape, F, cancel)
         if all(isinstance(p, (FiniteGen, MGamma)) for p in M.parts):
             bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
             if bound < 1:

@@ -104,8 +104,8 @@ def poly_membership(f: UniPoly) -> MembershipResult:
 def witness_x_not_in_M() -> MembershipResult:
     """The classic rejection: for F = x, coordinate 1 is forced to 1 != 0."""
     result = poly_membership(UniPoly.monomial(1))
-    assert not result.contains
-    assert result.certificate["residual_coefficient"] == 1
+    if result.contains or result.certificate["residual_coefficient"] != 1:
+        raise AssertionError("x must be excluded with residual coefficient 1")
     return result
 
 
@@ -138,10 +138,10 @@ def verify_e14(n_max: int, cancel=None):
             out.append((n, en * e2nm1 - e2n))
     gone_negative = False
     for idx, (n, v) in enumerate(out):
-        if idx > 0:
-            assert v < out[idx - 1][1], f"log ratio failed to decrease at n = {n}"
-        if gone_negative:
-            assert v < 0, f"log ratio returned to >= 0 at n = {n}"
+        if idx > 0 and not v < out[idx - 1][1]:
+            raise AssertionError(f"log ratio failed to decrease at n = {n}")
+        if gone_negative and not v < 0:
+            raise AssertionError(f"log ratio returned to >= 0 at n = {n}")
         gone_negative = gone_negative or v < 0
     return out
 

@@ -12,7 +12,8 @@ rows, and the sum order its generators' vectors. The nilpotent
 machinery decomposes the coordinatewise derivative acting on truncated
 seed-tuple quotients into shift chains on Z[i] rows: one elimination per
 height picks that height's generators by their pivot columns, and one
-product per height advances every chain.
+product per height advances every chain. canonical_split reads the pair
+(d, order) of Sum(Md(d), MGamma(g)) off the expression: it is (d, g.s).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, monomial_seed_elements
 from .linalg import _columns, _dense, _numerators, eliminate, null_space, product, solve
-from .modules import MGamma, Md, Sum, _Value, contains
-from .poly import BiPoly
+from .modules import _Value, _md_gamma
 from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
 
@@ -232,28 +232,17 @@ def quotient_derivation(s: int, k: int, d: int):
     return mat
 
 
-def canonical_split(M, cancel: CancelToken | None = None) -> tuple[int, int]:
-    """Recover (d, t) from a Sum(Md(d), MGamma(g)) expression by probing
-    excluded monomials: d is the smallest e with x^e y^t outside the sum for
-    some t <= g.s + 1, and t is the smallest such exponent at that e.
+def canonical_split(M) -> tuple[int, int]:
+    """(d, g.s) of Sum(Md(d), MGamma(g)) in either part order: the smallest e
+    with x^e y^t outside the sum for some t, and the smallest such t at that e.
 
-    The answer depends only on the space, not on the expression: monomials
-    x^e y^t with e < d always lie in the sum, and x^d y^t first drops out at
-    t = the generated part's order.
+    x^e y^t with e < d lies in Md(d). For t < g.s, x^d y^t is a seed, and its
+    recursion tail has x-degree < d because every step differentiates, so it
+    lies in the sum. x^d y^(g.s) has a zero seed prefix, so its residual is
+    itself, of x-degree d in coordinate g.s: it lies outside the sum.
     """
-    if not isinstance(M, Sum) or len(M.parts) != 2:
+    shape = _md_gamma(M)
+    if shape is None:
         raise UnsupportedExpr("canonical_split needs Sum(Md, MGamma)")
-    mds = [p for p in M.parts if isinstance(p, Md)]
-    gammas = [p for p in M.parts if isinstance(p, MGamma)]
-    if len(mds) != 1 or len(gammas) != 1:
-        raise UnsupportedExpr("canonical_split needs Sum(Md, MGamma)")
-    d = mds[0].d
-    g = gammas[0].gamma
-    for e in range(d + 1):
-        if cancel is not None:
-            cancel.check()
-        for t in range(g.s + 2):
-            probe = BiPoly.monomial(e, t)
-            if not contains(M, probe, cancel=cancel).contains:
-                return (e, t)
-    raise AssertionError("unreachable: the excluded monomial exists at e = d")
+    d, g = shape
+    return d, g.s

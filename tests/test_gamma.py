@@ -359,6 +359,7 @@ def test_stream_generate_and_split_match_the_window_algorithms():
         if (d, g) not in splits:
             splits[(d, g)] = canonical_split(Sum(Md(d), MGamma(g)))
             assert splits[(d, g)] == _residual_split(d, g)
+            assert canonical_split(Sum(MGamma(g), Md(d))) == splits[(d, g)]
     assert len(splits) >= 100
 
 

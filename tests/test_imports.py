@@ -79,6 +79,15 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_module_has_an_assert_statement():
+    # python -O strips assert statements, so a check in src/ raises AssertionError itself
+    asserts = []
+    for path in sorted((Path(SRC) / "polymod").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 PUBLIC = [
     "ArityMismatch", "BiPoly", "BoundReport", "CONDITION_MARGIN", "CancelToken", "Cancelled",
     "ChainDecomposition", "CoeffQ", "FiniteGen", "GammaTable", "LogNum", "MGamma", "MODE_UPPER",

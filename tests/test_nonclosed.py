@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -70,6 +74,35 @@ def test_verify_e14_validation():
         verify_e14("3")
     with pytest.raises(RangeExceeded):
         verify_e14(TOWER_CAP + 1)
+
+
+OPTIMIZED_PROBE = """
+from mpmath import mpf
+from polymod import MembershipResult, nonclosed
+raised = []
+nonclosed.e_tower_log = lambda base, n: mpf(base * n)  # log ratios 6, 27, 60, 105: rising
+try:
+    nonclosed.verify_e14(5)
+except AssertionError as exc:
+    raised.append(str(exc))
+nonclosed.poly_membership = lambda f: MembershipResult(True, {"residual_coefficient": 1})
+try:
+    nonclosed.witness_x_not_in_M()
+except AssertionError as exc:
+    raised.append(str(exc))
+print(raised)
+"""
+
+
+def test_postconditions_survive_python_O():
+    # the certificate checks are not assert statements, which -O strips
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == str(
+        ["log ratio failed to decrease at n = 3", "x must be excluded with residual coefficient 1"]
+    )
 
 
 def test_side_conditions_hold_in_range():

@@ -28,7 +28,7 @@ from polymod import (
     quotient_derivation,
     shift_invariance_table,
 )
-from polymod import linalg, operators, serialize
+from polymod import gamma, linalg, modules, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
 from polymod.operators import ChainDecomposition, _pinning_order
 from polymod.modules import phi
@@ -553,3 +553,18 @@ def test_canonical_split_unsupported():
         canonical_split(Sum(Md(1), Md(2)))
     with pytest.raises(UnsupportedExpr):
         canonical_split(Sum(Md(1), MGamma(GS), MGamma(GS)))
+    with pytest.raises(UnsupportedExpr):
+        canonical_split(Sum(MGamma(GS), MGamma(GS)))
+
+
+def test_canonical_split_reads_the_expression(monkeypatch):
+    # (d, g.s) follows from the shape alone: no membership probe, no recursion
+    def fail(*_args, **_kwargs):
+        raise AssertionError("canonical_split ran membership code")
+
+    for name in ("contains", "_recur"):
+        monkeypatch.setattr(modules, name, fail)
+    monkeypatch.setattr(gamma, "_recur", fail)
+    g = GammaTable(3, {(1, 2): 5, (3, 1): CoeffQ(0, 1)})
+    assert canonical_split(Sum(Md(4), MGamma(g))) == (4, 3)
+    assert canonical_split(Sum(MGamma(g), Md(0))) == (0, 3)
