@@ -15,18 +15,21 @@ the naive cutoff s + max seed degree, because a width-s window can carry each
 degree for s - 1 more steps.
 
 One generator, _recur, runs every recursion: generate, apply_L (one step),
-mgamma_contains and the Md + M_g residual test. It converts the table once per
-run and reads the window as the canonical Z[i] triples (re, im, den) that
-UniPoly stores (see ``poly``), so equal polynomials give equal triples. A
-step sums out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on integers and
-divides out the content, and its output is a UniPoly on that triple: the
-recursion, membership and generate's output build no Fraction.
+mgamma_contains and the Md + M_g residual test. It reads the window as the
+canonical Z[i] triples (re, im, den) that UniPoly stores (see ``poly``), so
+equal polynomials give equal triples, and the table as integer terms that
+the table caches (see ``_terms``), so the many runs made on one table, such
+as a monomial-seed basis, convert it once or a few times. A step sums
+out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on integers and divides out
+the content, and its output is a UniPoly on that triple: the recursion,
+membership and generate's output build no Fraction.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from math import lcm, perm
+from types import MappingProxyType
 
 from .errors import ArityMismatch
 from .poly import _ZERO_POLY, BiPoly, UniPoly, _bipoly, _canon, _over
@@ -34,9 +37,11 @@ from .scalars import CoeffQ
 
 
 class GammaTable:
-    """Immutable sparse table {(i, j): a_ij} with 1 <= i <= s and j >= 1."""
+    """Immutable sparse table {(i, j): a_ij} with 1 <= i <= s and j >= 1;
+    entries is a read-only view, because the private slot _terms caches the
+    integer terms (see _terms). Equality, hash, repr and pickles ignore it."""
 
-    __slots__ = ("s", "entries")
+    __slots__ = ("s", "entries", "_terms")
 
     def __init__(self, s: int, entries=None):
         if type(s) is not int or s < 1:
@@ -50,8 +55,17 @@ class GammaTable:
             a = CoeffQ.of(a)
             if not a.is_zero():
                 table[(i, j)] = a
-        self.s = s
-        self.entries = dict(sorted(table.items()))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(table.items()))))
+        object.__setattr__(self, "_terms", None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GammaTable, (self.s, dict(self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, GammaTable):
@@ -76,17 +90,33 @@ def dilated_shift_table(a) -> GammaTable:
     return GammaTable(1, {(1, 1): a})
 
 
+def _terms(g: GammaTable, width: int):
+    """(width', Q, terms) for windows of width' >= width coefficients:
+    a_ij = A_ij / Q with A_ij in Z[i], and term (i - 1, j, prow, irow) holds
+    A_ij * perm(m + j, j) for m < width' - j, real parts in prow, imaginary
+    ones in irow (None for real A_ij). Cached on g; a wider window replaces
+    the cache whole, at least doubling width', never changing it in place,
+    so a run keeps the rows it read while another thread widens it."""
+    cache = g._terms
+    if cache is None or cache[0] < width:
+        width = max(width, 2 * cache[0]) if cache else width
+        entries = g.entries.items()
+        avals, Q = _over([a.re for _k, a in entries] + [a.im for _k, a in entries])
+        terms = []
+        for ((i, j), _a), ar, ai in zip(entries, avals, avals[len(entries) :]):
+            row = [perm(m + j, j) for m in range(width - j)]
+            terms.append((i - 1, j, tuple([ar * k for k in row]), tuple([ai * k for k in row]) if ai else None))
+        cache = (width, Q, tuple(terms))
+        object.__setattr__(g, "_terms", cache)
+    return cache
+
+
 def _recur(g: GammaTable, window, cancel=None):
     """Yield f_s, f_{s+1}, ... as UniPoly, from the window f_0..f_{s-1},
-    until the window is all zero; polls cancel once per coordinate."""
+    until the window is all zero; polls cancel once per coordinate. It
+    reads the table's integer terms from _terms."""
     win = [f._z for f in window]
-    width = max(len(re) for re, _im, _den in win)
-    entries = g.entries.items()
-    avals, Q = _over([a.re for _k, a in entries] + [a.im for _k, a in entries])
-    terms = []
-    for ((i, j), _a), ar, ai in zip(entries, avals, avals[len(entries) :]):
-        row = [perm(m + j, j) for m in range(width - j)]
-        terms.append((i - 1, j, [ar * k for k in row], [ai * k for k in row] if ai else None))
+    _width, Q, terms = _terms(g, max(len(re) for re, _im, _den in win))
     stop = [_ZERO_POLY._z] * len(win)
     while win != stop:
         if cancel is not None:

@@ -18,7 +18,7 @@ product per height advances every chain. canonical_split reads the pair
 
 from __future__ import annotations
 
-from math import perm
+from math import factorial
 
 from .cancel import CancelToken
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
@@ -96,16 +96,22 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         for c in f:
             while c and c[-1] is ZERO:
                 c.pop()
-        # d^j/dx^j f_{i-1} has x^m coefficient perm(m + j, j) * f_{i-1}[m + j]
-        max_m = max(0, len(f[s]) - 1, *[len(c) - 2 for c in f[:s]])
+        # Equation m reads the x^m coefficient of coordinate s, where
+        # d^j/dx^j f_{i-1} has perm(m + j, j) * f_{i-1}[m + j]. Times m!, it
+        # reads u_{i-1}[m + j] in slot (i, j) and u_s[m] on the right, with
+        # u[e] = e! * f[e]. Scaling an equation leaves the RREF as it was, so
+        # the solution, the free slots and the errors are the same, and each
+        # coordinate coefficient takes one product instead of one per entry.
+        u = [[c if c is ZERO else c * factorial(e) for e, c in enumerate(cs)] for cs in f]
+        max_m = max(0, len(u[s]) - 1, *[len(c) - 2 for c in u[:s]])
         for m in range(max_m + 1):
             row = [ZERO] * len(slots)
-            for i, c in enumerate(f[:s]):
-                for j in range(1, min(deg_bound, len(c) - 1 - m) + 1):
-                    if c[m + j] is not ZERO:
-                        row[(j - 1) * s + i] = c[m + j] * perm(m + j, j)
+            for i, c in enumerate(u[:s]):
+                top = min(deg_bound, len(c) - 1 - m)  # j runs 1..top
+                if top > 0:
+                    row[i : i + top * s : s] = c[m + 1 : m + 1 + top]
             rows.append(row)
-            rhs.append(f[s][m] if m < len(f[s]) else ZERO)
+            rhs.append(u[s][m] if m < len(u[s]) else ZERO)
     if not rows:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
     sol = solve(rows, rhs, cancel)

@@ -5,9 +5,12 @@ cell key, so reduced bases and pivots are deterministic: graded by default,
 and seed order where v_space cuts the elements of a module by x-degree and
 reduces their seed prefixes. Vector entries are coordinate coefficients (the
 factorial convention's f_n coefficients), a diagonal rescale of monomial
-coefficients, so they span the same lattice of subspaces. ``span_rows``
-returns the graded frame with the rref rows, for callers that read the
-reduced basis in place; ``span_reduce`` builds those rows back into BiPoly
+coefficients, so they span the same lattice of subspaces. ``to_vec`` reads
+each coordinate's stored Z[i] triple and builds a CoeffQ, with
+``scalars._entry``, only for a nonzero cell; every other cell is ``ZERO``.
+``span_rows`` returns the graded frame with the rref rows, for callers that
+read the reduced basis in place (``infer_L`` reads its m!-scaled linear
+system off them); ``span_reduce`` builds those rows back into BiPoly
 values, each coordinate with ``_unipoly`` and no coercion.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 from .cancel import _polled
 from .linalg import _dense, _numerators, eliminate, null_space, product, rref
 from .poly import BiPoly, _bipoly, _unipoly
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, _entry
 
 
 def _graded(cell):
@@ -45,9 +48,10 @@ class PolyFrame:
     def to_vec(self, p: BiPoly):
         v = [ZERO] * len(self.index)
         for n, f in enumerate(p.coords):
-            for i, c in enumerate(f.coeffs):
-                if c is not ZERO:
-                    v[self.index[(i, n)]] = c
+            re, im, den = f._z
+            for i, (a, b) in enumerate(zip(re, im)):
+                if a or b:
+                    v[self.index[(i, n)]] = _entry(a, b, den)
         return v
 
     def from_vec(self, v) -> BiPoly:

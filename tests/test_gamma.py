@@ -1,6 +1,11 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import ceil, gcd, lcm, log2
 
 import pytest
 from sympy import QQ_I
@@ -24,9 +29,10 @@ from polymod import (
     phi,
     shift_invariance_table,
 )
-from polymod.gamma import _recur
+from polymod import gamma
+from polymod.gamma import _recur, monomial_seed_elements
 
-from conftest import rand_gamma, rand_scalar, rand_unipoly
+from conftest import rand_gamma, rand_rational, rand_scalar, rand_unipoly
 from test_poly import _qq_i
 
 
@@ -429,3 +435,117 @@ def test_recursion_path_builds_no_fraction(monkeypatch):
         assert phi(F, g.s) == tuple(seeds) and mgamma_contains(g, F)[0]
         assert G == F.shift(a, zero).shift(zero, b)
         assert member and not excluded and split[0] == d
+
+
+def _cache_cases():
+    """30 seeded (s, entries, narrow, wide) cases over widths 1-3: each table
+    has a Gaussian entry of order j >= 2, the width of its narrow window
+    (seeds of degree <= 1), and its wide window has seeds of degree 6-8."""
+    rng = random.Random(0xCAC4E)
+    cases = []
+    for k in range(30):
+        s = 1 + k % 3
+        entries = {(i, j): rand_scalar(rng) for i in range(1, s + 1) for j in range(1, 4) if rng.random() < 0.5}
+        entries[(rng.randint(1, s), rng.randint(2, 6))] = CoeffQ(rand_rational(rng), rng.choice([-1, 1]))
+        narrow = [rand_unipoly(rng, 1) for _ in range(s)]
+        wide = [UniPoly.monomial(rng.randint(6, 8)) + rand_unipoly(rng, 5) for _ in range(s)]
+        cases.append((s, entries, narrow, wide))
+    return cases
+
+
+CACHE_CASES = _cache_cases()
+
+
+def _answers(tables, seeds):
+    """The triples of generate, apply_L and mgamma_contains (on the generated
+    element, and on it plus x y^(s+1), which is outside M_g), each call made
+    on the next table of tables."""
+    g = next(tables)
+    F = generate(g, seeds)
+    out = [tuple(f._z for f in F.coords), apply_L(next(tables), seeds)._z]
+    for P in (F, F + BiPoly.monomial(1, g.s + 1)):
+        member, cert = mgamma_contains(next(tables), P)
+        out.append((member, {k: getattr(v, "_z", v) for k, v in cert.items()}))
+    return out
+
+
+def _fresh(s, entries):
+    return iter(lambda: GammaTable(s, entries), None)
+
+
+def test_cached_terms_give_the_answers_of_fresh_tables():
+    outside = 0
+    for s, entries, narrow, wide in CACHE_CASES:
+        want = [_answers(_fresh(s, entries), w) for w in (narrow, wide)]
+        outside += not want[1][3][0]
+        cold = GammaTable(s, entries)
+        assert _answers(repeat(cold), wide) == want[1]
+        g = GammaTable(s, entries)
+        assert [_answers(repeat(g), w) for w in (narrow, wide)] == want
+        g = GammaTable(s, entries)
+        assert [_answers(repeat(g), w) for w in (wide, narrow)] == want[::-1]
+    assert outside == len(CACHE_CASES)
+
+
+def test_terms_are_built_a_few_times_per_monomial_basis(monkeypatch):
+    rng = random.Random(0xB1D)
+    for s in (1, 2, 3):
+        g = rand_gamma(rng, s_exact=s)
+        builds = []
+        with monkeypatch.context() as mp:
+            over = gamma._over  # called once per build of the table's terms
+            mp.setattr(gamma, "_over", lambda parts: builds.append(len(parts)) or over(parts))
+            basis = monomial_seed_elements(g, 9)
+        assert 0 < len(builds) <= ceil(log2(9)) + 1
+        assert basis == monomial_seed_elements(GammaTable(g.s, g.entries), 9)
+        assert basis == [generate(GammaTable(g.s, g.entries), phi(F, s)) for F in basis]
+
+
+def test_threads_sharing_a_fresh_table_get_the_single_thread_answers():
+    rng = random.Random(0x7EAD)
+    s, entries, _narrow, _wide = CACHE_CASES[1]
+    windows = [[UniPoly.monomial(d) + rand_unipoly(rng, d - 1) for _ in range(s)] for d in (1, 3, 5, 8)]
+    want = [_answers(_fresh(s, entries), w) for w in windows]
+    g = GammaTable(s, entries)
+    got = [[] for _ in windows]
+
+    def work(k):
+        for _ in range(15):
+            got[k].append(_answers(repeat(g), windows[k]))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(windows))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 15 for w in want]
+
+
+def test_gamma_table_is_immutable_and_its_cache_invisible():
+    s, entries, _narrow, wide = CACHE_CASES[2]
+    want = _answers(_fresh(s, entries), wide)
+    warm, fresh = GammaTable(s, entries), GammaTable(s, entries)
+    _answers(repeat(warm), wide)
+    assert warm._terms is not None and fresh._terms is None
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    for name in ("s", "entries", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(warm, name, None)
+        with pytest.raises(AttributeError):
+            delattr(warm, name)
+    with pytest.raises(TypeError):
+        warm.entries[(1, 1)] = CoeffQ(1)
+    copies = [copy.copy(warm), copy.deepcopy(warm)]
+    for p in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(warm, p) == pickle.dumps(fresh, p)
+        copies.append(pickle.loads(pickle.dumps(warm, p)))
+    for c in copies:
+        assert type(c) is GammaTable and c._terms is None
+        assert c == warm and hash(c) == hash(warm) and repr(c) == repr(warm)
+        assert _answers(repeat(c), wide) == want

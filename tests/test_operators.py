@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -127,7 +128,8 @@ def test_infer_l_validation():
 def _reference_system(basis, s, deg_bound):
     """infer_L's linear system built from polynomial objects: the derivative
     of each reduced element's seed prefix, slot by slot, against its
-    coordinate s, for m up to the top degree of those and the target."""
+    coordinate s, for m up to the top degree of those and the target, with
+    equation m multiplied by m!."""
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
     rows, rhs = [], []
     for F in span_reduce(list(basis)):
@@ -135,8 +137,8 @@ def _reference_system(basis, s, deg_bound):
         derivs = [prefix[i - 1].derivative(j) for i, j in slots]
         degs = [int(d.degree) for d in derivs + [target] if not d.is_zero()]
         for m in range(max([0] + degs) + 1):
-            rows.append([d.coeff(m) for d in derivs])
-            rhs.append(target.coeff(m))
+            rows.append([d.coeff(m) * factorial(m) for d in derivs])
+            rhs.append(target.coeff(m) * factorial(m))
     return rows, rhs
 
 
@@ -201,6 +203,33 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             continue
         assert systems == [_reference_system(basis, s, bound)]
     assert unsolved == 2
+
+
+def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
+    # the m!-scaled system reads each coefficient of coordinates 0..s of a
+    # reduced row once, times its factorial; a product per system entry
+    # makes up to deg_bound per coefficient
+    products = []
+    mul = CoeffQ.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    solved = 0
+    for basis, s, bound in _seeded_infer_cases():
+        coefficients = sum(1 for F in span_reduce(list(basis)) for n in range(s + 1) for c in F.coord(n).coeffs if c)
+        products.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(CoeffQ, "__mul__", counted)
+            mp.setattr(CoeffQ, "__rmul__", counted)
+            try:
+                infer_L(basis, s, bound)
+                solved += 1
+            except (NotAnLModule, Underdetermined):
+                pass
+        assert len(products) <= coefficients
+    assert solved == 8
 
 
 def test_order_of_module_examples():
