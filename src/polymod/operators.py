@@ -1,30 +1,32 @@
 """Recovering recursion tables from spaces, orders, and nilpotent structure.
 
-Inference inverts generation: a differentiation-closed span whose elements
-are pinned by their first s coordinates admits at most one operator table of
-support j <= deg_bound reproducing coordinate s, and an exact linear solve
-recovers it layer by derivative layer, reading the rows of one ``span_rows``
-reduction in their frame. One search computes the paper's L-module order,
-the smallest K such that a span element vanishing in its first K coordinates
-is zero, with a witness BiPoly for each smaller K. It takes a frame and
-vectors: the module order and inference's prefix check pass the reduced
-rows, and the sum order its generators' vectors. The nilpotent
-machinery decomposes the coordinatewise derivative acting on truncated
-seed-tuple quotients into shift chains on Z[i] rows: one elimination per
-height picks that height's generators by their pivot columns, and one
-product per height advances every chain. canonical_split reads the pair
-(d, order) of Sum(Md(d), MGamma(g)) off the expression: it is (d, g.s).
+Inference inverts generation: a span whose elements are pinned by their
+first s coordinates admits at most one operator table of support
+j <= deg_bound reproducing coordinate s, read off the rows of one
+``span_rows`` reduction in their frame: one equation per row, checked by the
+recursion, and every equation only when a slot stays free. One search
+computes the paper's L-module order, the smallest K such that a span
+element vanishing in its first K coordinates is zero, with a witness BiPoly
+for each smaller K. It takes a frame and vectors: the module order and
+inference's prefix check pass the reduced rows, and the sum order its
+generators' vectors. The nilpotent machinery decomposes the coordinatewise
+derivative acting on truncated seed-tuple quotients into shift chains on
+Z[i] rows: one elimination per height picks that height's generators by
+their pivot columns, and one product per height advances every chain.
+canonical_split reads the pair (d, order) of Sum(Md(d), MGamma(g)) off the
+expression: it is (d, g.s).
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .cancel import CancelToken
+from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
-from .gamma import GammaTable, monomial_seed_elements
+from .gamma import GammaTable, _recur, monomial_seed_elements
 from .linalg import _columns, _dense, _numerators, eliminate, null_space, product, solve
 from .modules import _Value, _md_gamma
+from .poly import _ZERO_POLY
 from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
 
@@ -55,7 +57,7 @@ def _pinning_order(frame, vecs, ks, cancel=None):
 def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) -> int | None:
     """Smallest s <= deg_bound with no nonzero span element vanishing on the
     first s coordinates; None if every s up to the bound fails."""
-    if deg_bound < 1:
+    if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
     frame, reduced = span_rows(list(basis), cancel=cancel)
     return _pinning_order(frame, reduced, range(1, deg_bound + 1), cancel)[0]
@@ -63,7 +65,16 @@ def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) ->
 
 def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) -> GammaTable:
     """Recover the unique width-s table with support j <= deg_bound that
-    reproduces coordinate s on the whole span.
+    reproduces coordinate s on the whole span, which need not be closed.
+
+    Equation m, coordinate s's x^m coefficient times m!, reads
+    (m + j)! * f_{i-1}[m + j] in slot (i, j) and m! * f_s[m] on the right:
+    it is equation 0 of d^m F/dx^m. So the equations 0 of the reduced rows,
+    which span every equation when the span is closed under d/dx, are solved
+    first. The whole system's solutions lie among theirs: if they are
+    inconsistent, or their unique table fails one recursion step on some
+    basis element, no table fits. Only a free slot sends the solve to every
+    equation of every reduced row.
 
     Raises NotAnLModule when the span has a nonzero element with zero seed
     prefix (coordinate s is then not a function of the prefix) or when no
@@ -71,11 +82,12 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     Underdetermined when the span is too small to pin every coefficient slot;
     the error lists the free (i, j) slots.
     """
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise ValueError("s must be a positive int")
-    if deg_bound < 1:
+    if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    frame, reduced = span_rows(list(basis), cancel=cancel)
+    basis = list(basis)
+    frame, reduced = span_rows(basis, cancel=cancel)
     _, _, refuted = _pinning_order(frame, reduced, (s,), cancel)
     if refuted:
         raise NotAnLModule(
@@ -85,49 +97,40 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         )
     # unknowns a_{i,j} ordered layer by layer: j ascending, then i ascending
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
+    if not reduced:
+        raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
     # cells[n][e]: the frame index of x^e in coordinate n, for n <= s
     cells = [[frame.index[(e, n)] for e in range(frame.deg_x + 1)] for n in range(min(s, frame.deg_y) + 1)]
-    rows, rhs = [], []
-    for v in reduced:
-        if cancel is not None:
-            cancel.check()
-        # coordinates 0..s of F, trimmed: rref leaves every zero as ZERO
-        f = [[v[k] for k in ks] for ks in cells] + [[]] * (s + 1 - len(cells))
-        for c in f:
-            while c and c[-1] is ZERO:
-                c.pop()
-        # Equation m reads the x^m coefficient of coordinate s, where
-        # d^j/dx^j f_{i-1} has perm(m + j, j) * f_{i-1}[m + j]. Times m!, it
-        # reads u_{i-1}[m + j] in slot (i, j) and u_s[m] on the right, with
-        # u[e] = e! * f[e]. Scaling an equation leaves the RREF as it was, so
-        # the solution, the free slots and the errors are the same, and each
-        # coordinate coefficient takes one product instead of one per entry.
-        u = [[c if c is ZERO else c * factorial(e) for e, c in enumerate(cs)] for cs in f]
-        max_m = max(0, len(u[s]) - 1, *[len(c) - 2 for c in u[:s]])
-        for m in range(max_m + 1):
-            row = [ZERO] * len(slots)
-            for i, c in enumerate(u[:s]):
-                top = min(deg_bound, len(c) - 1 - m)  # j runs 1..top
-                if top > 0:
-                    row[i : i + top * s : s] = c[m + 1 : m + 1 + top]
-            rows.append(row)
-            rhs.append(u[s][m] if m < len(u[s]) else ZERO)
-    if not rows:
-        raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
-    sol = solve(rows, rhs, cancel)
-    if sol is None:
-        raise NotAnLModule(
-            "no operator table of the requested shape reproduces coordinate "
-            f"{s} across the span within the truncation"
-        )
-    values, free_cols = sol
-    if free_cols:
-        raise Underdetermined(
-            "the span leaves coefficient slots free",
-            free_slots=[slots[c] for c in free_cols],
-        )
-    entries = {slot: x for slot, x in zip(slots, values) if not x.is_zero()}
-    return GammaTable(s, entries)
+    # coordinates 0..s of each reduced row, x^e at [e]; past the frame they are empty
+    coords = [[[v[k] for k in ks] for ks in cells] + [[]] * (s + 1 - len(cells)) for v in _polled(reduced, cancel)]
+
+    def equation(u, m):  # slot (i, j) reads u[i - 1][m + j], the right side u[s][m]
+        row = [ZERO] * len(slots)
+        for i, c in enumerate(u[:s]):
+            top = min(deg_bound, len(c) - 1 - m)  # j runs 1..top
+            if top > 0:
+                row[i : i + top * s : s] = c[m + 1 : m + 1 + top]
+        return row, u[s][m] if m < len(u[s]) else ZERO
+
+    # read off the coordinates, equation 0 has column (i, j) divided by j!: it solves for j! * a_ij
+    sol = solve(*zip(*[equation(f, 0) for f in coords]), cancel)
+    if sol is not None and not sol[1]:
+        sol = [x / factorial(j) for x, (_i, j) in zip(sol[0], slots)], []
+    elif sol is not None:
+        # equation m on u[n][e] = e! * f_n[e], one product per nonzero coefficient, is the x^m
+        # coefficient of coordinate s times m!
+        us = [[[c if c is ZERO else c * factorial(e) for e, c in enumerate(cs)] for cs in f] for f in coords]
+        sol = solve(*zip(*[equation(u, m) for u in us for m in range(frame.deg_x + 1)]), cancel)
+    if sol is not None and not sol[1]:
+        g = GammaTable(s, {slot: x for slot, x in zip(slots, sol[0]) if not x.is_zero()})
+        # the step gives coordinate s iff every equation of F holds, as always after the full solve
+        if all(next(_recur(g, [F.coord(n) for n in range(s)], cancel), _ZERO_POLY) == F.coord(s) for F in basis):
+            return g
+    elif sol is not None:
+        raise Underdetermined("the span leaves coefficient slots free", free_slots=[slots[c] for c in sol[1]])
+    raise NotAnLModule(
+        f"no operator table of the requested shape reproduces coordinate {s} across the span within the truncation"
+    )
 
 
 class SumOrderReport(_Value):
@@ -141,7 +144,7 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     Coordinates are compared exactly on the fully generated polynomials; only
     the seed degree is truncated, and the report records that bound.
     """
-    if deg_bound < 1:
+    if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
     gens = monomial_seed_elements(g1, deg_bound, cancel) + monomial_seed_elements(g2, deg_bound, cancel)
     # K one past the top coordinate pins every sum

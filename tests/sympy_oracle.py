@@ -1,16 +1,19 @@
-"""Dense CoeffQ linear algebra on sympy's DomainMatrix, for reference tests.
+"""Dense CoeffQ linear algebra on sympy's DomainMatrix, and the paper's
+recursion operator on sympy expressions, for reference tests.
 
 sympy's QQ and QQ_I matrices are an independent implementation of exact
 elimination and products, so an oracle built from these helpers shares no
 code with polymod.linalg, which it checks. Rows are lists of CoeffQ, as at
 polymod's dense edge; every helper works over QQ_I unless told otherwise.
+``q_gamma`` applies a table's operator with ``sympy.diff`` to the
+polynomial itself, so it shares no code with polymod's recursion either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, I, Rational, diff, expand, factorial, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import CoeffQ
@@ -72,3 +75,21 @@ def residual(vec, red, pivots):
 
 def inverse(rows):
     return from_domain(to_domain(rows).inv())
+
+
+def _sym(c: CoeffQ):
+    return Rational(c.re.numerator, c.re.denominator) + I * Rational(c.im.numerator, c.im.denominator)
+
+
+def q_gamma(table, F):
+    """Q_g F = d^s F/dy^s - sum a_ij d^j/dx^j d^(i-1)/dy^(i-1) F, expanded, for
+    F = sum_n f_n(x) y^n / n! read off F's coordinates. Q_g F is
+    sum_n (f_{n+s} - sum a_ij f_{n+i-1}^(j)) y^n / n!, so it is 0 exactly
+    when F's coordinates obey g's recursion."""
+    x, y = symbols("x y")
+    expr = sum(
+        (_sym(c) * x**e * y**n / factorial(n) for n in range(F.num_coords) for e, c in enumerate(F.coord(n).coeffs)),
+        Rational(0),
+    )
+    terms = sum((_sym(a) * diff(expr, x, j, y, i - 1) for (i, j), a in table.entries.items()), Rational(0))
+    return expand(diff(expr, y, table.s) - terms)

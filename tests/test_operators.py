@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -32,11 +33,11 @@ from polymod import (
 from polymod import gamma, linalg, modules, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
 from polymod.operators import ChainDecomposition, _pinning_order
-from polymod.modules import phi
+from polymod.modules import derivative_closure, phi
 from polymod.spans import span_reduce, span_rows
 
 import sympy_oracle as sym
-from conftest import dense_product, identity, invert, rand_nilpotent, rand_scalar
+from conftest import dense_product, identity, invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
 from test_linalg import _CountingToken
 
 GS = shift_invariance_table()
@@ -125,18 +126,44 @@ def test_infer_l_validation():
         infer_L([], 1, deg_bound=0)
 
 
-def _reference_system(basis, s, deg_bound):
-    """infer_L's linear system built from polynomial objects: the derivative
-    of each reduced element's seed prefix, slot by slot, against its
-    coordinate s, for m up to the top degree of those and the target, with
-    equation m multiplied by m!."""
+def _unread():
+    raise AssertionError("the basis was read before the arguments were checked")
+    yield
+
+
+@pytest.mark.parametrize("s, bound, message", [
+    (True, 3, "s must be a positive int"),
+    (2.0, 3, "s must be a positive int"),
+    (1, 2.0, "deg_bound must be >= 1"),
+    (1, True, "deg_bound must be >= 1"),
+])
+def test_infer_l_checks_its_int_arguments_before_any_work(s, bound, message):
+    # bool is an int subclass and 2.0 compares like 2: both used to reach the
+    # reduction before failing, in GammaTable or in range
+    with pytest.raises(ValueError, match=message):
+        infer_L(_unread(), s, bound)
+
+
+@pytest.mark.parametrize("bound", [2.0, True])
+def test_orders_check_their_deg_bound_before_any_work(bound):
+    with pytest.raises(ValueError, match="deg_bound must be >= 1"):
+        order_of_module(_unread(), bound)
+    with pytest.raises(ValueError, match="deg_bound must be >= 1"):
+        order_of_sum_report(GS, GS, bound)
+
+
+def _reference_system(basis, s, deg_bound, first=False):
+    """infer_L's full linear system built from polynomial objects: the
+    derivative of each reduced element's seed prefix, slot by slot, against
+    its coordinate s, for m up to the top degree of those and the target, or
+    m = 0 alone when first, with equation m multiplied by m!."""
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
     rows, rhs = [], []
     for F in span_reduce(list(basis)):
         prefix, target = phi(F, s), F.coord(s)
         derivs = [prefix[i - 1].derivative(j) for i, j in slots]
         degs = [int(d.degree) for d in derivs + [target] if not d.is_zero()]
-        for m in range(max([0] + degs) + 1):
+        for m in range(1 if first else max([0] + degs) + 1):
             rows.append([d.coeff(m) * factorial(m) for d in derivs])
             rhs.append(target.coeff(m) * factorial(m))
     return rows, rhs
@@ -175,16 +202,22 @@ def _golden_infer_failures():
     return cases
 
 
+def _nonzero_equations(rows, rhs):
+    return [(row, b) for row, b in zip(rows, rhs) if any(row) or b]
+
+
 def test_infer_l_builds_the_reference_linear_system(monkeypatch):
     golden = _golden_infer_failures()
     assert len(golden) == 4
-    unsolved = 0
-    for basis, s, bound in _seeded_infer_cases() + golden:
+    seeded = _seeded_infer_cases()
+    unsolved = solved = fallbacks = 0
+    for case, (basis, s, bound) in enumerate(seeded + golden):
         systems, derivatives = [], []
 
         def solve(rows, rhs, cancel=None):
-            systems.append((rows, rhs))
-            return linalg.solve(rows, rhs, cancel)
+            sol = linalg.solve(rows, rhs, cancel)
+            systems.append((list(rows), list(rhs), sol))
+            return sol
 
         with monkeypatch.context() as mp:
             mp.setattr(operators, "solve", solve)
@@ -201,8 +234,24 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             assert isinstance(error, NotAnLModule) and error.witness is not None
             unsolved += 1
             continue
-        assert systems == [_reference_system(basis, s, bound)]
-    assert unsolved == 2
+        # the first system is equation 0 of each reduced row read off its
+        # coordinates: the reference's m = 0 rows with column (i, j) divided by j!
+        rows, rhs, first = systems[0]
+        scales = [factorial(j) for j in range(1, bound + 1) for _i in range(s)]
+        assert ([[c * k for c, k in zip(row, scales)] for row in rows], rhs) == _reference_system(basis, s, bound, first=True)
+        # the whole reference system, padded with 0 = 0 equations up to the
+        # frame's x-degree, is solved only when a slot stays free
+        if first is not None and first[1]:
+            assert len(systems) == 2
+            assert _nonzero_equations(*systems[1][:2]) == _nonzero_equations(*_reference_system(basis, s, bound))
+            fallbacks += 1
+        else:
+            assert len(systems) == 1
+        if case < len(seeded) and error is None:
+            # a round trip takes the small system alone
+            assert len(systems) == 1
+            solved += 1
+    assert (unsolved, solved) == (2, 8) and fallbacks > 0
 
 
 def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
@@ -230,6 +279,98 @@ def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
                 pass
         assert len(products) <= coefficients
     assert solved == 8
+
+
+def _nonclosed_span(rng):
+    """(basis, s, deg_bound) of a seeded random span, real or Gaussian: random
+    BiPolys, or elements generated from a random table, closed under both
+    partials or not; s is the table's width half the time."""
+    gaussian = rng.random() < 0.5
+    s, bound = rng.randint(1, 3), rng.randint(1, 5)
+    kind = rng.choice(("bipoly", "generated", "closed"))
+    if kind == "bipoly":
+        return [rand_bipoly(rng, rng.randint(0, 5), rng.randint(0, 4), gaussian) for _ in range(rng.randint(1, 5))], s, bound
+    g = rand_gamma(rng, max_s=3, max_j=3)
+    seeds = lambda: [rand_unipoly(rng, 4, gaussian) if rng.random() < 0.7 else UniPoly.zero() for _ in range(g.s)]
+    basis = [generate(g, seeds()) for _ in range(rng.randint(1, 4))]
+    return derivative_closure(basis) if kind == "closed" else basis, g.s if rng.random() < 0.5 else s, bound
+
+
+def _answer(call):
+    try:
+        return "GammaTable", call()
+    except NotAnLModule as exc:
+        return "NotAnLModule", str(exc), exc.witness
+    except Underdetermined as exc:
+        return "Underdetermined", str(exc), exc.free_slots
+
+
+def _full_system_answer(basis, s, bound):
+    """infer_L's answer from the prefix check, then one solve of every
+    equation of every reduced row."""
+    frame, reduced = span_rows(list(basis))
+    _, _, refuted = _pinning_order(frame, reduced, (s,))
+    if refuted:
+        raise NotAnLModule(
+            f"a nonzero element of the span vanishes in its first {s} coordinates, "
+            f"so coordinate {s} is not determined by the seed prefix",
+            witness=refuted[0][1],
+        )
+    slots = [(i, j) for j in range(1, bound + 1) for i in range(1, s + 1)]
+    rows, rhs = _reference_system(basis, s, bound)
+    if not rows:
+        raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        raise NotAnLModule(f"no operator table of the requested shape reproduces coordinate {s} across the span within the truncation")
+    if sol[1]:
+        raise Underdetermined("the span leaves coefficient slots free", free_slots=[slots[c] for c in sol[1]])
+    return GammaTable(s, dict(zip(slots, sol[0])))
+
+
+def test_infer_l_answers_like_the_full_system_on_spans_not_closed(monkeypatch):
+    """Equation 0 of each reduced row spans the system only on spans closed
+    under d/dx; on every other span the recursion check or the full solve
+    must give the full system's answer, error, message, free slots and
+    witness included. The corpus reaches every path."""
+    paths = Counter()
+    for draw in range(500):
+        basis, s, bound = _nonclosed_span(random.Random(f"infer-nonclosed-{draw}"))
+        sols = []
+
+        def solve(rows, rhs, cancel=None):
+            sols.append(linalg.solve(rows, rhs, cancel))
+            return sols[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "solve", solve)
+            got = _answer(lambda: infer_L(basis, s, bound))
+        assert got == _answer(lambda: _full_system_answer(basis, s, bound)), (draw, s, bound)
+        first = "unsolved" if not sols else "inconsistent" if sols[0] is None else "free" if sols[0][1] else "unique"
+        paths[first, got[0]] += 1
+    assert {path for path, n in paths.items() if n >= 10} >= {
+        ("unique", "GammaTable"),
+        ("unique", "NotAnLModule"),  # the recursion check fails
+        ("inconsistent", "NotAnLModule"),
+        ("free", "GammaTable"),
+        ("free", "NotAnLModule"),
+        ("free", "Underdetermined"),
+    }, paths
+
+
+def test_infer_l_tables_are_killed_by_their_operator():
+    """Q_g = d^s/dy^s - sum a_ij d^j/dx^j d^(i-1)/dy^(i-1), applied by sympy,
+    kills every basis element of each seeded real and Gaussian round trip."""
+    cases = [(basis, s, bound) for basis, s, bound in _seeded_infer_cases() if bound == 4 and s < 3]
+    for draw in range(6):
+        rng = random.Random(f"infer-oracle-{draw}")
+        g = rand_gamma(rng, max_s=3, max_j=3)
+        if draw % 2:
+            g = GammaTable(g.s, {k: a * CoeffQ(Fraction(1, 2), 1) for k, a in g.entries.items()})
+        cases.append((_monomial_basis(g, 3), g.s, 3))
+    for basis, s, bound in cases:
+        table = infer_L(basis, s, bound)
+        assert table.entries and all(sym.q_gamma(table, F) == 0 for F in basis)
 
 
 def test_order_of_module_examples():
