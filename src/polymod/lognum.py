@@ -128,7 +128,7 @@ def log_add(a: LogNum, b: LogNum) -> LogNum:
 
 def log_pow(a: LogNum, k: int) -> LogNum:
     """a ** k for an int k >= 1."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"exponent must be an int >= 1, got {k!r}")
     if a.sign == 0:
         return a
@@ -141,7 +141,7 @@ def log_pow(a: LogNum, k: int) -> LogNum:
 
 def e_tower_log(k: int, n):
     """ln(e_k(n)) for tower levels k = 1, 2, 3."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("tower level k must be a positive int")
     if k > 3:
         raise RangeExceeded("tower levels above 3 are not representable here")

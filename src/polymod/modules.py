@@ -214,10 +214,11 @@ def _contains_md_plus_gamma(d: int, g: GammaTable, F: BiPoly, cancel) -> Members
 
 
 def _sum_candidates(parts, s_probe: int | None, bound: int, cancel) -> tuple[list, bool]:
-    """Finite element candidates for the supported sum shapes.
+    """Finite element candidates of FiniteGen, MGamma and Md parts; both
+    callers check the part types first.
 
-    Returns (candidates, truncated). s_probe, when given, also realizes Md
-    parts as single-coordinate elements for the first s_probe slots.
+    Returns (candidates, truncated). Md parts, which only v_space passes,
+    are realized as single-coordinate elements for the first s_probe slots.
     """
     cands: list[BiPoly] = []
     truncated = False
@@ -229,15 +230,11 @@ def _sum_candidates(parts, s_probe: int | None, bound: int, cancel) -> tuple[lis
         elif isinstance(part, MGamma):
             truncated = True
             cands.extend(monomial_seed_elements(part.gamma, bound, cancel))
-        elif isinstance(part, Md):
-            if s_probe is None:
-                raise UnsupportedExpr("Md parts are only supported in Sum(Md, MGamma)")
+        else:  # Md
             for n in range(s_probe):
                 for m in range(min(part.d, bound)):
                     coords = [UniPoly.zero()] * n + [UniPoly.monomial(m)]
                     cands.append(BiPoly(coords))
-        else:
-            raise UnsupportedExpr(f"unsupported sum part {type(part).__name__}")
     return cands, truncated
 
 
@@ -261,9 +258,9 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
         if shape is not None:
             return _contains_md_plus_gamma(*shape, F, cancel)
         if all(isinstance(p, (FiniteGen, MGamma)) for p in M.parts):
-            bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
-            if bound < 1:
+            if deg_bound is not None and (type(deg_bound) is not int or deg_bound < 1):
                 raise ValueError("deg_bound must be >= 1")
+            bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
             cands, truncated = _sum_candidates(M.parts, None, bound, cancel)
             ok, combo = in_span(F, cands, cancel)
             cert = {
@@ -280,11 +277,11 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
 
 def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None = None) -> VSpaceBasis:
     """Row-reduced basis of the seed prefixes {phi(F, s) : F in M, deg_x F < bound}."""
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise ValueError("s must be a positive int")
-    bound = deg_bound if deg_bound is not None else default_deg_bound(M)
-    if bound < 1:
+    if deg_bound is not None and (type(deg_bound) is not int or deg_bound < 1):
         raise ValueError("deg_bound must be >= 1")
+    bound = deg_bound if deg_bound is not None else default_deg_bound(M)
     parts = M.parts if isinstance(M, Sum) else (M,)
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")

@@ -121,7 +121,7 @@ def verify_e14(n_max: int, cancel=None):
     e_3(n-1)^e(n) / e_3(n). Postconditions checked here: the sequence is
     strictly decreasing, and once negative it stays negative.
     """
-    if not isinstance(n_max, int) or n_max < 2:
+    if type(n_max) is not int or n_max < 2:
         raise ValueError("n_max must be an int >= 2")
     if n_max > TOWER_CAP:
         raise RangeExceeded(f"n_max = {n_max} exceeds the tower cap {TOWER_CAP}")
@@ -153,7 +153,7 @@ def side_conditions(n: int):
     integer checks). Comparisons demand a margin so a borderline pass within
     rounding distance is reported as a failure instead.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive int")
     if n > TOWER_CAP:
         raise RangeExceeded(f"n = {n} exceeds the tower cap {TOWER_CAP}")
@@ -233,7 +233,7 @@ def sup_bound(n: int) -> BoundReport:
     in upper-bound log arithmetic, after re-checking every inequality the
     derivation of those terms relies on at this specific n.
     """
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError("n must be an int")
     conds = side_conditions(n)
     failures = [c["name"] for c in conds if not c["holds"]]
@@ -276,9 +276,9 @@ def coeff_norm_chain(n: int, k: int) -> LogNum:
     the operator on a degree-< n polynomial multiplies the norm by at most
     e_3(n-1)^2, giving e_3(n-1)^(2k-1)/e_3(n) overall.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError("n must be an int >= 2")
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if type(k) is not int or not 1 <= k <= n:
         raise ValueError("k must be an int with 1 <= k <= n")
     from mpmath import log, mp, mpf
 

@@ -4,12 +4,12 @@ Inference inverts generation: a span whose elements are pinned by their
 first s coordinates admits at most one operator table of support
 j <= deg_bound reproducing coordinate s, read off the rows of one
 ``span_rows`` reduction in their frame: one equation per row, checked by the
-recursion, and every equation only when a slot stays free. One search
-computes the paper's L-module order, the smallest K such that a span
-element vanishing in its first K coordinates is zero, with a witness BiPoly
-for each smaller K. It takes a frame and vectors: the module order and
-inference's prefix check pass the reduced rows, and the sum order its
-generators' vectors. The nilpotent machinery decomposes the coordinatewise
+recursion, and every equation only when a slot stays free. The
+paper's L-module order, the smallest K such that a span element vanishing in
+its first K coordinates is zero, is one past the highest pivot coordinate of
+one reduction in a frame keyed by coordinate; a witness BiPoly for a smaller
+K is a vanishing combination, which the sum order reports and inference's
+prefix check raises. The nilpotent machinery decomposes the coordinatewise
 derivative acting on truncated seed-tuple quotients into shift chains on
 Z[i] rows: one elimination per height picks that height's generators by
 their pivot columns, and one product per height advances every chain.
@@ -20,6 +20,7 @@ expression: it is (d, g.s).
 from __future__ import annotations
 
 from math import factorial
+from operator import itemgetter
 
 from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
@@ -31,27 +32,26 @@ from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
 
 
-def _pinning_order(frame, vecs, ks, cancel=None):
-    """The paper's L-module order of the span of vecs, polynomials as vectors
-    of frame: the smallest K in ks such that every span element vanishing in
-    coordinates 0..K-1 is zero.
+def _order(frame, vecs, cancel=None):
+    """(K, rank) of the span of vecs in a frame keyed by coordinate, then
+    x-power: K is the L-module order, the smallest K >= 1 such that every
+    span element vanishing in coordinates 0..K-1 is zero.
 
-    Returns (K, kernel dimension at K, ((K', witness BiPoly) for each K' in ks
-    before K)); the dimension counts the combinations of vecs that vanish at
-    K, so it is 0 for independent rows. K and the dimension are None when no
-    K in ks pins the span.
+    An RREF row pivoted in coordinate n is zero in coordinates 0..n-1, so no
+    K <= n pins the span. A span element is sum c_r * row_r, c_r its entry at
+    row r's pivot, so one vanishing below every pivot coordinate is zero: K
+    is one past the highest pivot coordinate, or 1 when there are no rows.
     """
-    refuted = []
-    for K in ks:
-        if cancel is not None:
-            cancel.check()
-        prefix = [k for (_i, n), k in frame.index.items() if n < K]
-        kernel = vanishing_part(vecs, prefix, cancel)
-        witness = next((v for v in kernel if any(v)), None)
-        if witness is None:
-            return K, len(kernel), tuple(refuted)
-        refuted.append((K, frame.from_vec(witness)))
-    return None, None, tuple(refuted)
+    _, pivots = eliminate(_numerators(vecs, cancel), cancel)
+    return (list(frame.index)[pivots[-1]][1] + 1 if pivots else 1), len(pivots)
+
+
+def _witness(frame, vecs, K, cancel=None):
+    """The first nonzero combination of vecs vanishing in coordinates
+    0..K-1, as a BiPoly of frame, or None when no such combination exists."""
+    prefix = [k for (_i, n), k in frame.index.items() if n < K]
+    w = next((v for v in vanishing_part(vecs, prefix, cancel) if any(v)), None)
+    return None if w is None else frame.from_vec(w)
 
 
 def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) -> int | None:
@@ -59,8 +59,10 @@ def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) ->
     first s coordinates; None if every s up to the bound fails."""
     if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    frame, reduced = span_rows(list(basis), cancel=cancel)
-    return _pinning_order(frame, reduced, range(1, deg_bound + 1), cancel)[0]
+    basis = list(basis)
+    frame = PolyFrame(basis, key=itemgetter(1, 0))
+    K, _ = _order(frame, [frame.to_vec(p) for p in basis], cancel)
+    return K if K <= deg_bound else None
 
 
 def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) -> GammaTable:
@@ -88,12 +90,12 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         raise ValueError("deg_bound must be >= 1")
     basis = list(basis)
     frame, reduced = span_rows(basis, cancel=cancel)
-    _, _, refuted = _pinning_order(frame, reduced, (s,), cancel)
-    if refuted:
+    witness = _witness(frame, reduced, s, cancel)
+    if witness is not None:
         raise NotAnLModule(
             "a nonzero element of the span vanishes in its first "
             f"{s} coordinates, so coordinate {s} is not determined by the seed prefix",
-            witness=refuted[0][1],
+            witness=witness,
         )
     # unknowns a_{i,j} ordered layer by layer: j ascending, then i ascending
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
@@ -147,11 +149,11 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
     gens = monomial_seed_elements(g1, deg_bound, cancel) + monomial_seed_elements(g2, deg_bound, cancel)
-    # K one past the top coordinate pins every sum
-    top = max(int(p.deg_y) for p in gens) + 1
-    frame = PolyFrame(gens)
-    order, kernel_dim, refuted = _pinning_order(frame, [frame.to_vec(p) for p in gens], range(1, top + 1), cancel)
-    return SumOrderReport(order=order, deg_bound=deg_bound, kernel_dim=kernel_dim, refuted=refuted)
+    frame = PolyFrame(gens, key=itemgetter(1, 0))
+    vecs = [frame.to_vec(p) for p in gens]
+    order, rank = _order(frame, vecs, cancel)
+    refuted = tuple((K, _witness(frame, vecs, K, cancel)) for K in range(1, order))
+    return SumOrderReport(order=order, deg_bound=deg_bound, kernel_dim=len(gens) - rank, refuted=refuted)
 
 
 class ChainDecomposition(_Value):
@@ -224,9 +226,9 @@ def quotient_derivation(s: int, k: int, d: int):
     Basis cosets are x^m in slot i, ordered slot-major with m ascending.
     The result is nilpotent of index k - d.
     """
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise ValueError("s must be a positive int")
-    if not (isinstance(k, int) and isinstance(d, int) and k > d >= 0):
+    if not (type(k) is int and type(d) is int and k > d >= 0):
         raise ValueError("need k > d >= 0")
     width = k - d
     size = s * width

@@ -4,12 +4,11 @@ Every coefficient in the library is a complex number with Fraction real and
 imaginary parts, so all core algebra is exact. Division is total on nonzero
 scalars (Gaussian rationals form a field).
 
-Fast paths: arithmetic builds its results with ``_make``, which stores two
-parts that are already ``Fraction`` without checking or re-wrapping them.
-A plain ``int`` or ``Fraction`` operand is used as it is, without a CoeffQ
-around it. ``*`` with a real factor (im == 0) on either side and ``/`` by a
-real divisor take 2 ``Fraction`` products or quotients instead of 4. Floats
-and other foreign operands still raise ``TypeError``.
+Arithmetic builds its results with ``_make``, which stores two parts that
+are already ``Fraction`` without checking or re-wrapping them. ``/`` by a
+real divisor takes 2 ``Fraction`` quotients instead of 4, and a plain
+``int`` or ``Fraction`` divisor is used as it is. Floats and other foreign
+operands raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -69,16 +68,12 @@ class CoeffQ:
         return not self.is_zero()
 
     def __add__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            return _make(self.re + other, self.im)
         other = CoeffQ.of(other)
         return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            return _make(self.re - other, self.im)
         other = CoeffQ.of(other)
         return _make(self.re - other.re, self.im - other.im)
 
@@ -86,12 +81,8 @@ class CoeffQ:
         return CoeffQ.of(other) - self
 
     def __mul__(self, other):
-        ore, oim = _operand(other)
-        sre, sim = self.re, self.im
-        if not oim:
-            return _make(sre * ore, sim * ore)
-        if not sim:
-            return _make(sre * ore, sre * oim)
+        other = CoeffQ.of(other)
+        sre, sim, ore, oim = self.re, self.im, other.re, other.im
         return _make(sre * ore - sim * oim, sre * oim + sim * ore)
 
     __rmul__ = __mul__

@@ -6,7 +6,9 @@ elimination and products, so an oracle built from these helpers shares no
 code with polymod.linalg, which it checks. Rows are lists of CoeffQ, as at
 polymod's dense edge; every helper works over QQ_I unless told otherwise.
 ``q_gamma`` applies a table's operator with ``sympy.diff`` to the
-polynomial itself, so it shares no code with polymod's recursion either.
+polynomial itself, so it shares no code with polymod's recursion either;
+``coordinate`` reads coordinate n of its result, and ``unipoly`` puts a
+polymod polynomial in x beside it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,18 @@ def inverse(rows):
 
 def _sym(c: CoeffQ):
     return Rational(c.re.numerator, c.re.denominator) + I * Rational(c.im.numerator, c.im.denominator)
+
+
+def unipoly(f):
+    """The sympy expression in x of a UniPoly."""
+    x = symbols("x")
+    return sum((_sym(c) * x**e for e, c in enumerate(f.coeffs)), Rational(0))
+
+
+def coordinate(expr, n):
+    """Coordinate n of an expression in x and y, f_n = d^n/dy^n at y = 0."""
+    y = symbols("y")
+    return expand(diff(expr, y, n).subs(y, 0))
 
 
 def q_gamma(table, F):

@@ -8,7 +8,7 @@ from itertools import repeat
 from math import ceil, gcd, lcm, log2
 
 import pytest
-from sympy import QQ_I
+from sympy import QQ_I, diff, expand, symbols
 from sympy.polys.rings import ring
 
 from polymod import (
@@ -32,6 +32,7 @@ from polymod import (
 from polymod import gamma
 from polymod.gamma import _recur, monomial_seed_elements
 
+import sympy_oracle as sym
 from conftest import rand_gamma, rand_rational, rand_scalar, rand_unipoly
 from test_poly import _qq_i
 
@@ -549,3 +550,71 @@ def test_gamma_table_is_immutable_and_its_cache_invisible():
         assert type(c) is GammaTable and c._terms is None
         assert c == warm and hash(c) == hash(warm) and repr(c) == repr(warm)
         assert _answers(repeat(c), wide) == want
+
+
+# ---------------------------------------------------------------------------
+# the paper's operator as an oracle: M_g = ker Q_g, computed in sympy
+# ---------------------------------------------------------------------------
+
+
+def _q_case(draw):
+    """(g, G, F, d) of a seeded draw: a table of width 1..3, Gaussian on odd
+    draws, the element G that generate builds from random seeds, and F, which
+    is G perturbed past its seeds on every other draw, by a term of x-degree
+    < d on half of those."""
+    rng = random.Random(f"q-gamma-{draw}")
+    gaussian = draw % 2 == 1
+    g = rand_gamma(rng, max_s=3, max_j=3)
+    if gaussian:
+        g = GammaTable(g.s, {k: a * rand_scalar(rng) + CoeffQ(0, 1) for k, a in g.entries.items()})
+    F = G = generate(g, [rand_unipoly(rng, 3, gaussian) for _ in range(g.s)])
+    d = rng.randint(0, 3)
+    if draw // 2 % 2:
+        n = rng.randint(g.s, g.s + 2)
+        low = draw // 4 % 2 and d > 0
+        bump = rand_unipoly(rng, d - 1 if low else 3, gaussian)
+        if bump.is_zero():
+            bump = UniPoly.monomial(0)
+        F = BiPoly([G.coord(k) + (bump if k == n else UniPoly.zero()) for k in range(max(G.num_coords, n + 1))])
+    return g, G, F, d
+
+
+Q_DRAWS = range(32)
+
+
+def test_generate_is_killed_by_q_gamma():
+    for draw in Q_DRAWS:
+        g, G, _F, _d = _q_case(draw)
+        assert sym.q_gamma(g, G) == 0
+
+
+def test_mgamma_contains_answers_match_q_gamma():
+    # F is in M_g iff Q_g F = 0; a mismatch at n carries coordinate n - s of
+    # Q_g F as its residual, the first nonzero coordinate
+    answers = set()
+    for draw in Q_DRAWS:
+        g, _G, F, _d = _q_case(draw)
+        ok, cert = mgamma_contains(g, F)
+        Q = sym.q_gamma(g, F)
+        answers.add(ok)
+        assert ok == (Q == 0)
+        if not ok:
+            n = cert["n"]
+            assert all(sym.coordinate(Q, m) == 0 for m in range(n - g.s))
+            assert sym.coordinate(Q, n - g.s) == expand(sym.unipoly(cert["residual"]))
+            assert sym.coordinate(Q, n - g.s) != 0
+    assert answers == {True, False}
+
+
+def test_md_plus_gamma_membership_matches_q_gamma():
+    # F is in Md(d) + M_g iff d^d/dx^d Q_g F = 0, in either part order
+    answers = set()
+    x = symbols("x")
+    for draw in Q_DRAWS:
+        g, _G, F, d = _q_case(draw)
+        parts = (Md(d), MGamma(g)) if draw % 3 else (MGamma(g), Md(d))
+        got = contains(Sum(*parts), F).contains
+        answers.add((got, mgamma_contains(g, F)[0]))
+        assert got == (diff(sym.q_gamma(g, F), x, d) == 0)
+    # members of M_g, sum members outside M_g, and non-members all occur
+    assert answers == {(True, True), (True, False), (False, False)}

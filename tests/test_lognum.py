@@ -139,6 +139,17 @@ def test_ordering():
     assert small <= LogNum.from_rational(2)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: log_pow(LogNum.from_rational(2), bad), "exponent must be an int >= 1, got {!r}"),
+    (lambda bad: e_tower_log(bad, 3), "tower level k must be a positive int"),
+], ids=["log_pow", "e_tower_log"])
+def test_int_arguments_reject_bools_and_floats(call, message, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == message.format(bad)
+
+
 def test_e_tower_levels():
     assert e_tower_log(1, 12) == 12
     assert e_tower_log(1, 10**9) == 10**9

@@ -300,6 +300,25 @@ def test_v_space_validation():
         v_space("nope", 1)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the module was read before the arguments were checked")
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda M, bad: v_space(M, bad), "s must be a positive int"),
+    (lambda M, bad: v_space(M, 1, deg_bound=bad), "deg_bound must be >= 1"),
+    (lambda M, bad: contains(M, X2Y, deg_bound=bad), "deg_bound must be >= 1"),
+], ids=["v_space-s", "v_space-deg_bound", "contains-sum-deg_bound"])
+def test_int_arguments_reject_bools_and_floats_before_any_work(call, message, bad, monkeypatch):
+    M = Sum(FiniteGen([X2Y]), MGamma(shift_invariance_table()))
+    for name in ("default_deg_bound", "_sum_candidates", "in_span", "rref"):
+        monkeypatch.setattr(modules, name, _no_work)
+    with pytest.raises(ValueError) as exc:
+        call(M, bad)
+    assert str(exc.value) == message
+
+
 class _TupleFrame:
     """The frame v_space reduced seed tuples on before they became
     polynomials, kept as a reference: s slots of x-degree < bound, cells

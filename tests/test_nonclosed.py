@@ -197,6 +197,20 @@ def test_coeff_norm_chain_increments():
             prev = cur
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: verify_e14(bad), "n_max must be an int >= 2"),
+    (lambda bad: side_conditions(bad), "n must be a positive int"),
+    (lambda bad: sup_bound(bad), "n must be an int"),
+    (lambda bad: coeff_norm_chain(bad, 1), "n must be an int >= 2"),
+    (lambda bad: coeff_norm_chain(4, bad), "k must be an int with 1 <= k <= n"),
+], ids=["verify_e14", "side_conditions", "sup_bound", "coeff_norm_chain-n", "coeff_norm_chain-k"])
+def test_int_arguments_reject_bools_and_floats(call, message, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert str(exc.value) == message
+
+
 def test_coeff_norm_chain_validation():
     with pytest.raises(ValueError):
         coeff_norm_chain(1, 1)

@@ -32,7 +32,7 @@ from polymod import (
 )
 from polymod import gamma, linalg, modules, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
-from polymod.operators import ChainDecomposition, _pinning_order
+from polymod.operators import ChainDecomposition, _witness
 from polymod.modules import derivative_closure, phi
 from polymod.spans import span_reduce, span_rows
 
@@ -105,11 +105,11 @@ def test_infer_l_polls_through_its_solve_and_cancels_cleanly():
     basis = _monomial_basis(GS, 5)
     token = _CountingToken()
     assert infer_L(basis, 1, deg_bound=5, cancel=token) == GS
-    # the polls before the final solve: span_rows, the pinning check at
+    # the polls before the final solve: span_rows, the prefix check at
     # K = s with its vanishing_part, and one per reduced element
     before = _CountingToken()
     frame, reduced = span_rows(list(basis), cancel=before)
-    _pinning_order(frame, reduced, (1,), before)
+    _witness(frame, reduced, 1, before)
     # the solve pins all 5 slots a_{1,1..5}, one pivot and one poll each
     assert token.calls - before.calls - len(reduced) >= 5
     for n in range(1, token.calls + 1):
@@ -309,12 +309,12 @@ def _full_system_answer(basis, s, bound):
     """infer_L's answer from the prefix check, then one solve of every
     equation of every reduced row."""
     frame, reduced = span_rows(list(basis))
-    _, _, refuted = _pinning_order(frame, reduced, (s,))
-    if refuted:
+    witness = _witness(frame, reduced, s)
+    if witness is not None:
         raise NotAnLModule(
             f"a nonzero element of the span vanishes in its first {s} coordinates, "
             f"so coordinate {s} is not determined by the seed prefix",
-            witness=refuted[0][1],
+            witness=witness,
         )
     slots = [(i, j) for j in range(1, bound + 1) for i in range(1, s + 1)]
     rows, rhs = _reference_system(basis, s, bound)
@@ -698,6 +698,18 @@ def test_quotient_derivation_validation():
         quotient_derivation(1, 1, 1)
     with pytest.raises(ValueError):
         quotient_derivation(1, 2, -1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("args, message", [
+    (lambda bad: (bad, 3, 1), "s must be a positive int"),
+    (lambda bad: (1, bad, 0), "need k > d >= 0"),
+    (lambda bad: (1, 3, bad), "need k > d >= 0"),
+], ids=["s", "k", "d"])
+def test_quotient_derivation_rejects_bools_and_floats(args, message, bad):
+    with pytest.raises(ValueError) as exc:
+        quotient_derivation(*args(bad))
+    assert str(exc.value) == message
 
 
 def test_canonical_split_examples():
