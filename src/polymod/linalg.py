@@ -32,7 +32,8 @@ with its pivot and is zero in every other pivot column, so the result is
 the RREF, unique for the column order, whatever the row order: reruns are
 byte-identical. ``product`` puts the rows of b over one denominator, sums
 Z[i] products on ints and divides each output row by its content with one
-gcd. ``null_space`` reads one vector per free column off the RREF.
+gcd. ``null_space`` is ``eliminate`` and then ``_kernel``, which reads one
+vector per free column off an RREF.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ def _dense(row, den, ncols):
     for j, (re, im) in row.items():
         out[j] = _entry(re, im, den)
     return out
-
-
-def _columns(rows, positions):
-    """Z[i] rows of the columns at positions, over the lcm of the row denominators."""
-    den = lcm(*[d for d, _row in rows])
-    scaled = [(den // d, row) for d, row in rows]
-    return [(den, {r: (row[k][0] * f, row[k][1] * f) for r, (f, row) in enumerate(scaled) if k in row}) for k in positions]
 
 
 def _inverse(d):
@@ -158,17 +152,21 @@ def product(a, b, cancel=None):
     return out
 
 
-def null_space(rows, ncols, cancel=None):
-    """Z[i] basis of {x : A x = 0} for A given by Z[i] rows of ncols columns:
+def _kernel(red, pivots, ncols):
+    """Z[i] basis of the null space of an RREF given as eliminate returns it:
     per free column fc, in order, the vector that is 1 at fc, 0 at the other
     free columns and minus the RREF's column fc at the pivots."""
-    red, pivots = eliminate(rows, cancel)
     out = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         ents = [(pc, row[fc], n) for (n, row), pc in zip(red, pivots) if fc in row]
         den = lcm(*[n for _pc, _v, n in ents])
         out.append((den, {fc: (den, 0)} | {pc: (-re * (den // n), -im * (den // n)) for pc, (re, im), n in ents}))
     return out
+
+
+def null_space(rows, ncols, cancel=None):
+    """Z[i] basis of {x : A x = 0} for A given by Z[i] rows of ncols columns."""
+    return _kernel(*eliminate(rows, cancel), ncols)
 
 
 def rref(rows, cancel=None):

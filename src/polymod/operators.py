@@ -11,8 +11,9 @@ one reduction in a frame keyed by coordinate; a witness BiPoly for a smaller
 K is a vanishing combination, which the sum order reports and inference's
 prefix check raises. The nilpotent machinery decomposes the coordinatewise
 derivative acting on truncated seed-tuple quotients into shift chains on
-Z[i] rows: one elimination per height picks that height's generators by
-their pivot columns, and one product per height advances every chain.
+Z[i] rows: ker D^k is read off the reduced rows of D^(k-1) times D, one
+elimination per height in the free columns of D^k picks that height's
+generators, and one product per height advances every chain.
 canonical_split reads the pair (d, order) of Sum(Md(d), MGamma(g)) off the
 expression: it is (d, g.s).
 """
@@ -25,7 +26,7 @@ from operator import itemgetter
 from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, _recur, monomial_seed_elements
-from .linalg import _columns, _dense, _numerators, eliminate, null_space, product, solve
+from .linalg import _dense, _kernel, _numerators, eliminate, product, solve
 from .modules import _Value, _md_gamma
 from .poly import _ZERO_POLY
 from .scalars import ZERO, CoeffQ
@@ -172,13 +173,19 @@ def _coerce_matrix(mat):
 def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecomposition:
     """Decompose a nilpotent matrix into shift chains D^j u.
 
-    Generators are chosen greedily from the highest nilpotency index k down,
-    by the pivot-column rule: a column of an RREF is a pivot exactly when it
-    lies outside the span of the columns before it, so the pivots of one
-    elimination of [ker D^(k-1) | images D^(length-k) u of the chains so far
-    | ker D^k] in the last block are the generators of height k, in
-    kernel-basis order. D is converted to Z[i] rows once, and only the
-    result is converted back.
+    Rows of D^(k+1) = D^k D are rows of D^k times D, so the RREF rows of D^k,
+    times D, span the row space of D^(k+1): each k is one product and one
+    elimination on rank(D^k) rows, ker D^k is read off that RREF, one vector
+    per free column, and the first k of rank 0 is the index p.
+    Generators are chosen greedily from height p down: the vector u_fc of
+    ker D^k at free column fc is new when it lies outside the span of
+    ker D^(k-1), the images D^(length-k) u of the chains so far and the u_fc'
+    with fc' < fc. All of these lie in ker D^k, where keeping the free
+    columns of D^k is injective and sends u_fc to e_fc; so u_fc is new
+    exactly when no vector of W, ker D^(k-1) and the images so restricted,
+    has its last nonzero entry at fc. Those last positions are the pivots of
+    one elimination of W with the free columns in reverse order.
+    D is converted to Z[i] rows once, and only the result is converted back.
     Raises NotNilpotent if D^dim != 0.
     """
     D = _coerce_matrix(mat)
@@ -187,24 +194,23 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
     # D and its transpose as Z[i] rows; every vector below is a Z[i] row too
     Dz, Dtz = _numerators(D), _numerators(zip(*D))
-    powers = []  # powers[t] = D^(t+1)
-    p = None
-    for k in range(1, n + 1):
-        powers.append(product(powers[-1], Dz, cancel) if powers else Dz)
-        if not any(row for _den, row in powers[-1]):
-            p = k
-            break
-    if p is None:
-        raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
-    # kernels[k] = ker D^k, and ker D^0 is zero
-    kernels = [[]] + [null_space(P, n, cancel) for P in powers]
+    levels, rows = [(range(n), [])], Dz  # levels[k] = (pivot columns of D^k, ker D^k); rows span D^k's rows
+    while levels[-1][0]:
+        red, pivots = eliminate(rows, cancel)
+        levels.append((set(pivots), _kernel(red, pivots, n)))
+        if red and len(levels) > n:
+            raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
+        rows = red and product([(den, row | {pc: (den, 0)}) for (den, row), pc in zip(red, pivots)], Dz, cancel)
+    p = len(levels) - 1
     chains = []  # (generator, length)
     images = []  # D^(length-k) u of each chain at height k, as rows
     trail = []  # trail[p-k] = images at height k
     for k in range(p, 0, -1):
-        cols = kernels[k - 1] + images + kernels[k]
-        _, pivots = eliminate(_columns(cols, range(n)), cancel)
-        new = [cols[j] for j in pivots if j >= len(cols) - len(kernels[k])]
+        pivots, kernel = levels[k]
+        # W on the free columns of D^k, column fc keyed n - 1 - fc: its pivots are the last nonzero positions
+        W = [(den, {n - 1 - j: v for j, v in row.items() if j not in pivots}) for den, row in levels[k - 1][1] + images]
+        last = set(eliminate(W, cancel)[1])
+        new = [u for fc, u in zip(sorted(set(range(n)) - pivots), kernel) if n - 1 - fc not in last]
         chains += [(u, k) for u in new]
         trail.append(images + new)
         images = product(trail[-1], Dtz, cancel)

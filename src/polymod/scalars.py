@@ -103,7 +103,7 @@ class CoeffQ:
         return CoeffQ.of(other) / self
 
     def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
+        if type(exp) is not int or exp < 0:
             raise ValueError("CoeffQ power needs a nonnegative int")
         out = ONE
         base = self

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from pathlib import Path
 
@@ -534,27 +535,44 @@ def ref_nilpotent_chains(mat):
     return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))
 
 
-def _gaussian_conjugate(rng, D):
-    """L D L^-1 for a unit lower triangular L with Gaussian-integer entries."""
+def _conjugate(rng, D, gaussian=True):
+    """L D L^-1 for a unit lower triangular L with Gaussian-integer entries,
+    or integer entries when gaussian is False."""
     n = len(D)
     L = [
-        [CoeffQ.of(1) if c == r else (CoeffQ(rng.randint(-2, 2), rng.randint(-2, 2)) if c < r else CoeffQ.of(0)) for c in range(n)]
+        [CoeffQ.of(1) if c == r else (CoeffQ(rng.randint(-2, 2), rng.randint(-2, 2) if gaussian else 0) if c < r else CoeffQ.of(0)) for c in range(n)]
         for r in range(n)
     ]
     return dense_product(dense_product(L, D), invert(L))
 
 
+def _permuted_jordan(rng, sizes):
+    """Q J Q^-1 for the nilpotent Jordan form J with the given block sizes
+    and a random permutation Q: the chain steps are scattered, so the pivot
+    columns of D^k are not its leading columns."""
+    n = sum(sizes)
+    starts = {sum(sizes[:b]) for b in range(len(sizes))}
+    perm = rng.sample(range(n), n)
+    step = {perm[r]: perm[r + 1] for r in range(n - 1) if r + 1 not in starts}
+    return [[CoeffQ.of(1 if step.get(r) == c else 0) for c in range(n)] for r in range(n)]
+
+
+@cache
 def _chain_corpus():
     rng = random.Random(29)
     out = []
     for n in range(1, 10):
         for _ in range(3):
             D = rand_nilpotent(rng, n)
-            out.extend([D, _gaussian_conjugate(rng, D)])
+            out.extend([D, _conjugate(rng, D)])
     out.append([[0] * 4 for _ in range(4)])
     out.append([[1 if c == r + 1 else 0 for c in range(5)] for r in range(5)])
     out.extend(quotient_derivation(s, k, d) for s, k, d in [(1, 4, 0), (2, 4, 1), (3, 5, 2), (2, 5, 1), (1, 6, 0), (3, 4, 0)])
-    return out
+    # repeated block sizes put several generators at one height
+    for sizes in [(2, 2, 1), (3, 3, 1, 1), (2, 2, 2, 2), (4, 4, 2), (3, 3, 3, 1, 1), (2, 2, 2, 2, 2, 2), (5, 5, 1, 1)]:
+        J = _permuted_jordan(rng, sizes)
+        out.extend([J, _conjugate(rng, J, gaussian=False), _conjugate(rng, J)])
+    return tuple(out)
 
 
 def test_nilpotent_chains_matches_the_greedy_reference():
@@ -603,6 +621,24 @@ def test_nilpotent_chains_converts_once_in_and_once_out(monkeypatch):
         assert calls == {"_numerators": 2, "_dense": len(dec.chains) + dec.dim}
 
 
+def test_nilpotent_chains_eliminates_at_most_n_rows_of_n_columns(monkeypatch):
+    # kernels come from the rank(D^k) reduced rows, and each height's
+    # elimination works in the free columns of D^k, so no system outgrows D
+    shapes = []  # (number of rows, largest column key) of each eliminate call
+    real = operators.eliminate
+
+    def spy(rows, *args, **kwargs):
+        shapes.append((len(rows), max((j for _den, row in rows for j in row), default=-1)))
+        return real(rows, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "eliminate", spy)
+    for D in _chain_corpus():
+        shapes.clear()
+        nilpotent_chains(D)
+        n = len(D)
+        assert shapes and all(rows <= n and key < n for rows, key in shapes)
+
+
 def test_nilpotent_chains_rejects_non_nilpotent():
     with pytest.raises(NotNilpotent):
         nilpotent_chains([[1, 0], [0, 1]])
@@ -638,14 +674,14 @@ def test_nilpotent_chains_polls_inside_its_eliminations_and_cancels_cleanly(rng,
                 active[-1][1] += 1
             super().check()
 
-    for name in ("null_space", "eliminate", "product"):
+    for name in ("eliminate", "product"):
         monkeypatch.setattr(operators, name, spy(name, getattr(operators, name)))
     for D in (quotient_derivation(2, 5, 1), rand_nilpotent(rng, 6)):
         finished.clear()
         token = _Token()
         nilpotent_chains(D, cancel=token)
-        # every null_space, eliminate and product it runs polls the token
-        assert {name for name, _polls in finished} == {"null_space", "eliminate", "product"}
+        # every eliminate and product it runs polls the token
+        assert {name for name, _polls in finished} == {"eliminate", "product"}
         assert all(polls for _name, polls in finished)
         for m in range(1, token.calls + 1):
             stub = _CountingToken(fire_at=m)

@@ -38,6 +38,12 @@ def test_pow():
         i ** (-1)
 
 
+@pytest.mark.parametrize("exp", [True, False, 2.0])
+def test_pow_refuses_a_bool_or_float_exponent(exp):
+    with pytest.raises(ValueError, match="CoeffQ power needs a nonnegative int"):
+        CoeffQ(2) ** exp
+
+
 def test_int_comparison():
     assert CoeffQ(5, 0) == 5
     assert CoeffQ(1, 2) != 1
