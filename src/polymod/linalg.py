@@ -13,9 +13,9 @@ one zero: every row ``_dense`` builds and every ``PolyFrame`` vector holds
 it, and ``UniPoly.coeff`` returns it past the end, so callers may skip zeros
 by identity. They stay dense because their callers are: ``spans`` and
 ``modules`` reduce CoeffQ vectors of a ``PolyFrame`` and read the reduced
-rows in place, ``infer_L`` solves CoeffQ systems read off those rows
-(``solve`` is its route to ``rref``), and perfbench's traced runs read
-``rref``'s rows as CoeffQ lists.
+rows in place, ``infer_L`` solves CoeffQ systems read off its basis
+elements' coefficients (``solve`` is its route to ``rref``), and
+perfbench's traced runs read ``rref``'s rows as CoeffQ lists.
 
 ``eliminate`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math.
 Comp. 22, 1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM

@@ -2,13 +2,14 @@
 
 Inference inverts generation: a span whose elements are pinned by their
 first s coordinates admits at most one operator table of support
-j <= deg_bound reproducing coordinate s, read off the rows of one
-``span_rows`` reduction in their frame: one equation per row, checked by the
-recursion, and every equation only when a slot stays free. The
-paper's L-module order, the smallest K such that a span element vanishing in
-its first K coordinates is zero, is one past the highest pivot coordinate of
-one reduction in a frame keyed by coordinate; a witness BiPoly for a smaller
-K is a vanishing combination, which the sum order reports and inference's
+j <= deg_bound reproducing coordinate s, read off the basis elements'
+coordinates: equation 0 of each, checked by the recursion, and every
+equation only when a slot stays free. The pinning check reduces the seed
+prefixes, and the whole span only when their rank falls short. The paper's
+L-module order, the smallest K such that a span element vanishing in its
+first K coordinates is zero, is one past the highest pivot coordinate of one
+reduction in a frame keyed by coordinate; a witness BiPoly for a smaller K
+is a vanishing combination, which the sum order reports and inference's
 prefix check raises. The nilpotent machinery decomposes the coordinatewise
 derivative acting on truncated seed-tuple quotients into shift chains on
 Z[i] rows: ker D^k is read off the reduced rows of D^(k-1) times D, one
@@ -28,7 +29,7 @@ from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, _recur, monomial_seed_elements
 from .linalg import _dense, _kernel, _numerators, eliminate, product, solve
 from .modules import _Value, _md_gamma
-from .poly import _ZERO_POLY
+from .poly import _ZERO_POLY, _bipoly
 from .scalars import ZERO, CoeffQ
 from .spans import PolyFrame, span_rows, vanishing_part
 
@@ -72,12 +73,14 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
 
     Equation m, coordinate s's x^m coefficient times m!, reads
     (m + j)! * f_{i-1}[m + j] in slot (i, j) and m! * f_s[m] on the right:
-    it is equation 0 of d^m F/dx^m. So the equations 0 of the reduced rows,
-    which span every equation when the span is closed under d/dx, are solved
-    first. The whole system's solutions lie among theirs: if they are
-    inconsistent, or their unique table fails one recursion step on some
-    basis element, no table fits. Only a free slot sends the solve to every
-    equation of every reduced row.
+    it is equation 0 of d^m F/dx^m, and linear in F. So the equations 0 of
+    the basis elements, which span every equation when the span is closed
+    under d/dx, are solved first. The whole system's solutions lie among
+    theirs: if they are inconsistent, or their unique table fails one
+    recursion step on some basis element, no table fits. Only a free slot
+    sends the solve to every equation of every basis element. A zero-prefix
+    element combines elements whose prefixes cancel, so only a prefix rank
+    below the count of nonzero elements reduces the whole span for a witness.
 
     Raises NotAnLModule when the span has a nonzero element with zero seed
     prefix (coordinate s is then not a function of the prefix) or when no
@@ -89,23 +92,21 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         raise ValueError("s must be a positive int")
     if type(deg_bound) is not int or deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    basis = list(basis)
-    frame, reduced = span_rows(basis, cancel=cancel)
-    witness = _witness(frame, reduced, s, cancel)
-    if witness is not None:
-        raise NotAnLModule(
-            "a nonzero element of the span vanishes in its first "
-            f"{s} coordinates, so coordinate {s} is not determined by the seed prefix",
-            witness=witness,
-        )
+    basis = [F for F in basis if not F.is_zero()]
+    if len(span_rows([_bipoly(list(F.coords[:s])) for F in basis], cancel)[1]) < len(basis):
+        witness = _witness(*span_rows(basis, cancel=cancel), s, cancel)
+        if witness is not None:
+            raise NotAnLModule(
+                "a nonzero element of the span vanishes in its first "
+                f"{s} coordinates, so coordinate {s} is not determined by the seed prefix",
+                witness=witness,
+            )
     # unknowns a_{i,j} ordered layer by layer: j ascending, then i ascending
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
-    if not reduced:
+    if not basis:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
-    # cells[n][e]: the frame index of x^e in coordinate n, for n <= s
-    cells = [[frame.index[(e, n)] for e in range(frame.deg_x + 1)] for n in range(min(s, frame.deg_y) + 1)]
-    # coordinates 0..s of each reduced row, x^e at [e]; past the frame they are empty
-    coords = [[[v[k] for k in ks] for ks in cells] + [[]] * (s + 1 - len(cells)) for v in _polled(reduced, cancel)]
+    # coordinates 0..s of each element, x^e at [e]
+    coords = [[F.coord(n).coeffs for n in range(s + 1)] for F in _polled(basis, cancel)]
 
     def equation(u, m):  # slot (i, j) reads u[i - 1][m + j], the right side u[s][m]
         row = [ZERO] * len(slots)
@@ -121,9 +122,9 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         sol = [x / factorial(j) for x, (_i, j) in zip(sol[0], slots)], []
     elif sol is not None:
         # equation m on u[n][e] = e! * f_n[e], one product per nonzero coefficient, is the x^m
-        # coefficient of coordinate s times m!
+        # coefficient of coordinate s times m!; past the longest of u's coordinates it is 0 = 0
         us = [[[c if c is ZERO else c * factorial(e) for e, c in enumerate(cs)] for cs in f] for f in coords]
-        sol = solve(*zip(*[equation(u, m) for u in us for m in range(frame.deg_x + 1)]), cancel)
+        sol = solve(*zip(*[equation(u, m) for u in us for m in range(max(map(len, u)))]), cancel)
     if sol is not None and not sol[1]:
         g = GammaTable(s, {slot: x for slot, x in zip(slots, sol[0]) if not x.is_zero()})
         # the step gives coordinate s iff every equation of F holds, as always after the full solve
@@ -163,7 +164,10 @@ class ChainDecomposition(_Value):
 
 
 def _coerce_matrix(mat):
-    rows = [[CoeffQ.of(c) for c in row] for row in mat]
+    rows = [list(row) for row in mat]
+    if any(type(c) is bool for row in rows for c in row):
+        raise TypeError("booleans are not rationals")
+    rows = [[CoeffQ.of(c) for c in row] for row in rows]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")

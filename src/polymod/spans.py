@@ -9,9 +9,9 @@ coefficients, so they span the same lattice of subspaces. ``to_vec`` reads
 each coordinate's stored Z[i] triple and builds a CoeffQ, with
 ``scalars._entry``, only for a nonzero cell; every other cell is ``ZERO``.
 ``span_rows`` returns the graded frame with the rref rows, for callers that
-read the reduced basis in place (``infer_L`` reads its linear systems off
-them); ``span_reduce`` builds those rows back into BiPoly
-values, each coordinate with ``_unipoly`` and no coercion.
+read the reduced basis in place (``infer_L`` reads its seed prefixes' rank,
+and a zero-prefix witness, off them); ``span_reduce`` builds those rows back
+into BiPoly values, each coordinate with ``_unipoly`` and no coercion.
 """
 
 from __future__ import annotations

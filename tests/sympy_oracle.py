@@ -8,14 +8,17 @@ polymod's dense edge; every helper works over QQ_I unless told otherwise.
 ``q_gamma`` applies a table's operator with ``sympy.diff`` to the
 polynomial itself, so it shares no code with polymod's recursion either;
 ``coordinate`` reads coordinate n of its result, and ``unipoly`` puts a
-polymod polynomial in x beside it.
+polymod polynomial in x beside it. ``monomial_form`` is a BiPoly as a
+sympy Poly in x and y, and ``poly_rank`` the rank of such Polys, so a
+closure can be differentiated and its span tested in sympy alone.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from sympy import QQ, QQ_I, I, Rational, diff, expand, factorial, symbols
+from sympy import QQ, QQ_I, I, Poly, Rational, diff, expand, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import CoeffQ
@@ -95,15 +98,35 @@ def coordinate(expr, n):
     return expand(diff(expr, y, n).subs(y, 0))
 
 
+def monomial_form(F):
+    """The sympy Poly in x and y over QQ_I of F = sum_n f_n(x) y^n / n!, read
+    off F's coordinates: x^e y^n has coefficient f_n[e] / n!."""
+    x, y = symbols("x y")
+    terms = {
+        (e, n): QQ_I(_q(c.re / math.factorial(n)), _q(c.im / math.factorial(n)))
+        for n in range(F.num_coords)
+        for e, c in enumerate(F.coord(n).coeffs)
+        if c
+    }
+    return Poly.from_dict(terms, x, y, domain=QQ_I) if terms else Poly(0, x, y, domain=QQ_I)
+
+
+def poly_rank(polys) -> int:
+    """Rank over QQ_I of sympy Polys in x and y, as coefficient vectors over their monomials."""
+    terms = [P.as_dict(native=True) for P in polys]  # native: QQ_I elements, not sympy expressions
+    cells = sorted({m for d in terms for m in d})
+    if not cells:
+        return 0
+    rows = [[d.get(m, QQ_I.zero) for m in cells] for d in terms]
+    return DomainMatrix(rows, (len(rows), len(cells)), QQ_I).rank()
+
+
 def q_gamma(table, F):
     """Q_g F = d^s F/dy^s - sum a_ij d^j/dx^j d^(i-1)/dy^(i-1) F, expanded, for
     F = sum_n f_n(x) y^n / n! read off F's coordinates. Q_g F is
     sum_n (f_{n+s} - sum a_ij f_{n+i-1}^(j)) y^n / n!, so it is 0 exactly
     when F's coordinates obey g's recursion."""
     x, y = symbols("x y")
-    expr = sum(
-        (_sym(c) * x**e * y**n / factorial(n) for n in range(F.num_coords) for e, c in enumerate(F.coord(n).coeffs)),
-        Rational(0),
-    )
+    expr = monomial_form(F).as_expr()
     terms = sum((_sym(a) * diff(expr, x, j, y, i - 1) for (i, j), a in table.entries.items()), Rational(0))
     return expand(diff(expr, y, table.s) - terms)

@@ -2,10 +2,11 @@
 
 sympy's QQ and QQ_I matrices are an independent implementation of exact
 elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
-(5-15 % density, up to the 27x243 shape that infer_L builds, and a wide
-8x256) and dense (up to 24x24), and rank-deficient with zero rows. The elimination order must not
-show: a shuffled copy with zero rows appended has the same rref. ``rref``
-and ``solve`` are checked at the dense edge, ``null_space`` and ``product``
+(5-15 % density, up to the 27x243 shape of a whole-span reduction of an
+infer-roundtrip basis, and a wide 8x256) and dense (up to 24x24), and
+rank-deficient with zero rows. The elimination order must not show: a
+shuffled copy with zero rows appended has the same rref. ``rref`` and
+``solve`` are checked at the dense edge, ``null_space`` and ``product``
 on Z[i] rows converted in with ``_numerators`` and out with ``_dense``.
 ``in_span`` decides membership of a vector, as a one-coordinate
 polynomial, in the span of the rows by one ``product``; it is checked on

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, diff, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from polymod import (
@@ -33,6 +33,7 @@ from polymod.modules import VSpaceBasis
 from polymod.poly import NEG_INF
 from polymod.spans import in_span, span_reduce, span_rows, vanishing_part
 
+import sympy_oracle as sym
 from conftest import rand_bipoly, rand_gamma, rand_rational, rand_unipoly
 from test_linalg import _CountingToken
 from test_spans import _PollSpy
@@ -137,6 +138,18 @@ def test_derivative_closure_dimension_matches_sympy_rank():
             for b in range(int(g.deg_y) + 1)
         ]
         assert len(derivative_closure(gens)) == _sympy_rank(partials)
+
+
+def test_derivative_closure_is_closed_under_both_partials_in_sympy():
+    # sympy differentiates the monomial form F = sum_n f_n(x) y^n / n! on its
+    # own: a closure that drops the partials in y or x, or reads the
+    # coordinate convention wrong, raises the rank past the basis size
+    x, y = symbols("x y")
+    for gens in _closure_corpus():
+        basis = [sym.monomial_form(F) for F in derivative_closure(gens)]
+        images = [diff(P, v) for P in basis for v in (x, y)]
+        spanned = basis + [sym.monomial_form(g) for g in gens] + images
+        assert sym.poly_rank(basis) == len(basis) == sym.poly_rank(spanned)
 
 
 def test_closure_of_large_generators_finishes_under_a_timeout():

@@ -155,12 +155,13 @@ def test_orders_check_their_deg_bound_before_any_work(bound):
 
 def _reference_system(basis, s, deg_bound, first=False):
     """infer_L's full linear system built from polynomial objects: the
-    derivative of each reduced element's seed prefix, slot by slot, against
-    its coordinate s, for m up to the top degree of those and the target, or
-    m = 0 alone when first, with equation m multiplied by m!."""
+    derivative of each nonzero basis element's seed prefix, slot by slot,
+    against its coordinate s, in basis order, for m up to the top degree of
+    those and the target, or m = 0 alone when first, with equation m
+    multiplied by m!."""
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
     rows, rhs = [], []
-    for F in span_reduce(list(basis)):
+    for F in [F for F in basis if not F.is_zero()]:
         prefix, target = phi(F, s), F.coord(s)
         derivs = [prefix[i - 1].derivative(j) for i, j in slots]
         degs = [int(d.degree) for d in derivs + [target] if not d.is_zero()]
@@ -235,13 +236,13 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             assert isinstance(error, NotAnLModule) and error.witness is not None
             unsolved += 1
             continue
-        # the first system is equation 0 of each reduced row read off its
+        # the first system is equation 0 of each nonzero basis element read off its
         # coordinates: the reference's m = 0 rows with column (i, j) divided by j!
         rows, rhs, first = systems[0]
         scales = [factorial(j) for j in range(1, bound + 1) for _i in range(s)]
         assert ([[c * k for c, k in zip(row, scales)] for row in rows], rhs) == _reference_system(basis, s, bound, first=True)
-        # the whole reference system, padded with 0 = 0 equations up to the
-        # frame's x-degree, is solved only when a slot stays free
+        # the whole reference system, up to 0 = 0 equations, is solved only
+        # when a slot stays free
         if first is not None and first[1]:
             assert len(systems) == 2
             assert _nonzero_equations(*systems[1][:2]) == _nonzero_equations(*_reference_system(basis, s, bound))
@@ -253,6 +254,33 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             assert len(systems) == 1
             solved += 1
     assert (unsolved, solved) == (2, 8) and fallbacks > 0
+
+
+def test_infer_l_reduces_the_whole_span_only_when_the_seed_prefixes_fall_short(monkeypatch):
+    # independent seed prefixes pin the span, so no witness can exist and
+    # only the prefixes are reduced; a duplicate or a zero-prefix element
+    # leaves the prefix rank short, and the whole span is reduced as before
+    calls = []
+
+    def spy(polys, cancel=None):
+        calls.append(list(polys))
+        return span_rows(calls[-1], cancel)
+
+    monkeypatch.setattr(operators, "span_rows", spy)
+    for basis, s, bound in _seeded_infer_cases():
+        calls.clear()
+        want = _answer(lambda: infer_L(basis, s, bound))
+        assert len(calls) == 1 and all(p.num_coords <= s for p in calls[0])
+        duplicated = basis + [basis[len(basis) // 2]]
+        calls.clear()
+        assert _answer(lambda: infer_L(duplicated, s, bound)) == want
+        assert len(calls) == 2 and calls[1] == duplicated
+        zero_prefix = basis[:1] + [BiPoly.monomial(1, s)] + basis[1:]
+        calls.clear()
+        with pytest.raises(NotAnLModule) as exc:
+            infer_L(zero_prefix, s, bound)
+        assert len(calls) == 2 and calls[1] == zero_prefix
+        assert exc.value.witness == _witness(*span_rows(zero_prefix), s) != None
 
 
 def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
@@ -646,6 +674,13 @@ def test_nilpotent_chains_rejects_non_nilpotent():
         nilpotent_chains([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         nilpotent_chains([[0, 1]])
+
+
+@pytest.mark.parametrize("mat", [[[False, True], [False, False]], [[0, True], [0, 0]], [[0, 1], [False, 0]]])
+def test_nilpotent_chains_refuses_boolean_entries(mat):
+    # bool is an int subclass, so CoeffQ.of used to read True as 1 and return a chain
+    with pytest.raises(TypeError, match="booleans are not rationals"):
+        nilpotent_chains(mat)
 
 
 def test_nilpotent_chains_empty():
