@@ -33,7 +33,6 @@ from .errors import UnsupportedExpr
 from .gamma import GammaTable, _recur, mgamma_contains, monomial_seed_elements
 from .linalg import rref
 from .poly import _ZERO_POLY, NEG_INF, BiPoly, UniPoly
-from .scalars import ZERO
 from .spans import PolyFrame, in_span, span_reduce
 
 
@@ -145,14 +144,6 @@ class VSpaceBasis(_Value):
 def phi(F: BiPoly, s: int):
     """The first s coordinates of F, the seed prefix."""
     return tuple(F.coord(n) for n in range(s))
-
-
-def _seed_order(cell):
-    """The cell key of seed prefixes: higher x-power first, then lower
-    coordinate. Every cell of x-degree >= bound comes before every cell of
-    lower degree, so the rref rows pivoted below the bound span exactly the
-    elements of x-degree < bound."""
-    return -cell[0], cell[1]
 
 
 def default_deg_bound(M, F: BiPoly | None = None) -> int:
@@ -286,12 +277,11 @@ def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None 
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")
     cands, _ = _sum_candidates(parts, s, bound, cancel)
-    frame = PolyFrame(cands, _seed_order)
+    # cells of x-degree >= bound, then the seed cells x-power descending and coordinate ascending, then the rest
+    frame = PolyFrame(cands, lambda cell: (cell[0] < bound, cell[1] >= s, -cell[0], cell[1]))
     cells = list(frame.index)
     rows, pivots = rref([frame.to_vec(F) for F in cands], cancel)
-    # the rows pivoted below the bound span the elements of x-degree < bound;
-    # their seed prefixes reduce on the same frame with every later coordinate cut
-    low = [r for r, k in zip(rows, pivots) if cells[k][0] < bound]
-    seeds, _ = rref([[ZERO if n >= s else c for c, (_i, n) in zip(r, cells)] for r in low], cancel)
+    # the rows pivoted below the bound span the elements of x-degree < bound; one pivoted past the
+    # seed cells has a zero seed prefix, so the seed parts of those pivoted in one are the prefixes' RREF
+    seeds = [r for r, k in zip(rows, pivots) if cells[k][0] < bound and cells[k][1] < s]
     return VSpaceBasis(s=s, deg_bound=bound, tuples=tuple(phi(frame.from_vec(r), s) for r in seeds))
-

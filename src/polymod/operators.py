@@ -71,16 +71,16 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     """Recover the unique width-s table with support j <= deg_bound that
     reproduces coordinate s on the whole span, which need not be closed.
 
-    Equation m, coordinate s's x^m coefficient times m!, reads
-    (m + j)! * f_{i-1}[m + j] in slot (i, j) and m! * f_s[m] on the right:
-    it is equation 0 of d^m F/dx^m, and linear in F. So the equations 0 of
-    the basis elements, which span every equation when the span is closed
-    under d/dx, are solved first. The whole system's solutions lie among
-    theirs: if they are inconsistent, or their unique table fails one
-    recursion step on some basis element, no table fits. Only a free slot
-    sends the solve to every equation of every basis element. A zero-prefix
-    element combines elements whose prefixes cancel, so only a prefix rank
-    below the count of nonzero elements reduces the whole span for a witness.
+    Equation 0 of G, the constant term of coordinate s, reads f_{i-1}[j] in
+    slot (i, j), whose unknown is j! * a_ij, and f_s[0] on the right; F's
+    equation m is equation 0 of d^m F/dx^m. So the equations 0 of the basis
+    elements, which span every equation when the span is closed under d/dx,
+    are solved first. The whole system's solutions lie among theirs: if they
+    are inconsistent, or their unique table fails one recursion step on some
+    basis element, no table fits. Only a free slot sends the solve to every
+    x-derivative. A zero-prefix element combines elements whose prefixes
+    cancel, so only a prefix rank below the count of nonzero elements reduces
+    the whole span for a witness.
 
     Raises NotAnLModule when the span has a nonzero element with zero seed
     prefix (coordinate s is then not a function of the prefix) or when no
@@ -105,28 +105,17 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
     if not basis:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
-    # coordinates 0..s of each element, x^e at [e]
-    coords = [[F.coord(n).coeffs for n in range(s + 1)] for F in _polled(basis, cancel)]
+    # coordinates 0..s of each element; both systems solve for j! * a_ij
+    tops = [_bipoly(list(F.coords[: s + 1])) for F in _polled(basis, cancel)]
 
-    def equation(u, m):  # slot (i, j) reads u[i - 1][m + j], the right side u[s][m]
-        row = [ZERO] * len(slots)
-        for i, c in enumerate(u[:s]):
-            top = min(deg_bound, len(c) - 1 - m)  # j runs 1..top
-            if top > 0:
-                row[i : i + top * s : s] = c[m + 1 : m + 1 + top]
-        return row, u[s][m] if m < len(u[s]) else ZERO
+    def system(polys):  # equation 0 of each G: slot (i, j) reads f_{i-1}[j], the right side f_s[0]
+        return [[G.coord(i - 1).coeff(j) for i, j in slots] for G in polys], [G.coord(s).coeff(0) for G in polys]
 
-    # read off the coordinates, equation 0 has column (i, j) divided by j!: it solves for j! * a_ij
-    sol = solve(*zip(*[equation(f, 0) for f in coords]), cancel)
+    sol = solve(*system(tops), cancel)
+    if sol is not None and sol[1]:  # equation m of G is equation 0 of d^m G/dx^m
+        sol = solve(*system([G.d_dx(m) for G in tops for m in range(G.deg_x + 1)]), cancel)
     if sol is not None and not sol[1]:
-        sol = [x / factorial(j) for x, (_i, j) in zip(sol[0], slots)], []
-    elif sol is not None:
-        # equation m on u[n][e] = e! * f_n[e], one product per nonzero coefficient, is the x^m
-        # coefficient of coordinate s times m!; past the longest of u's coordinates it is 0 = 0
-        us = [[[c if c is ZERO else c * factorial(e) for e, c in enumerate(cs)] for cs in f] for f in coords]
-        sol = solve(*zip(*[equation(u, m) for u in us for m in range(max(map(len, u)))]), cancel)
-    if sol is not None and not sol[1]:
-        g = GammaTable(s, {slot: x for slot, x in zip(slots, sol[0]) if not x.is_zero()})
+        g = GammaTable(s, {(i, j): x / factorial(j) for (i, j), x in zip(slots, sol[0])})
         # the step gives coordinate s iff every equation of F holds, as always after the full solve
         if all(next(_recur(g, [F.coord(n) for n in range(s)], cancel), _ZERO_POLY) == F.coord(s) for F in basis):
             return g

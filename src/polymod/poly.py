@@ -77,6 +77,15 @@ def _bipoly(coords: list) -> "BiPoly":
     return p
 
 
+def _natural(k, what: str) -> int:
+    """k when it is an int >= 0, a bool not counting as one; otherwise ValueError naming what."""
+    if type(k) is not int:
+        raise ValueError(f"{what} must be an int, not {type(k).__name__}")
+    if k < 0:
+        raise ValueError(f"negative {what}")
+    return k
+
+
 def _over(parts) -> tuple:
     """(integer numerators, common denominator) of some int or Fraction parts."""
     ratios = [p.as_integer_ratio() for p in parts]
@@ -174,8 +183,7 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power")
+        _natural(k, "power")
         (cr, ci), q = _over(_operand(c))
         return _canon([0] * k + [cr], [0] * k + [ci], q)
 
@@ -228,9 +236,7 @@ class UniPoly:
         return _canon([r * cr - m * ci for r, m in zip(re, im)], [r * ci + m * cr for r, m in zip(re, im)], den * q)
 
     def derivative(self, order: int = 1) -> "UniPoly":
-        if order < 0:
-            raise ValueError("negative derivative order")
-        if order == 0:
+        if not _natural(order, "derivative order"):
             return self
         re, im, den = self._z
         ks = [perm(k, order) for k in range(order, len(re))]
@@ -294,8 +300,8 @@ class BiPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
         """c * x^i * y^j; coordinate j holds c * j! * x^i under the convention."""
-        if i < 0 or j < 0:
-            raise ValueError("negative power")
+        _natural(i, "power")
+        _natural(j, "power")
         (cr, ci), q = _over(_operand(c))
         f = factorial(j)
         return _bipoly([_ZERO_POLY] * j + [_canon([0] * i + [cr * f], [0] * i + [ci * f], q)])
@@ -323,12 +329,12 @@ class BiPoly:
         return len(self.coords) - 1 if self.coords else NEG_INF
 
     def d_dx(self, order: int = 1) -> "BiPoly":
+        _natural(order, "derivative order")
         return BiPoly(tuple(f.derivative(order) for f in self.coords))
 
     def d_dy(self, order: int = 1) -> "BiPoly":
         """Index shift: the factorial convention absorbs all combinatorics."""
-        if order < 0:
-            raise ValueError("negative derivative order")
+        _natural(order, "derivative order")
         return BiPoly(self.coords[order:])
 
     def shift(self, a, b, cancel=None) -> "BiPoly":

@@ -2,8 +2,8 @@
 
 A frame numbers the cells (i, n), the x^i coefficient of coordinate n, by a
 cell key, so reduced bases and pivots are deterministic: graded by default,
-and seed order where v_space cuts the elements of a module by x-degree and
-reduces their seed prefixes. Vector entries are coordinate coefficients (the
+and v_space's key, with the seed cells right after those of x-degree >= its
+bound, where one reduction cuts a module by x-degree and reduces its seeds. Vector entries are coordinate coefficients (the
 factorial convention's f_n coefficients), a diagonal rescale of monomial
 coefficients, so they span the same lattice of subspaces. ``to_vec`` reads
 each coordinate's stored Z[i] triple and builds a CoeffQ, with

@@ -5,7 +5,7 @@ start-up never loads dataclasses, inspect, ast, dis or tokenize, which cost
 every CLI run several milliseconds. Each such check runs in a fresh
 interpreter, because this test process has long since imported them through
 other modules. No module imports a name it never uses, which no linter
-checks here. And the public surface is pinned: adding or removing a public
+checks here, and every private module-level name is used in src/. And the public surface is pinned: adding or removing a public
 name (a new alias constructor, say) fails here until the list below is
 edited, so the change shows up in review.
 """
@@ -76,6 +76,28 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported |= {a.asname or a.name: node.lineno for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def _defined_names(node):
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_module_level_name_is_used_in_src():
+    # a private helper that only its own body or the tests still use is dead
+    # code; a use is a load of the name by another module-level statement
+    defined, loads = {}, []
+    for path in sorted((Path(SRC) / "polymod").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = [n for n in _defined_names(node) if n.startswith("_") and not n.startswith("__")]
+            defined |= {(path.name, n): node for n in names}
+            loads.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}))
+    unused = [f"{module}:{node.lineno} {name}" for (module, name), node in defined.items()
+              if not any(name in names for other, names in loads if other is not node)]
     assert unused == []
 
 

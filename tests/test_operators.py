@@ -35,7 +35,7 @@ from polymod import gamma, linalg, modules, operators, serialize
 from polymod.cli import FALLBACK_DEG_BOUND
 from polymod.operators import ChainDecomposition, _witness
 from polymod.modules import derivative_closure, phi
-from polymod.spans import span_reduce, span_rows
+from polymod.spans import span_rows
 
 import sympy_oracle as sym
 from conftest import dense_product, identity, invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
@@ -106,13 +106,13 @@ def test_infer_l_polls_through_its_solve_and_cancels_cleanly():
     basis = _monomial_basis(GS, 5)
     token = _CountingToken()
     assert infer_L(basis, 1, deg_bound=5, cancel=token) == GS
-    # the polls before the final solve: span_rows, the prefix check at
-    # K = s with its vanishing_part, and one per reduced element
+    # the polls outside the solve: the span_rows of the seed prefixes, which
+    # are independent, then one per element as its coordinates are read and
+    # one per element as the recursion check takes its one step
     before = _CountingToken()
-    frame, reduced = span_rows(list(basis), cancel=before)
-    _witness(frame, reduced, 1, before)
+    span_rows([BiPoly(F.coords[:1]) for F in basis], cancel=before)
     # the solve pins all 5 slots a_{1,1..5}, one pivot and one poll each
-    assert token.calls - before.calls - len(reduced) >= 5
+    assert token.calls - before.calls - 2 * len(basis) >= 5
     for n in range(1, token.calls + 1):
         stub = _CountingToken(fire_at=n)
         with pytest.raises(Cancelled):
@@ -209,6 +209,7 @@ def _nonzero_equations(rows, rhs):
 
 
 def test_infer_l_builds_the_reference_linear_system(monkeypatch):
+    real_derivative = UniPoly.derivative
     golden = _golden_infer_failures()
     assert len(golden) == 4
     seeded = _seeded_infer_cases()
@@ -221,16 +222,19 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             systems.append((list(rows), list(rhs), sol))
             return sol
 
+        def derivative(f, order=1):
+            derivatives.append(len(systems))
+            return real_derivative(f, order)
+
         with monkeypatch.context() as mp:
             mp.setattr(operators, "solve", solve)
-            mp.setattr(UniPoly, "derivative", lambda f, order=1: derivatives.append(order))
+            mp.setattr(UniPoly, "derivative", derivative)
             try:
                 infer_L(basis, s, bound)
             except (NotAnLModule, Underdetermined) as exc:
                 error = exc
             else:
                 error = None
-        assert not derivatives
         if not systems:
             # only the prefix check stops infer_L before its solve
             assert isinstance(error, NotAnLModule) and error.witness is not None
@@ -241,14 +245,17 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
         rows, rhs, first = systems[0]
         scales = [factorial(j) for j in range(1, bound + 1) for _i in range(s)]
         assert ([[c * k for c, k in zip(row, scales)] for row in rows], rhs) == _reference_system(basis, s, bound, first=True)
-        # the whole reference system, up to 0 = 0 equations, is solved only
-        # when a slot stays free
+        # the whole reference system, up to 0 = 0 equations and with the same
+        # column scale, is solved only when a slot stays free: equation 0 of
+        # every x-derivative, the only derivatives infer_L takes
         if first is not None and first[1]:
-            assert len(systems) == 2
-            assert _nonzero_equations(*systems[1][:2]) == _nonzero_equations(*_reference_system(basis, s, bound))
+            assert len(systems) == 2 and derivatives and set(derivatives) == {1}
+            rows, rhs, _ = systems[1]
+            scaled = [[c * k for c, k in zip(row, scales)] for row in rows]
+            assert _nonzero_equations(scaled, rhs) == _nonzero_equations(*_reference_system(basis, s, bound))
             fallbacks += 1
         else:
-            assert len(systems) == 1
+            assert len(systems) == 1 and not derivatives
         if case < len(seeded) and error is None:
             # a round trip takes the small system alone
             assert len(systems) == 1
@@ -283,10 +290,10 @@ def test_infer_l_reduces_the_whole_span_only_when_the_seed_prefixes_fall_short(m
         assert exc.value.witness == _witness(*span_rows(zero_prefix), s) != None
 
 
-def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
-    # the m!-scaled system reads each coefficient of coordinates 0..s of a
-    # reduced row once, times its factorial; a product per system entry
-    # makes up to deg_bound per coefficient
+def test_infer_l_makes_no_coefficient_product(monkeypatch):
+    # both systems read coordinate coefficients as they are, the free-slot
+    # one off x-derivatives taken on the integer triples, and the solve and
+    # the recursion check run on integers: no CoeffQ product on any path
     products = []
     mul = CoeffQ.__mul__
 
@@ -294,20 +301,16 @@ def test_infer_l_makes_one_product_per_coordinate_coefficient(monkeypatch):
         products.append(b)
         return mul(a, b)
 
-    solved = 0
+    answers = Counter()
     for basis, s, bound in _seeded_infer_cases():
-        coefficients = sum(1 for F in span_reduce(list(basis)) for n in range(s + 1) for c in F.coord(n).coeffs if c)
         products.clear()
         with monkeypatch.context() as mp:
             mp.setattr(CoeffQ, "__mul__", counted)
             mp.setattr(CoeffQ, "__rmul__", counted)
-            try:
-                infer_L(basis, s, bound)
-                solved += 1
-            except (NotAnLModule, Underdetermined):
-                pass
-        assert len(products) <= coefficients
-    assert solved == 8
+            answers[_answer(lambda: infer_L(basis, s, bound))[0]] += 1
+        assert products == []
+    # a free slot after the full solve is Underdetermined: six cases take the free-slot path
+    assert answers == {"GammaTable": 8, "Underdetermined": 6, "NotAnLModule": 4}
 
 
 def _nonclosed_span(rng):

@@ -104,6 +104,39 @@ def test_x_derivative_coordinatewise():
     assert F.d_dx() == BiPoly.monomial(1, 1).scale(2)
 
 
+def _order_calls():
+    """(message word, call) for every method taking an order or a power; the
+    zero BiPoly's d_dx has no coordinate to differentiate, so only a check
+    made before any work raises there."""
+    f = UniPoly([1, 1, 1])
+    F = BiPoly([f, f])
+    return [
+        ("derivative order", f.derivative),
+        ("derivative order", F.d_dx),
+        ("derivative order", BiPoly.zero().d_dx),
+        ("derivative order", F.d_dy),
+        ("power", UniPoly.monomial),
+        ("power", lambda k: BiPoly.monomial(k, 0)),
+        ("power", lambda k: BiPoly.monomial(0, k)),
+    ]
+
+
+@pytest.mark.parametrize("order", [True, False, 1.5, 1.0, "1", None])
+def test_orders_and_powers_must_be_ints(order):
+    # bool is an int subclass and 1.0 compares like 1: derivative(True) took
+    # a first derivative, d_dy(True) shifted by one, and d_dy(1.5) or
+    # monomial(1.0) failed with a TypeError from deep inside
+    for what, call in _order_calls():
+        with pytest.raises(ValueError, match=f"^{what} must be an int, not {type(order).__name__}$"):
+            call(order)
+
+
+def test_negative_orders_and_powers_keep_their_messages():
+    for what, call in _order_calls():
+        with pytest.raises(ValueError, match=f"^negative {what}$"):
+            call(-1)
+
+
 def test_taylor_tower_is_shift():
     # BiPoly([f, f', f'', ...]) represents f(x + y)
     f = UniPoly([1, -2, 0, 1])  # 1 - 2x + x^3
