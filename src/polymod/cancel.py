@@ -5,6 +5,7 @@ Kernel loops poll the token; no partial results escape once it fires.
 
 from __future__ import annotations
 
+import math
 import time
 
 from .errors import Cancelled
@@ -14,6 +15,8 @@ class CancelToken:
     __slots__ = ("deadline",)
 
     def __init__(self, timeout: float | None = None):
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout must be a number of seconds, not nan")
         self.deadline = None if timeout is None else time.monotonic() + timeout
 
     def check(self) -> None:

@@ -248,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one line of compact JSON")
     common.add_argument("--timeout", type=float, default=None, help="cooperative timeout in seconds")
-    common.add_argument(
+    bounded = argparse.ArgumentParser(add_help=False, parents=[common])  # the subcommands that truncate
+    bounded.add_argument(
         "--deg-bound",
         type=int,
         default=None,
@@ -277,12 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", required=True)
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("member", parents=[common], help="membership probe with certificate")
+    p = sub.add_parser("member", parents=[bounded], help="membership probe with certificate")
     p.add_argument("--module", required=True)
     p.add_argument("--poly", required=True)
     p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("vspace", parents=[common], help="window-tuple space of a module expression")
+    p = sub.add_parser("vspace", parents=[bounded], help="window-tuple space of a module expression")
     p.add_argument("--module", required=True)
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=_cmd_vspace)
@@ -292,16 +293,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True)
     p.set_defaults(func=_cmd_gen_gamma)
 
-    p = sub.add_parser("infer-l", parents=[common], help="recover the recursion table from a basis")
+    p = sub.add_parser("infer-l", parents=[bounded], help="recover the recursion table from a basis")
     p.add_argument("--basis", required=True)
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=_cmd_infer_l)
 
-    p = sub.add_parser("order", parents=[common], help="smallest window width admitting a recursion")
+    p = sub.add_parser("order", parents=[bounded], help="smallest window width admitting a recursion")
     p.add_argument("--basis", required=True)
     p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("order-sum", parents=[common], help="order of the sum of two recursion modules")
+    p = sub.add_parser("order-sum", parents=[bounded], help="order of the sum of two recursion modules")
     p.add_argument("--gamma1", required=True)
     p.add_argument("--gamma2", required=True)
     p.set_defaults(func=_cmd_order_sum)
@@ -336,9 +337,8 @@ def run(argv) -> int:
         args = parser.parse_args(_bind_scalar_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # one clock per run, started before any input is read
-    tok = CancelToken(args.timeout)
     try:
+        tok = CancelToken(args.timeout)  # one clock per run, started before any input is read
         return args.func(args, tok)
     except PolymodError as exc:
         payload = exc.payload()

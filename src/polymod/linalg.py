@@ -1,21 +1,21 @@
 """Exact linear algebra over Gaussian rationals, in two layers.
 
-The cores ``eliminate``, ``product`` and ``null_space`` take and return Z[i]
-rows ``(den, {column: (re, im)})``: Gaussian-integer numerators over a
-positive int den, zero entries never stored. A caller that chains cores
-converts once in with ``_numerators`` and once out with ``_dense``. Each
-core, and ``_numerators``, polls its optional cancel token once per row it
-takes in or puts out.
+The cores ``eliminate`` and ``product`` take and return Z[i] rows
+``(den, {column: (re, im)})``: Gaussian-integer numerators over a positive
+int den, zero entries never stored. A caller that chains cores converts
+once in with ``_numerators`` and once out with ``_dense``. Each core, and
+``_numerators``, polls its optional cancel token once per row it takes in
+or puts out.
 
-The dense edge is ``rref`` and ``solve``: lists of CoeffQ rows in and out,
-and every zero entry of a row they return is ``scalars.ZERO``, the library's
-one zero: every row ``_dense`` builds and every ``PolyFrame`` vector holds
-it, and ``UniPoly.coeff`` returns it past the end, so callers may skip zeros
-by identity. They stay dense because their callers are: ``spans`` and
+The one dense edge is ``rref``: lists of CoeffQ rows in and out, and every
+zero entry of a row it returns is ``scalars.ZERO``, the library's one zero:
+every row ``_dense`` builds and every ``PolyFrame`` vector holds it, and
+``UniPoly.coeff`` returns it past the end, so callers may skip zeros by
+identity. It stays dense because its callers are: ``spans`` and
 ``modules`` reduce CoeffQ vectors of a ``PolyFrame`` and read the reduced
-rows in place, ``infer_L`` solves CoeffQ systems read off its basis
-elements' coefficients (``solve`` is its route to ``rref``), and
-perfbench's traced runs read ``rref``'s rows as CoeffQ lists.
+rows in place, ``infer_L`` reads its table off the RREF of a CoeffQ system
+augmented by its right side, and perfbench's traced runs read ``rref``'s
+rows as CoeffQ lists.
 
 ``eliminate`` is one fraction-free Gauss-Jordan kernel (Bareiss, Math.
 Comp. 22, 1968, in the FFGJ form of Nakos, Turner and Williams, ACM SIGSAM
@@ -32,8 +32,8 @@ with its pivot and is zero in every other pivot column, so the result is
 the RREF, unique for the column order, whatever the row order: reruns are
 byte-identical. ``product`` puts the rows of b over one denominator, sums
 Z[i] products on ints and divides each output row by its content with one
-gcd. ``null_space`` is ``eliminate`` and then ``_kernel``, which reads one
-vector per free column off an RREF.
+gcd. ``_kernel`` reads one null-space vector per free column off an RREF
+that ``eliminate`` returns.
 """
 
 from __future__ import annotations
@@ -164,11 +164,6 @@ def _kernel(red, pivots, ncols):
     return out
 
 
-def null_space(rows, ncols, cancel=None):
-    """Z[i] basis of {x : A x = 0} for A given by Z[i] rows of ncols columns."""
-    return _kernel(*eliminate(rows, cancel), ncols)
-
-
 def rref(rows, cancel=None):
     """Reduced row echelon form. Returns (reduced nonzero rows, pivot columns)."""
     rows = list(rows)
@@ -178,17 +173,3 @@ def rref(rows, cancel=None):
         row[col] = ONE
     return out, pivots
 
-
-def solve(rows, rhs, cancel=None):
-    """Solve A x = rhs. Returns (solution with free vars 0, free columns), or
-    None when the system is inconsistent; no rows give ([], [])."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], cancel)
-    if pivots and pivots[-1] == ncols:
-        return None  # pivot in the rhs column: inconsistent
-    x = [ZERO] * ncols
-    for r, col in zip(red, pivots):
-        x[col] = r[ncols]
-    return x, sorted(set(range(ncols)) - set(pivots))

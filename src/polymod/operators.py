@@ -27,11 +27,11 @@ from operator import itemgetter
 from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
 from .gamma import GammaTable, _recur, monomial_seed_elements
-from .linalg import _dense, _kernel, _numerators, eliminate, product, solve
+from .linalg import _dense, _kernel, _numerators, eliminate, product, rref
 from .modules import _Value, _md_gamma
 from .poly import _ZERO_POLY, _bipoly
 from .scalars import ZERO, CoeffQ
-from .spans import PolyFrame, span_rows, vanishing_part
+from .spans import PolyFrame, span_rows
 
 
 def _order(frame, vecs, cancel=None):
@@ -50,10 +50,14 @@ def _order(frame, vecs, cancel=None):
 
 def _witness(frame, vecs, K, cancel=None):
     """The first nonzero combination of vecs vanishing in coordinates
-    0..K-1, as a BiPoly of frame, or None when no such combination exists."""
+    0..K-1, as a BiPoly of frame, or None when no such combination exists;
+    of the kernel's combinations, only that one is made dense."""
     prefix = [k for (_i, n), k in frame.index.items() if n < K]
-    w = next((v for v in vanishing_part(vecs, prefix, cancel) if any(v)), None)
-    return None if w is None else frame.from_vec(w)
+    kernel = _kernel(*eliminate(_numerators([[v[k] for v in vecs] for k in prefix], cancel), cancel), len(vecs))
+    if not kernel:  # convert vecs only when some combination vanishes
+        return None
+    w = next(((den, row) for den, row in product(kernel, _numerators(vecs), cancel) if row), None)
+    return None if w is None else frame.from_vec(_dense(w[1], w[0], len(vecs[0])))
 
 
 def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) -> int | None:
@@ -107,20 +111,22 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
     # coordinates 0..s of each element; both systems solve for j! * a_ij
     tops = [_bipoly(list(F.coords[: s + 1])) for F in _polled(basis, cancel)]
+    rhs = len(slots)  # the column of the right side; a pivot there is an inconsistent system
 
     def system(polys):  # equation 0 of each G: slot (i, j) reads f_{i-1}[j], the right side f_s[0]
-        return [[G.coord(i - 1).coeff(j) for i, j in slots] for G in polys], [G.coord(s).coeff(0) for G in polys]
+        return rref([[G.coord(i - 1).coeff(j) for i, j in slots] + [G.coord(s).coeff(0)] for G in polys], cancel)
 
-    sol = solve(*system(tops), cancel)
-    if sol is not None and sol[1]:  # equation m of G is equation 0 of d^m G/dx^m
-        sol = solve(*system([G.d_dx(m) for G in tops for m in range(G.deg_x + 1)]), cancel)
-    if sol is not None and not sol[1]:
-        g = GammaTable(s, {(i, j): x / factorial(j) for (i, j), x in zip(slots, sol[0])})
+    red, pivots = system(tops)
+    if rhs not in pivots and pivots != list(range(rhs)):  # equation m of G is equation 0 of d^m G/dx^m
+        red, pivots = system([G.d_dx(m) for G in tops for m in range(G.deg_x + 1)])
+    if pivots == list(range(rhs)):  # unique: row c holds j! * a_ij of slots[c] in column rhs
+        g = GammaTable(s, {(i, j): row[rhs] / factorial(j) for (i, j), row in zip(slots, red)})
         # the step gives coordinate s iff every equation of F holds, as always after the full solve
         if all(next(_recur(g, [F.coord(n) for n in range(s)], cancel), _ZERO_POLY) == F.coord(s) for F in basis):
             return g
-    elif sol is not None:
-        raise Underdetermined("the span leaves coefficient slots free", free_slots=[slots[c] for c in sol[1]])
+    elif rhs not in pivots:
+        free = [slot for c, slot in enumerate(slots) if c not in pivots]
+        raise Underdetermined("the span leaves coefficient slots free", free_slots=free)
     raise NotAnLModule(
         f"no operator table of the requested shape reproduces coordinate {s} across the span within the truncation"
     )

@@ -85,7 +85,7 @@ def bipoly_from_json(obj, cancel=None) -> BiPoly:
     coords = obj["coords"]
     if not isinstance(coords, list):
         raise ParseError('"coords" must be a JSON array')
-    return BiPoly([unipoly_from_json(f) for f in _polled(coords, cancel)])
+    return BiPoly([unipoly_from_json(f, cancel) for f in _polled(coords, cancel)])
 
 
 def bipoly_to_json(F: BiPoly) -> dict:

@@ -17,7 +17,7 @@ into BiPoly values, each coordinate with ``_unipoly`` and no coercion.
 from __future__ import annotations
 
 from .cancel import _polled
-from .linalg import _dense, _numerators, eliminate, null_space, product, rref
+from .linalg import _numerators, eliminate, product, rref
 from .poly import BiPoly, _bipoly, _unipoly
 from .scalars import ONE, ZERO, _entry
 
@@ -96,14 +96,4 @@ def in_span(p: BiPoly, basis, cancel=None):
     coeffs = _numerators([[ONE] + [-f for _row, f in used]])
     residual = product(coeffs, _numerators([vec]) + [row for row, _f in used], cancel)[0][1]
     return (False, None) if residual else (True, combo)
-
-
-def vanishing_part(vecs, positions, cancel=None):
-    """Combinations of vecs that vanish at every position: one vector
-    sum_r c_r * vecs[r] per null_space vector c of the restriction of vecs
-    to positions, in null_space order and not reduced."""
-    kernel = null_space(_numerators([[v[k] for v in vecs] for k in positions]), len(vecs), cancel)
-    if not kernel:  # convert vecs only when some combination vanishes
-        return []
-    return [_dense(row, den, len(vecs[0])) for den, row in product(kernel, _numerators(vecs), cancel)]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from polymod import BiPoly, CoeffQ, GammaTable, UniPoly
-from polymod.linalg import solve
+from polymod.linalg import rref
 
 settings.register_profile(
     "det",
@@ -73,15 +73,11 @@ def dense_product(a, b):
 
 
 def invert(mat):
-    """Exact inverse of a small invertible matrix, column by column."""
+    """Exact inverse of a small invertible matrix: the right half of the RREF of [M | I]."""
     n = len(mat)
-    cols = []
-    for k in range(n):
-        rhs = [CoeffQ.of(1 if r == k else 0) for r in range(n)]
-        sol = solve([list(row) for row in mat], rhs)
-        assert sol is not None and not sol[1], "matrix not invertible"
-        cols.append(sol[0])
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
+    red, pivots = rref([list(row) + e for row, e in zip(mat, identity(n))])
+    assert pivots == list(range(n)), "matrix not invertible"
+    return [row[n:] for row in red]
 
 
 def rand_nilpotent(rng: random.Random, dim: int):

@@ -7,6 +7,7 @@ import pytest
 from polymod import BiPoly, UniPoly, generate, shift_invariance_table
 from polymod import serialize as ser
 from polymod import cli
+from polymod.cancel import CancelToken
 from polymod.cli import run
 
 from conftest import rand_bipoly
@@ -465,16 +466,51 @@ def test_every_run_builds_one_clock(monkeypatch):
 
 
 def test_poly_shift_honours_the_timeout(capsys, monkeypatch):
-    # the parse polls once per coordinate, then the shift polls the same token
+    # the parse polls once per coordinate and once per scalar, then the shift polls the same token
     F = BiPoly([UniPoly([1, 2, 3]), UniPoly([0, 1]), UniPoly([5])])
     argv = ["poly-shift", "--json", "--poly", ser.dumps(ser.bipoly_to_json(F)), "--a", "1/2", "--b", "-3"]
+    parse = F.num_coords + sum(len(f.coeffs) for f in F.coords)
     want = _json_out(capsys, argv)
     assert want[0] == 0
-    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=F.num_coords + 1))
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=parse + 1))
     code, payload = _json_out(capsys, argv)
     assert code == 1 and payload["error"]["type"] == "cancelled"
-    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=3 * F.num_coords + 1))
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=parse + 2 * F.num_coords + 1))
     assert _json_out(capsys, argv) == want
+
+
+def test_a_wide_coordinate_is_parsed_polled(capsys, monkeypatch):
+    # one coordinate of many scalars: a token that fires while its scalars
+    # are read stops poly-eval before it evaluates
+    def unreachable(*args, **kwargs):
+        pytest.fail("the evaluation started before the parse was cancelled")
+
+    doc = {"coords": [[str(k) for k in range(40)]]}
+    token = _CountingToken()
+    assert ser.bipoly_from_json(doc, token) == BiPoly([UniPoly(list(range(40)))])
+    assert token.calls == 1 + 40
+    monkeypatch.setattr(BiPoly, "evaluate", unreachable)
+    argv = ["poly-eval", "--json", "--poly", ser.dumps(doc), "--x", "1", "--y", "2"]
+    for n in (2, 21, 41):
+        monkeypatch.setattr(cli, "CancelToken", lambda timeout=None, n=n: _CountingToken(fire_at=n))
+        code, payload = _json_out(capsys, argv)
+        assert code == 1 and payload["error"]["type"] == "cancelled", n
+
+
+def test_a_nan_timeout_is_an_invalid_value(capsys):
+    # argparse's float reads "nan", and no clock passes a NaN deadline
+    with pytest.raises(ValueError):
+        CancelToken(float("nan"))
+    for argv in (
+        ["order-sum", "--json", "--gamma1", GS_JSON, "--gamma2", GS_JSON],
+        ["e14", "--json", "--n-max", "3"],
+    ):
+        for nan in ("nan", "NaN", "-nan"):
+            code, payload = _json_out(capsys, argv + [f"--timeout={nan}"])
+            assert code == 1 and payload["error"]["type"] == "invalid-value", (argv[0], nan)
+        # inf never fires, and a negative timeout has fired before the first poll
+        assert _json_out(capsys, argv + ["--timeout=inf"])[0] == 0
+        assert _json_out(capsys, argv + ["--timeout=-1"])[1]["error"]["type"] == "cancelled"
 
 
 def test_timeout_cancels_sweeps(capsys):
@@ -571,3 +607,19 @@ def test_malformed_json_never_escapes_as_an_exception(capsys):
     assert runs > 1000
     assert escapes == [], escapes[:3]
 
+
+
+def test_deg_bound_is_offered_only_where_it_is_read(capsys):
+    # the five subcommands that truncate accept --deg-bound; it is a usage error on the other nine
+    calls = [
+        [head[0], "--json", *head[1:]] + [tok for flag, doc in docs.items() for tok in (flag, ser.dumps(doc))]
+        for head, docs in SWEEP_CALLS
+    ]
+    calls += [["nonclosed-demo", "--json", "--n-min", "5", "--n-max", "5"], ["e14", "--json", "--n-max", "3"]]
+    assert len({argv[0] for argv in calls}) == 14
+    codes = {}
+    for argv in calls:
+        codes[argv[0]] = run(argv if "--deg-bound" in argv else argv + ["--deg-bound", "3"])
+        capsys.readouterr()
+    assert {name for name, code in codes.items() if code == 0} == {"member", "vspace", "infer-l", "order", "order-sum"}
+    assert {code for code in codes.values() if code != 0} == {2}

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, linalg
-from polymod.linalg import _numerators, eliminate, null_space, product, rref, solve
+from polymod.linalg import _kernel, _numerators, eliminate, product, rref
+from polymod.scalars import ZERO
 from polymod.spans import in_span, span_reduce
 
 from conftest import identity, rand_scalar
@@ -32,6 +33,24 @@ def _rank(m) -> int:
     return len(eliminate(_numerators(m))[1])
 
 
+def _null_space(rows, ncols, cancel=None):
+    """Z[i] basis of {x : A x = 0} for Z[i] rows of ncols columns, read off their RREF."""
+    return _kernel(*eliminate(rows, cancel), ncols)
+
+
+def _solve(m, rhs, cancel=None):
+    """(solution with free columns 0, free columns) of m x = rhs, read off the
+    RREF of [m | rhs], or None when that RREF has a pivot in the rhs column."""
+    ncols = len(m[0])
+    red, pivots = rref([list(r) + [b] for r, b in zip(m, rhs)], cancel)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, col in zip(red, pivots):
+        x[col] = row[ncols]
+    return x, sorted(set(range(ncols)) - set(pivots))
+
+
 def _apply(m, x):
     """m x on CoeffQ rows and a CoeffQ vector, entry by entry."""
     return [sum((a * b for a, b in zip(row, x)), CoeffQ(0)) for row in m]
@@ -44,15 +63,15 @@ def test_rank_and_identity():
 
 def test_kernel_of_empty_and_zero():
     # no constraints: the kernel is everything
-    basis = null_space([], 3)
+    basis = _null_space([], 3)
     assert len(basis) == 3
     z = [[CoeffQ.of(0)] * 3]
-    assert len(null_space(_numerators(z), 3)) == 3
+    assert len(_null_space(_numerators(z), 3)) == 3
 
 
 def test_solve_unique():
     m = [[CoeffQ.of(1), CoeffQ.of(1)], [CoeffQ.of(1), CoeffQ.of(-1)]]
-    sol = solve(m, [CoeffQ.of(3), CoeffQ.of(1)])
+    sol = _solve(m, [CoeffQ.of(3), CoeffQ.of(1)])
     assert sol is not None
     values, free = sol
     assert not free
@@ -61,12 +80,12 @@ def test_solve_unique():
 
 def test_solve_inconsistent():
     m = [[CoeffQ.of(1), CoeffQ.of(1)], [CoeffQ.of(2), CoeffQ.of(2)]]
-    assert solve(m, [CoeffQ.of(1), CoeffQ.of(3)]) is None
+    assert _solve(m, [CoeffQ.of(1), CoeffQ.of(3)]) is None
 
 
 def test_solve_reports_free_columns():
     m = [[CoeffQ.of(1), CoeffQ.of(1)]]
-    sol = solve(m, [CoeffQ.of(5)])
+    sol = _solve(m, [CoeffQ.of(5)])
     assert sol is not None
     values, free = sol
     assert free == [1]
@@ -83,7 +102,7 @@ def test_rref_idempotent(m):
 @given(matrices())
 def test_kernel_annihilates(m):
     # each kernel vector v gives v @ m^T = (m v)^T = 0
-    for _den, row in product(null_space(_numerators(m), len(m[0])), _numerators(zip(*m))):
+    for _den, row in product(_null_space(_numerators(m), len(m[0])), _numerators(zip(*m))):
         assert not row
 
 
@@ -97,7 +116,7 @@ def test_solve_solutions_satisfy(m):
     rng = random.Random(7)
     x = [CoeffQ.of(rng.randint(-3, 3)) for _ in range(len(m[0]))]
     rhs = _apply(m, x)
-    sol = solve(m, rhs)
+    sol = _solve(m, rhs)
     assert sol is not None  # consistent by construction
     values, _free = sol
     assert _apply(m, values) == rhs
@@ -235,13 +254,13 @@ def test_solve_and_null_space_poll_once_per_pivot_and_cancel_cleanly(which):
             data, snapshot = m, [list(r) for r in m]
 
             def run(cancel):
-                return solve(data, rhs, cancel=cancel)
+                return _solve(data, rhs, cancel=cancel)
             pivots = rref([list(r) + [b] for r, b in zip(m, rhs)])[1]
         else:
             data, snapshot = _numerators(m), _numerators(m)
 
             def run(cancel):
-                return null_space(data, ncols, cancel=cancel)
+                return _null_space(data, ncols, cancel=cancel)
             pivots = rref(m)[1]
         token = _CountingToken()
         want = run(token)

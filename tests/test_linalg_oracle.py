@@ -5,9 +5,10 @@ elimination. Every matrix comes from a fixed seed: real and Gaussian, sparse
 (5-15 % density, up to the 27x243 shape of a whole-span reduction of an
 infer-roundtrip basis, and a wide 8x256) and dense (up to 24x24), and
 rank-deficient with zero rows. The elimination order must not show: a
-shuffled copy with zero rows appended has the same rref. ``rref`` and
-``solve`` are checked at the dense edge, ``null_space`` and ``product``
-on Z[i] rows converted in with ``_numerators`` and out with ``_dense``.
+shuffled copy with zero rows appended has the same rref. ``rref`` is
+checked at the dense edge, also as a solver on [A | b], and the null space
+``_kernel(*eliminate(...))`` and ``product`` on Z[i] rows converted in with
+``_numerators`` and out with ``_dense``.
 ``in_span`` decides membership of a vector, as a one-coordinate
 polynomial, in the span of the rows by one ``product``; it is checked on
 the same shapes, on vectors with mixed denominators, and ``product`` also on
@@ -24,7 +25,7 @@ import pytest
 from sympy import QQ, QQ_I
 
 from polymod import BiPoly, CoeffQ, UniPoly
-from polymod.linalg import _dense, _numerators, null_space, product, rref, solve
+from polymod.linalg import _dense, _kernel, _numerators, eliminate, product, rref
 from polymod.scalars import ZERO
 from polymod.spans import in_span, span_reduce
 
@@ -116,25 +117,28 @@ def test_kernels_match_sympy(name, seed, nrows, ncols, density, gaussian, defici
     if deficient:
         assert rank < nrows
 
-    # null_space: ncols - rank vectors, each annihilated (checked by sympy)
-    kernel = [_dense(row, den, ncols) for den, row in null_space(_numerators(A), ncols)]
+    # the null space: ncols - rank vectors, each annihilated (checked by sympy)
+    kernel = [_dense(row, den, ncols) for den, row in _kernel(*eliminate(_numerators(A)), ncols)]
     assert len(kernel) == ncols - rank
     if kernel:
         columns = to_domain([list(c) for c in zip(*kernel)], domain)
         assert (dA.to_sparse() * columns.to_sparse()).is_zero_matrix
 
-    # solve: consistent exactly when sympy's rank of [A | b] equals rank(A)
+    # rref of [A | b]: no pivot in column ncols exactly when sympy's rank of [A | b] equals rank(A)
     x = _row(rng, ncols, 0.5, gaussian)
     in_range = [r[0] for r in from_domain(dA * _column(x, domain))]
     for rhs in (in_range, [_scalar(rng, gaussian) for _ in range(nrows)]):
         consistent = to_domain([r + [b] for r, b in zip(A, rhs)], domain).rank() == rank
         if deficient and rhs is not in_range:
             assert not consistent  # a zero row of A meets a nonzero entry of rhs
-        sol = solve(A, rhs)
-        assert (sol is not None) == consistent
-        if sol is not None:
-            values, free = sol
-            assert len(free) == ncols - rank
+        red_b, pivots_b = rref([r + [b] for r, b in zip(A, rhs)])
+        assert (ncols not in pivots_b) == consistent
+        if consistent:
+            # the solution with every free column 0 reads column ncols at the pivots
+            values = [ZERO] * ncols
+            for row, col in zip(red_b, pivots_b):
+                values[col] = row[ncols]
+            assert len(set(range(ncols)) - set(pivots_b)) == ncols - rank
             assert from_domain(dA * _column(values, domain)) == [[b] for b in rhs]
 
     # product on a column and on a matrix: sympy's products

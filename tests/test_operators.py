@@ -154,21 +154,26 @@ def test_orders_check_their_deg_bound_before_any_work(bound):
 
 
 def _reference_system(basis, s, deg_bound, first=False):
-    """infer_L's full linear system built from polynomial objects: the
-    derivative of each nonzero basis element's seed prefix, slot by slot,
-    against its coordinate s, in basis order, for m up to the top degree of
-    those and the target, or m = 0 alone when first, with equation m
-    multiplied by m!."""
+    """infer_L's full linear system built from polynomial objects, each row
+    augmented by its right side: the derivative of each nonzero basis
+    element's seed prefix, slot by slot, against its coordinate s, in basis
+    order, for m up to the top degree of those and the target, or m = 0 alone
+    when first, with equation m multiplied by m!."""
     slots = [(i, j) for j in range(1, deg_bound + 1) for i in range(1, s + 1)]
-    rows, rhs = [], []
+    rows = []
     for F in [F for F in basis if not F.is_zero()]:
         prefix, target = phi(F, s), F.coord(s)
         derivs = [prefix[i - 1].derivative(j) for i, j in slots]
         degs = [int(d.degree) for d in derivs + [target] if not d.is_zero()]
         for m in range(1 if first else max([0] + degs) + 1):
-            rows.append([d.coeff(m) * factorial(m) for d in derivs])
-            rhs.append(target.coeff(m) * factorial(m))
-    return rows, rhs
+            rows.append([d.coeff(m) * factorial(m) for d in derivs + [target]])
+    return rows
+
+
+def _outcome(pivots, nslots):
+    """What the pivots of the RREF of an augmented system with nslots unknowns
+    say: a pivot in the right side, a pivot in every slot, or free slots."""
+    return "inconsistent" if nslots in pivots else "unique" if pivots == list(range(nslots)) else "free"
 
 
 def _seeded_infer_cases():
@@ -204,8 +209,8 @@ def _golden_infer_failures():
     return cases
 
 
-def _nonzero_equations(rows, rhs):
-    return [(row, b) for row, b in zip(rows, rhs) if any(row) or b]
+def _nonzero_equations(rows):
+    return [row for row in rows if any(row)]
 
 
 def test_infer_l_builds_the_reference_linear_system(monkeypatch):
@@ -217,17 +222,17 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
     for case, (basis, s, bound) in enumerate(seeded + golden):
         systems, derivatives = [], []
 
-        def solve(rows, rhs, cancel=None):
-            sol = linalg.solve(rows, rhs, cancel)
-            systems.append((list(rows), list(rhs), sol))
-            return sol
+        def rref(rows, cancel=None):
+            out = linalg.rref(rows, cancel)
+            systems.append((rows, _outcome(out[1], s * bound)))
+            return out
 
         def derivative(f, order=1):
             derivatives.append(len(systems))
             return real_derivative(f, order)
 
         with monkeypatch.context() as mp:
-            mp.setattr(operators, "solve", solve)
+            mp.setattr(operators, "rref", rref)
             mp.setattr(UniPoly, "derivative", derivative)
             try:
                 infer_L(basis, s, bound)
@@ -242,17 +247,17 @@ def test_infer_l_builds_the_reference_linear_system(monkeypatch):
             continue
         # the first system is equation 0 of each nonzero basis element read off its
         # coordinates: the reference's m = 0 rows with column (i, j) divided by j!
-        rows, rhs, first = systems[0]
-        scales = [factorial(j) for j in range(1, bound + 1) for _i in range(s)]
-        assert ([[c * k for c, k in zip(row, scales)] for row in rows], rhs) == _reference_system(basis, s, bound, first=True)
+        rows, first = systems[0]
+        scales = [factorial(j) for j in range(1, bound + 1) for _i in range(s)] + [1]  # the right side unscaled
+        assert [[c * k for c, k in zip(row, scales)] for row in rows] == _reference_system(basis, s, bound, first=True)
         # the whole reference system, up to 0 = 0 equations and with the same
         # column scale, is solved only when a slot stays free: equation 0 of
         # every x-derivative, the only derivatives infer_L takes
-        if first is not None and first[1]:
+        if first == "free":
             assert len(systems) == 2 and derivatives and set(derivatives) == {1}
-            rows, rhs, _ = systems[1]
+            rows, _ = systems[1]
             scaled = [[c * k for c, k in zip(row, scales)] for row in rows]
-            assert _nonzero_equations(scaled, rhs) == _nonzero_equations(*_reference_system(basis, s, bound))
+            assert _nonzero_equations(scaled) == _nonzero_equations(_reference_system(basis, s, bound))
             fallbacks += 1
         else:
             assert len(systems) == 1 and not derivatives
@@ -338,8 +343,8 @@ def _answer(call):
 
 
 def _full_system_answer(basis, s, bound):
-    """infer_L's answer from the prefix check, then one solve of every
-    equation of every reduced row."""
+    """infer_L's answer from the prefix check, then one rref of every
+    equation of every nonzero basis element, augmented by its right side."""
     frame, reduced = span_rows(list(basis))
     witness = _witness(frame, reduced, s)
     if witness is not None:
@@ -349,15 +354,16 @@ def _full_system_answer(basis, s, bound):
             witness=witness,
         )
     slots = [(i, j) for j in range(1, bound + 1) for i in range(1, s + 1)]
-    rows, rhs = _reference_system(basis, s, bound)
+    rows = _reference_system(basis, s, bound)
     if not rows:
         raise Underdetermined("the span pins no coefficient slot", free_slots=slots)
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
+    red, pivots = linalg.rref(rows)
+    outcome = _outcome(pivots, len(slots))
+    if outcome == "inconsistent":
         raise NotAnLModule(f"no operator table of the requested shape reproduces coordinate {s} across the span within the truncation")
-    if sol[1]:
-        raise Underdetermined("the span leaves coefficient slots free", free_slots=[slots[c] for c in sol[1]])
-    return GammaTable(s, dict(zip(slots, sol[0])))
+    if outcome == "free":
+        raise Underdetermined("the span leaves coefficient slots free", free_slots=[sl for c, sl in enumerate(slots) if c not in pivots])
+    return GammaTable(s, {slot: row[len(slots)] for slot, row in zip(slots, red)})
 
 
 def test_infer_l_answers_like_the_full_system_on_spans_not_closed(monkeypatch):
@@ -370,15 +376,16 @@ def test_infer_l_answers_like_the_full_system_on_spans_not_closed(monkeypatch):
         basis, s, bound = _nonclosed_span(random.Random(f"infer-nonclosed-{draw}"))
         sols = []
 
-        def solve(rows, rhs, cancel=None):
-            sols.append(linalg.solve(rows, rhs, cancel))
-            return sols[-1]
+        def rref(rows, cancel=None):
+            out = linalg.rref(rows, cancel)
+            sols.append(_outcome(out[1], s * bound))
+            return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(operators, "solve", solve)
+            mp.setattr(operators, "rref", rref)
             got = _answer(lambda: infer_L(basis, s, bound))
         assert got == _answer(lambda: _full_system_answer(basis, s, bound)), (draw, s, bound)
-        first = "unsolved" if not sols else "inconsistent" if sols[0] is None else "free" if sols[0][1] else "unique"
+        first = sols[0] if sols else "unsolved"
         paths[first, got[0]] += 1
     assert {path for path, n in paths.items() if n >= 10} >= {
         ("unique", "GammaTable"),

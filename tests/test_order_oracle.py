@@ -143,7 +143,7 @@ def test_order_of_module_reads_one_reduction(monkeypatch):
 
     cases = [_module_case(draw) for draw in range(8)]
     want = [order_of_module(basis, deg_bound) for _kind, basis, deg_bound in cases]
-    monkeypatch.setattr(operators, "vanishing_part", unreachable)
+    monkeypatch.setattr(operators, "_witness", unreachable)
     monkeypatch.setattr(operators, "span_rows", unreachable)
     monkeypatch.setattr(spans, "span_rows", unreachable)
     assert [order_of_module(basis, deg_bound) for _kind, basis, deg_bound in cases] == want

@@ -255,8 +255,9 @@ def test_bipoly_from_json_polls_once_per_coordinate():
     obj = {"coords": [["1"], [], ["0", {"re": "2", "im": "1"}], ["-1/2"]]}
     token = _CountingToken()
     assert ser.bipoly_from_json(obj, token) == ser.bipoly_from_json(obj)
-    assert token.calls == 4
-    for m in range(1, 5):
+    # once per coordinate and once per scalar: 4 coordinates of 4 scalars
+    assert token.calls == 4 + 4
+    for m in range(1, 9):
         stub = _CountingToken(fire_at=m)
         with pytest.raises(Cancelled):
             ser.bipoly_from_json(obj, stub)
@@ -268,13 +269,14 @@ def test_module_from_json_polls_while_it_parses_the_generators(monkeypatch):
     seen = []  # polls made before the closure starts
     monkeypatch.setattr(ser, "FiniteGen", lambda gens, cancel: seen.append(cancel.calls))
     ser.module_from_json(fin, _CountingToken())
-    assert seen == [3]
-    for m in range(1, 4):
+    # once per coordinate and once per scalar: 3 coordinates of 6 scalars
+    assert seen == [3 + 6]
+    for m in range(1, 10):
         stub = _CountingToken(fire_at=m)
         with pytest.raises(Cancelled):
             ser.module_from_json(fin, stub)
         assert stub.calls == m
-    assert seen == [3]
+    assert seen == [3 + 6]
 
 
 def test_matrix_from_json_polls_once_per_row():

@@ -1,14 +1,16 @@
 import copy
 import random
+from operator import itemgetter
 
 import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, spans
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, operators, spans
 from polymod.modules import phi
 from polymod.linalg import rref
-from polymod.spans import in_span, span_reduce, span_rows, vanishing_part
+from polymod.operators import _witness
+from polymod.spans import in_span, span_reduce, span_rows
 
 from conftest import rand_bipoly, rand_scalar, rand_unipoly
 from test_linalg import _CountingToken
@@ -111,21 +113,27 @@ def _sympy_rank(rows):
     return DomainMatrix(elems, (len(rows), len(rows[0])), QQ_I).rank()
 
 
-# (nvecs, width, density, gaussian, dependent)
+# (nvecs, deg_x, coordinates, density, gaussian, dependent): width (deg_x + 1) * coordinates
 VANISHING_SHAPES = [
-    (8, 20, 0.15, False, False),
-    (8, 20, 0.15, True, False),
-    (6, 9, 1.0, True, False),
-    (9, 12, 0.3, False, True),
-    (9, 12, 0.5, True, True),
+    (8, 4, 4, 0.15, False, False),
+    (8, 4, 4, 0.15, True, False),
+    (6, 2, 3, 1.0, True, False),
+    (9, 3, 3, 0.3, False, True),
+    (9, 3, 3, 0.5, True, True),
 ]
 
 
 @pytest.mark.parametrize("shape", VANISHING_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_vanishing_part_contract(shape, seed):
-    nvecs, width, density, gaussian, dependent = shape
+    """_witness, the first nonzero combination of vecs that vanishes in
+    coordinates 0..K-1, against sympy's ranks of vecs and of their restriction
+    to those cells, in a graded frame (even seeds) and one keyed by coordinate."""
+    nvecs, deg_x, ncoords, density, gaussian, dependent = shape
     rng = random.Random(f"vanishing-{shape}-{seed}")
+    full = BiPoly([UniPoly([CoeffQ(1)] * (deg_x + 1))] * ncoords)
+    frame = spans.PolyFrame([full]) if seed % 2 == 0 else spans.PolyFrame([full], key=itemgetter(1, 0))
+    width = len(frame.index)
     vecs = [
         [rand_scalar(rng, gaussian) if rng.random() < density else CoeffQ(0) for _ in range(width)]
         for _ in range(nvecs)
@@ -135,21 +143,23 @@ def test_vanishing_part_contract(shape, seed):
             a, b = rng.sample(range(nvecs), 2)
             fa, fb = rand_scalar(rng, gaussian), rand_scalar(rng, gaussian)
             vecs[r] = [fa * x + fb * y for x, y in zip(vecs[a], vecs[b])]
-    positions = sorted(rng.sample(range(width), rng.randint(0, width)))
-    out = vanishing_part(vecs, positions)
-    restriction = [[v[k] for k in positions] for v in vecs]
-    assert len(out) == nvecs - _sympy_rank(restriction)
     full_rank = _sympy_rank(vecs)
-    for w in out:
-        assert len(w) == width
-        assert all(w[k].is_zero() for k in positions)
-        assert _sympy_rank(vecs + [w]) == full_rank
-    if not positions:
-        assert out == vecs
+    for K in range(ncoords + 1):
+        w = _witness(frame, vecs, K)
+        restriction = [[v[k] for (_i, n), k in frame.index.items() if n < K] for v in vecs]
+        # a nonzero combination vanishes below K exactly when the restriction loses rank
+        assert (w is None) == (_sympy_rank(restriction) == full_rank)
+        if w is not None:
+            assert not w.is_zero()
+            assert all(w.coord(n).is_zero() for n in range(K))
+            assert _sympy_rank(vecs + [frame.to_vec(w)]) == full_rank
+    # with no cell to vanish on, every vector is a combination; the first nonzero one comes back
+    assert _witness(frame, vecs, 0) == next((frame.from_vec(v) for v in vecs if any(v)), None)
 
 
 def test_vanishing_part_of_nothing():
-    assert vanishing_part([], [0, 1]) == []
+    frame = spans.PolyFrame([BiPoly.monomial(1, 1)], key=itemgetter(1, 0))
+    assert all(_witness(frame, [], K) is None for K in range(3))
 
 
 class _PollSpy:
@@ -159,6 +169,9 @@ class _PollSpy:
     def __init__(self, monkeypatch, module, names):
         self.active = []  # the wrapped calls running now, innermost last, as [name, polls so far]
         self.finished = []  # (name, polls) of each call on a nonempty input
+        self.patch(monkeypatch, module, names)
+
+    def patch(self, monkeypatch, module, names):
         for name in names:
             monkeypatch.setattr(module, name, self._wrap(name, getattr(module, name)))
 
@@ -196,27 +209,30 @@ def _span_helper_cases():
             inside = inside + b.scale(rand_scalar(rng))
         cases.append((in_span, (inside, basis)))
         cases.append((in_span, (BiPoly.monomial(4, 1), basis)))
-        # the combinations of the reduced rows that vanish on the cells of x-degree >= 2
-        frame, rows = span_rows(basis)
-        cases.append((vanishing_part, (rows, [k for (i, _n), k in frame.index.items() if i >= 2])))
+        # the reduced rows of a span with the zero-prefix element x * y^2 have a witness at K = 2
+        frame, rows = span_rows(basis + [BiPoly.monomial(1, 2)])
+        cases.append((_witness, (frame, rows, 2)))
         tuples = [(rand_unipoly(rng, 2), rand_unipoly(rng, 2)) for _ in range(4)]
         cases.append((span_reduce, ([BiPoly(t) for t in tuples],)))
     return cases
 
 
 def test_span_helpers_poll_in_every_elimination(monkeypatch):
-    spy = _PollSpy(monkeypatch, spans, ["rref", "eliminate", "null_space"])
+    spy = _PollSpy(monkeypatch, spans, ["rref", "eliminate"])
+    spy.patch(monkeypatch, operators, ["eliminate", "product"])
     runs = []
     for fn, inputs in _span_helper_cases():
         spy.finished.clear()
-        fn(*inputs, cancel=spy.token())
+        w = fn(*inputs, cancel=spy.token())
         names = [name for name, _polls in spy.finished]
         runs.append((fn, names))
-        # every rref, eliminate and null_space run on a nonempty input polls the token
+        # every rref, eliminate and product run on a nonempty input polls the token
         assert names and all(polls for _name, polls in spy.finished), fn.__name__
-    # in_span eliminates on Z[i] rows, and vanishing_part's elimination is its null_space
+        if fn is _witness:
+            assert w is not None
+    # in_span eliminates on Z[i] rows; _witness eliminates the prefix restriction, then combines by product
     assert (in_span, ["eliminate"]) in runs
-    assert (vanishing_part, ["null_space"]) in runs
+    assert (_witness, ["eliminate", "product"]) in runs
 
 
 def test_span_rows_polls_once_per_vector_before_it_reduces(monkeypatch):
@@ -242,12 +258,17 @@ def test_span_rows_polls_once_per_vector_before_it_reduces(monkeypatch):
         assert seen == []
 
 
-@pytest.mark.parametrize("fn", [in_span, vanishing_part, span_reduce], ids=lambda f: f.__name__)
+def _state(inputs):
+    """The inputs, each frame as its cell index (PolyFrame has no equality)."""
+    return [x.index if isinstance(x, spans.PolyFrame) else x for x in inputs]
+
+
+@pytest.mark.parametrize("fn", [in_span, _witness, span_reduce], ids=lambda f: f.__name__)
 def test_span_helpers_cancel_cleanly_on_every_poll(fn):
     for case_fn, inputs in _span_helper_cases():
         if case_fn is not fn:
             continue
-        snapshot = copy.deepcopy(inputs)
+        snapshot = copy.deepcopy(_state(inputs))
         token = _CountingToken()
         want = fn(*inputs, cancel=token)
         assert token.calls >= 1
@@ -258,5 +279,5 @@ def test_span_helpers_cancel_cleanly_on_every_poll(fn):
             with pytest.raises(Cancelled):
                 fn(*inputs, cancel=stub)
             assert stub.calls == n
-            assert inputs == snapshot
+            assert _state(inputs) == snapshot
         assert fn(*inputs, cancel=_CountingToken(fire_at=token.calls + 1)) == want
