@@ -112,7 +112,7 @@ def _emit(args, payload, human_lines) -> int:
 
 def _cmd_poly_eval(args, tok) -> int:
     F = ser.bipoly_from_json(_load_json(args.poly), tok)
-    value = F.evaluate(_scalar_arg(args.x), _scalar_arg(args.y))
+    value = F.evaluate(_scalar_arg(args.x), _scalar_arg(args.y), tok)
     return _emit(args, {"value": ser.scalar_to_json(value)}, [f"value: {value}"])
 
 

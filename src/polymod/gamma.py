@@ -18,8 +18,9 @@ One generator, _recur, runs every recursion: generate, apply_L (one step),
 mgamma_contains and the Md + M_g residual test. It reads the window as the
 canonical Z[i] triples (re, im, den) that UniPoly stores (see ``poly``), so
 equal polynomials give equal triples, and the table as integer terms that
-the table caches (see ``_terms``), so the many runs made on one table, such
-as a monomial-seed basis, convert it once or a few times. A step sums
+the table caches (see ``_terms``): the many runs of a monomial-seed basis
+convert one table a few times, and ``infer_L`` converts the table it infers
+once, at the widest window of its check. A step sums
 out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on integers and divides out
 the content, and its output is a UniPoly on that triple: the recursion,
 membership and generate's output build no Fraction.
@@ -124,8 +125,8 @@ def _recur(g: GammaTable, window, cancel=None):
         live = [(win[i], j, prow, irow) for i, j, prow, irow in terms if len(win[i][0]) > j]
         out = _ZERO_POLY
         if live:
-            D = lcm(*[w[2] for w, *_ in live])
-            n = max([len(w[0]) - j for w, j, *_ in live])
+            D = lcm(*[w[2] for w, _j, _prow, _irow in live])
+            n = max([len(w[0]) - j for w, j, _prow, _irow in live])
             re, im = [0] * n, [0] * n
             for (cre, cim, den), j, prow, irow in live:
                 if den != D:

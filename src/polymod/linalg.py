@@ -5,7 +5,7 @@ The cores ``eliminate`` and ``product`` take and return Z[i] rows
 int den, zero entries never stored. A caller that chains cores converts
 once in with ``_numerators`` and once out with ``_dense``. Each core, and
 ``_numerators``, polls its optional cancel token once per row it takes in
-or puts out.
+or puts out, and ``_kernel`` once per free column.
 
 The one dense edge is ``rref``: lists of CoeffQ rows in and out, and every
 zero entry of a row it returns is ``scalars.ZERO``, the library's one zero:
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from .cancel import _polled
 from .scalars import ONE, ZERO, _entry
 
 _ZZ = (0, 0)
@@ -152,12 +153,12 @@ def product(a, b, cancel=None):
     return out
 
 
-def _kernel(red, pivots, ncols):
+def _kernel(red, pivots, ncols, cancel=None):
     """Z[i] basis of the null space of an RREF given as eliminate returns it:
-    per free column fc, in order, the vector that is 1 at fc, 0 at the other
-    free columns and minus the RREF's column fc at the pivots."""
+    per free column fc, in order and polled once each, the vector that is 1
+    at fc, 0 at the other free columns and minus the RREF's column fc at the pivots."""
     out = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc in _polled(sorted(set(range(ncols)) - set(pivots)), cancel):
         ents = [(pc, row[fc], n) for (n, row), pc in zip(red, pivots) if fc in row]
         den = lcm(*[n for _pc, _v, n in ents])
         out.append((den, {fc: (den, 0)} | {pc: (-re * (den // n), -im * (den // n)) for pc, (re, im), n in ents}))

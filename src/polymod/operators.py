@@ -26,11 +26,11 @@ from operator import itemgetter
 
 from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
-from .gamma import GammaTable, _recur, monomial_seed_elements
+from .gamma import GammaTable, _recur, _terms, monomial_seed_elements
 from .linalg import _dense, _kernel, _numerators, eliminate, product, rref
 from .modules import _Value, _md_gamma
 from .poly import _ZERO_POLY, _bipoly
-from .scalars import ZERO, CoeffQ
+from .scalars import ZERO, CoeffQ, _entry
 from .spans import PolyFrame, span_rows
 
 
@@ -53,7 +53,7 @@ def _witness(frame, vecs, K, cancel=None):
     0..K-1, as a BiPoly of frame, or None when no such combination exists;
     of the kernel's combinations, only that one is made dense."""
     prefix = [k for (_i, n), k in frame.index.items() if n < K]
-    kernel = _kernel(*eliminate(_numerators([[v[k] for v in vecs] for k in prefix], cancel), cancel), len(vecs))
+    kernel = _kernel(*eliminate(_numerators([[v[k] for v in vecs] for k in prefix], cancel), cancel), len(vecs), cancel)
     if not kernel:  # convert vecs only when some combination vanishes
         return None
     w = next(((den, row) for den, row in product(kernel, _numerators(vecs), cancel) if row), None)
@@ -112,15 +112,19 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     # coordinates 0..s of each element; both systems solve for j! * a_ij
     tops = [_bipoly(list(F.coords[: s + 1])) for F in _polled(basis, cancel)]
     rhs = len(slots)  # the column of the right side; a pivot there is an inconsistent system
+    cells = [(i - 1, j) for i, j in slots] + [(s, 0)]  # cell (n, k) is f_n[k]
 
     def system(polys):  # equation 0 of each G: slot (i, j) reads f_{i-1}[j], the right side f_s[0]
-        return rref([[G.coord(i - 1).coeff(j) for i, j in slots] + [G.coord(s).coeff(0)] for G in polys], cancel)
+        zs = [[G.coord(n)._z for n in range(s + 1)] for G in polys]  # the stored triples, each read once
+        rows = [[_entry(z[n][0][k], z[n][1][k], z[n][2]) if k < len(z[n][0]) else ZERO for n, k in cells] for z in zs]
+        return rref(rows, cancel)
 
     red, pivots = system(tops)
     if rhs not in pivots and pivots != list(range(rhs)):  # equation m of G is equation 0 of d^m G/dx^m
         red, pivots = system([G.d_dx(m) for G in tops for m in range(G.deg_x + 1)])
     if pivots == list(range(rhs)):  # unique: row c holds j! * a_ij of slots[c] in column rhs
-        g = GammaTable(s, {(i, j): row[rhs] / factorial(j) for (i, j), row in zip(slots, red)})
+        g = GammaTable(s, {(i, j): row[rhs] / factorial(j) for (i, j), row in zip(slots, red) if row[rhs] is not ZERO})
+        _terms(g, max(len(f._z[0]) for F in basis for f in F.coords[:s]))  # convert g once, at the widest window
         # the step gives coordinate s iff every equation of F holds, as always after the full solve
         if all(next(_recur(g, [F.coord(n) for n in range(s)], cancel), _ZERO_POLY) == F.coord(s) for F in basis):
             return g
@@ -196,7 +200,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     levels, rows = [(range(n), [])], Dz  # levels[k] = (pivot columns of D^k, ker D^k); rows span D^k's rows
     while levels[-1][0]:
         red, pivots = eliminate(rows, cancel)
-        levels.append((set(pivots), _kernel(red, pivots, n)))
+        levels.append((set(pivots), _kernel(red, pivots, n, cancel)))
         if red and len(levels) > n:
             raise NotNilpotent(f"matrix is not nilpotent: D^{n} != 0")
         rows = red and product([(den, row | {pc: (den, 0)}) for (den, row), pc in zip(red, pivots)], Dz, cancel)

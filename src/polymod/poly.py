@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm, perm
 
+from .cancel import _polled
 from .scalars import ONE, ZERO, CoeffQ, _entry, _operand
 
 NEG_INF = float("-inf")
@@ -249,10 +250,10 @@ class UniPoly:
             return self
         return _shift([self._z], a, ZERO)[0]
 
-    def evaluate(self, x0) -> CoeffQ:
+    def evaluate(self, x0, cancel=None) -> CoeffQ:
         x0 = CoeffQ.of(x0)
         acc = ZERO
-        for c in reversed(self.coeffs):
+        for c in _polled(reversed(self.coeffs), cancel):
             acc = acc * x0 + c
         return acc
 
@@ -350,12 +351,13 @@ class BiPoly:
             return self
         return _bipoly(_shift([f._z for f in self.coords], a, b, cancel))
 
-    def evaluate(self, x0, y0) -> CoeffQ:
+    def evaluate(self, x0, y0, cancel=None) -> CoeffQ:
+        """F(x0, y0); polls cancel once per coordinate, and once per coefficient within each."""
         y0 = CoeffQ.of(y0)
         acc = ZERO
         yp = ONE
-        for n, f in enumerate(self.coords):
-            acc = acc + f.evaluate(x0) * yp * Fraction(1, factorial(n))
+        for n, f in enumerate(_polled(self.coords, cancel)):
+            acc = acc + f.evaluate(x0, cancel) * yp * Fraction(1, factorial(n))
             yp = yp * y0
         return acc
 

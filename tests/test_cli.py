@@ -479,6 +479,22 @@ def test_poly_shift_honours_the_timeout(capsys, monkeypatch):
     assert _json_out(capsys, argv) == want
 
 
+def test_poly_eval_honours_the_timeout(capsys, monkeypatch):
+    # the parse polls once per coordinate and once per scalar, then the
+    # evaluation polls the same token once per coordinate and per coefficient
+    F = BiPoly([UniPoly([1, 2, 3]), UniPoly([0, 1]), UniPoly([5])])
+    argv = ["poly-eval", "--json", "--poly", ser.dumps(ser.bipoly_to_json(F)), "--x", "1/2", "--y", "-3"]
+    parse = F.num_coords + sum(len(f.coeffs) for f in F.coords)
+    want = _json_out(capsys, argv)
+    assert want[0] == 0
+    for n in (parse + 1, 2 * parse):
+        monkeypatch.setattr(cli, "CancelToken", lambda timeout=None, n=n: _CountingToken(fire_at=n))
+        code, payload = _json_out(capsys, argv)
+        assert code == 1 and payload["error"]["type"] == "cancelled", n
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=2 * parse + 1))
+    assert _json_out(capsys, argv) == want
+
+
 def test_a_wide_coordinate_is_parsed_polled(capsys, monkeypatch):
     # one coordinate of many scalars: a token that fires while its scalars
     # are read stops poly-eval before it evaluates

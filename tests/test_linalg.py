@@ -244,6 +244,23 @@ def test_product_polls_once_per_row_and_cancels_cleanly():
         assert product(a, b, _CountingToken(fire_at=len(m) + 1)) == want
 
 
+def test_kernel_polls_once_per_free_column_and_cancels_cleanly():
+    # a few rows over many columns leave a wide null space
+    rng = random.Random(0x4EE)
+    for nrows, ncols, complex_ok in ((1, 40, False), (3, 25, True)):
+        m = [[rand_scalar(rng, complex_ok) for _ in range(ncols)] for _ in range(nrows)]
+        red, pivots = eliminate(_numerators(m))
+        free = ncols - len(pivots)
+        token = _CountingToken()
+        want = _kernel(red, pivots, ncols)
+        assert _kernel(red, pivots, ncols, token) == want and token.calls >= free >= 22
+        for n in range(1, token.calls + 1):
+            stub = _CountingToken(fire_at=n)
+            with pytest.raises(Cancelled):
+                _kernel(red, pivots, ncols, stub)
+            assert stub.calls == n
+
+
 @pytest.mark.parametrize("which", ["solve", "null_space"])
 def test_solve_and_null_space_poll_once_per_pivot_and_cancel_cleanly(which):
     rng = random.Random(12)

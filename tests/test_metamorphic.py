@@ -8,8 +8,17 @@ both partials, so membership must answer alike on related inputs:
 
 The modules are MGamma, Sum(Md, MGamma), Sum(MGamma, MGamma),
 Sum(FiniteGen, MGamma) and FiniteGen. Each draw tests one element built to lie
-in the module and one that most often does not. No relation here needs an
-oracle: each compares two answers of ``contains``.
+in the module and one that most often does not.
+
+A span closed under both partials is translation invariant too, so a basis
+and its translate span one space, and every question asked of the space
+answers alike on both:
+
+- R4: ``infer_L`` gives the same table, the same ``Underdetermined`` free
+  slots, or ``NotAnLModule`` on both, with a witness on both or on neither,
+  and ``order_of_module`` gives the same order.
+
+No relation here needs an oracle: each compares two answers of the library.
 """
 
 from __future__ import annotations
@@ -17,7 +26,22 @@ from __future__ import annotations
 import random
 from functools import cache
 
-from polymod import BiPoly, FiniteGen, Md, MGamma, Sum, contains, generate
+import pytest
+
+from polymod import (
+    BiPoly,
+    FiniteGen,
+    Md,
+    MGamma,
+    NotAnLModule,
+    Sum,
+    Underdetermined,
+    contains,
+    derivative_closure,
+    generate,
+    infer_L,
+    order_of_module,
+)
 
 from conftest import rand_bipoly, rand_gamma, rand_scalar, rand_unipoly
 
@@ -94,3 +118,43 @@ def test_r2_members_stay_members_under_both_partials():
             assert contains(M, F.d_dx()).contains, (kind, gaussian, F, "d/dx")
             assert contains(M, F.d_dy()).contains, (kind, gaussian, F, "d/dy")
     assert members >= len(KINDS) * 2 * DRAWS
+
+
+def _closed_span(rng, gaussian):
+    """(basis, s): a seeded basis closed under both partials, the closure of
+    one or two elements generated from a random table, with s its width half
+    the time, or of one random BiPoly; s is 1 to 3 otherwise."""
+    s = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        g = rand_gamma(rng, max_s=3, max_j=3)
+        basis = derivative_closure([_generated(rng, g, gaussian) for _ in range(rng.randint(1, 2))])
+        return basis, g.s if rng.random() < 0.5 else s
+    return derivative_closure([rand_bipoly(rng, 3, 3, gaussian)]), s
+
+
+def _infer_outcome(basis, s, bound):
+    """infer_L's answer up to the choice of basis: the table, the free slots,
+    or whether a witness comes with NotAnLModule."""
+    try:
+        return "table", infer_L(basis, s, bound)
+    except Underdetermined as exc:
+        return "free", exc.free_slots
+    except NotAnLModule as exc:
+        return "not-an-L-module", str(exc), exc.witness is not None
+
+
+@pytest.mark.parametrize("gaussian", (False, True))
+def test_r4_a_translated_basis_answers_like_the_basis(gaussian):
+    seen = set()
+    for draw in range(150):
+        rng = random.Random(f"metamorphic-r4-{gaussian}-{draw}")
+        basis, s = _closed_span(rng, gaussian)
+        a, b = rand_scalar(rng, gaussian), rand_scalar(rng, gaussian)
+        moved = [F.shift(a, b) for F in basis]
+        bound = rng.randint(1, 4)
+        want = _infer_outcome(basis, s, bound)
+        assert _infer_outcome(moved, s, bound) == want, (draw, s, bound, a, b)
+        assert order_of_module(moved, bound) == order_of_module(basis, bound), (draw, bound, a, b)
+        seen.add(want[0] if want[0] != "not-an-L-module" else want[2])
+    # every outcome, and NotAnLModule with and without a witness
+    assert seen == {"table", "free", True, False}

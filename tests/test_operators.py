@@ -31,7 +31,7 @@ from polymod import (
     quotient_derivation,
     shift_invariance_table,
 )
-from polymod import gamma, linalg, modules, operators, serialize
+from polymod import gamma, linalg, modules, operators, serialize, spans
 from polymod.cli import FALLBACK_DEG_BOUND
 from polymod.operators import ChainDecomposition, _witness
 from polymod.modules import derivative_closure, phi
@@ -316,6 +316,48 @@ def test_infer_l_makes_no_coefficient_product(monkeypatch):
         assert products == []
     # a free slot after the full solve is Underdetermined: six cases take the free-slot path
     assert answers == {"GammaTable": 8, "Underdetermined": 6, "NotAnLModule": 4}
+
+
+def test_infer_l_converts_its_table_once(monkeypatch):
+    # the table infer_L infers is converted to integer terms once, at the
+    # widest window of its check, not widened window by window as it runs
+    rng = random.Random(0x1F0)
+    for s in (1, 2, 3):
+        g = rand_gamma(rng, s_exact=s)
+        basis = _monomial_basis(g, 8)
+        builds = []
+        with monkeypatch.context() as mp:
+            over = gamma._over  # called once per build of the table's terms
+            mp.setattr(gamma, "_over", lambda parts: builds.append(len(parts)) or over(parts))
+            got = infer_L(basis, s, 8)
+        assert got == g and len(builds) == 1
+
+
+def test_infer_l_reads_every_cell_off_the_stored_triples(monkeypatch):
+    # both systems read each coordinate's Z[i] triple, never UniPoly.coeff
+    reads = []
+    coeff = UniPoly.coeff
+    monkeypatch.setattr(UniPoly, "coeff", lambda f, k: reads.append(k) or coeff(f, k))
+    for basis, s, bound in _seeded_infer_cases():
+        _answer(lambda: infer_L(basis, s, bound))
+    assert reads == []
+
+
+def test_infer_l_calls_rref_from_spans_and_from_operators(monkeypatch):
+    # a traced infer-roundtrip benchmark run needs rref reached from both
+    # layers: once through span_rows for the seed prefixes, once from
+    # operators for the augmented system, when the table is unique
+    calls = []
+    for module in (spans, operators):
+        real = module.rref
+        spy = lambda rows, cancel=None, name=module.__name__, real=real: calls.append(name) or real(rows, cancel)
+        monkeypatch.setattr(module, "rref", spy)
+    rng = random.Random(0x7AC)
+    for s in (1, 2, 3):
+        g = rand_gamma(rng, s_exact=s)
+        calls.clear()
+        assert infer_L(_monomial_basis(g, 8), s, 8) == g
+        assert calls == ["polymod.spans", "polymod.operators"]
 
 
 def _nonclosed_span(rng):
@@ -753,6 +795,20 @@ def test_nilpotent_chains_polls_in_its_closing_rank_check(rng, monkeypatch):
     rows, polls = calls[-1]
     assert [tuple(linalg._dense(row, den, dec.dim)) for den, row in rows] == list(dec.basis_vectors)
     assert polls
+
+
+def test_kernel_reads_poll_the_callers_token(monkeypatch):
+    # nilpotent_chains and _witness pass their token to _kernel, which polls
+    # once per free column: a zero matrix's kernel has every column free
+    tokens = []
+    real = operators._kernel
+    monkeypatch.setattr(operators, "_kernel", lambda *args: tokens.append(args[3]) or real(*args))
+    token = _CountingToken()
+    nilpotent_chains([[CoeffQ(0)] * 30 for _ in range(30)], cancel=token)
+    assert tokens == [token] and token.calls >= 30
+    tokens.clear()
+    assert order_of_sum_report(GS, GammaTable(1), 4, cancel=token).refuted[0][1] is not None
+    assert tokens == [token]
 
 
 def test_quotient_derivation_examples():

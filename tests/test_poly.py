@@ -193,6 +193,25 @@ def test_bipoly_shift_polls_once_per_coordinate_of_each_pass():
             assert stub.calls == m
 
 
+def test_evaluate_polls_once_per_coordinate_and_per_coefficient():
+    rng = random.Random(0xE7A1)
+    F = BiPoly([rand_unipoly(rng, 4, True) for _ in range(5)])
+    x, y = CoeffQ(Fraction(1, 2), -1), CoeffQ(Fraction(-2, 3))
+    f = F.coord(0)
+    for run, polls in (
+        (lambda tok: F.evaluate(x, y, tok), F.num_coords + sum(len(g.coeffs) for g in F.coords)),
+        (lambda tok: f.evaluate(x, tok), len(f.coeffs)),
+    ):
+        token = _CountingToken()
+        assert run(token) == run(None) and token.calls == polls
+        # a token firing on any poll stops the evaluation with no result
+        for m in range(1, polls + 1):
+            stub = _CountingToken(fire_at=m)
+            with pytest.raises(Cancelled):
+                run(stub)
+            assert stub.calls == m
+
+
 def test_monomial_terms_display_weights():
     F = BiPoly.monomial(1, 2, 5)  # 5 x y^2
     terms = dict(F.monomial_terms())
