@@ -5,7 +5,10 @@ The cores ``eliminate`` and ``product`` take and return Z[i] rows
 int den, zero entries never stored. A caller that chains cores converts
 once in with ``_numerators`` and once out with ``_dense``. Each core, and
 ``_numerators``, polls its optional cancel token once per row it takes in
-or puts out, and ``_kernel`` once per free column.
+or puts out, and ``_kernel`` once per free column. ``eliminate`` also polls
+once per unit of kept-row work, one cross-cancellation against a kept row
+or one ``_combine`` of a kept row at a new pivot, so the work between two
+polls does not grow with the number of rows.
 
 The one dense edge is ``rref``: lists of CoeffQ rows in and out, and every
 zero entry of a row it returns is ``scalars.ZERO``, the library's one zero:
@@ -26,8 +29,10 @@ survives, its leading entry is a new pivot p, and each kept row with an
 entry f in that column becomes (p * row - f * new) / d, where d is the pivot
 value that row is stored at. Every entry is then a minor of the input, so
 the quotient is exact in Z[i]: a product with conj(d) and a floor division
-by |d|^2. A kept row that a step leaves alone keeps its old pivot value and
-is rescaled only when a later row cancels against it. Every kept row leads
+by |d|^2. ``_combine`` computes it in one pass over the kept row and one
+over the keys only the new row has, dividing each entry as it goes. A kept
+row that a step leaves alone keeps its old pivot value and is rescaled
+only when a later row cancels against it. Every kept row leads
 with its pivot and is zero in every other pivot column, so the result is
 the RREF, unique for the column order, whatever the row order: reruns are
 byte-identical. ``product`` puts the rows of b over one denominator, sums
@@ -75,16 +80,22 @@ def _inverse(d):
 
 
 def _combine(p, row, f, new, d):
-    """(p * row - f * new) / d on sparse Z[i] rows, known to be exact."""
+    """(p * row - f * new) / d on sparse Z[i] rows, known to be exact: one pass
+    over row and one over the keys only new has, each dividing as it goes."""
     (cr, ci), n = _inverse(d)
     (pr, pi), (fr, fi) = p, f
     ar, ai = pr * cr - pi * ci, pr * ci + pi * cr  # p * c
     br, bi = fr * cr - fi * ci, fr * ci + fi * cr  # f * c
-    out = {k: (ar * xr - ai * xi, ar * xi + ai * xr) for k, (xr, xi) in row.items()}
+    out = {}
+    for k, (xr, xi) in row.items():
+        yr, yi = new.get(k, _ZZ)
+        zr, zi = ar * xr - ai * xi - br * yr + bi * yi, ar * xi + ai * xr - br * yi - bi * yr
+        if zr or zi:
+            out[k] = zr // n, zi // n
     for k, (yr, yi) in new.items():
-        xr, xi = out.get(k, _ZZ)
-        out[k] = (xr - br * yr + bi * yi, xi - br * yi - bi * yr)
-    return {k: (xr // n, xi // n) for k, (xr, xi) in out.items() if xr or xi}
+        if k not in row:
+            out[k] = (bi * yi - br * yr) // n, -(br * yi + bi * yr) // n
+    return out
 
 
 def eliminate(rows, cancel=None):
@@ -104,6 +115,8 @@ def eliminate(rows, cancel=None):
         dr, di = den
         acc = {k: (dr * vr - di * vi, dr * vi + di * vr) for k, (vr, vi) in new.items() if k not in done}
         for j in done.keys() & new.keys():
+            if cancel is not None:
+                cancel.check()
             d, row = done[j]
             if row and d != den:
                 row = _combine(den, row, _ZZ, {}, d)
@@ -121,12 +134,16 @@ def eliminate(rows, cancel=None):
         for j, (d, row) in done.items():
             f = row.pop(col, None)
             if f is not None:
+                if cancel is not None:
+                    cancel.check()
                 done[j] = p, _combine(p, row, f, new, d)
         done[col] = p, new
         den = p
     pivots = sorted(done)
     out = []
     for col in pivots:
+        if cancel is not None:
+            cancel.check()
         d, row = done[col]
         (cr, ci), n = _inverse(d)
         out.append((n, {j: (vr * cr - vi * ci, vr * ci + vi * cr) for j, (vr, vi) in row.items()}))

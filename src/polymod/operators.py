@@ -21,7 +21,8 @@ expression: it is (d, g.s).
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
 from operator import itemgetter
 
 from .cancel import CancelToken, _polled
@@ -112,11 +113,17 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     # coordinates 0..s of each element; both systems solve for j! * a_ij
     tops = [_bipoly(list(F.coords[: s + 1])) for F in _polled(basis, cancel)]
     rhs = len(slots)  # the column of the right side; a pivot there is an inconsistent system
-    cells = [(i - 1, j) for i, j in slots] + [(s, 0)]  # cell (n, k) is f_n[k]
 
     def system(polys):  # equation 0 of each G: slot (i, j) reads f_{i-1}[j], the right side f_s[0]
-        zs = [[G.coord(n)._z for n in range(s + 1)] for G in polys]  # the stored triples, each read once
-        rows = [[_entry(z[n][0][k], z[n][1][k], z[n][2]) if k < len(z[n][0]) else ZERO for n, k in cells] for z in zs]
+        rows = [[ZERO] * (rhs + 1) for _ in polys]
+        for row, G in zip(rows, polys):  # each stored triple read once, only its nonzero cells written
+            for n, f in enumerate(G.coords[:s]):
+                re, im, den = f._z
+                for j in range(1, min(len(re), deg_bound + 1)):
+                    if re[j] or im[j]:
+                        row[(j - 1) * s + n] = _entry(re[j], im[j], den)
+            re, im, den = G.coord(s)._z
+            row[rhs] = _entry(re[0], im[0], den) if re else ZERO
         return rref(rows, cancel)
 
     red, pivots = system(tops)
@@ -188,15 +195,23 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     exactly when no vector of W, ker D^(k-1) and the images so restricted,
     has its last nonzero entry at fc. Those last positions are the pivots of
     one elimination of W with the free columns in reverse order.
-    D is converted to Z[i] rows once, and only the result is converted back.
+    D is converted to Z[i] rows once, and its transpose is built from those
+    rows; each basis vector is made dense once, and each chain's generator
+    is its first basis vector.
     Raises NotNilpotent if D^dim != 0.
     """
     D = _coerce_matrix(mat)
     n = len(D)
     if n == 0:
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
-    # D and its transpose as Z[i] rows; every vector below is a Z[i] row too
-    Dz, Dtz = _numerators(D), _numerators(zip(*D))
+    # D as Z[i] rows, and its transpose from them over the lcm of their
+    # denominators; every vector below is a Z[i] row too
+    Dz = _numerators(D)
+    L = lcm(*[den for den, _row in Dz])
+    Dtz = [(L, {}) for _ in range(n)]
+    for i, (den, row) in enumerate(Dz):
+        for j, (re, im) in row.items():
+            Dtz[j][1][i] = re * (L // den), im * (L // den)
     levels, rows = [(range(n), [])], Dz  # levels[k] = (pivot columns of D^k, ker D^k); rows span D^k's rows
     while levels[-1][0]:
         red, pivots = eliminate(rows, cancel)
@@ -223,9 +238,11 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     basis = [trail[p - length + t][c] for c, (_u, length) in enumerate(chains) for t in range(length)]
     if len(basis) != n or len(eliminate(basis, cancel)[1]) != n:
         raise AssertionError("chain vectors do not form a basis")
-    out = [tuple(_dense(row, den, n)) for den, row in [u for u, _length in chains] + basis]
-    chains = tuple((u, length) for u, (_z, length) in zip(out, chains))
-    return ChainDecomposition(dim=n, chains=chains, basis_vectors=tuple(out[len(chains):]))
+    out = tuple(tuple(_dense(row, den, n)) for den, row in basis)
+    # each chain's generator u = D^0 u is its first basis vector
+    firsts = accumulate([length for _u, length in chains[:-1]], initial=0)
+    chains = tuple((out[t], length) for t, (_u, length) in zip(firsts, chains))
+    return ChainDecomposition(dim=n, chains=chains, basis_vectors=out)
 
 
 def quotient_derivation(s: int, k: int, d: int):

@@ -33,12 +33,11 @@ class PolyFrame:
     __slots__ = ("deg_x", "deg_y", "index")
 
     def __init__(self, polys, key=_graded):
-        dx = 0
-        dy = 0
+        dx = dy = 0  # read off the stored triples in one pass
         for p in polys:
-            if not p.is_zero():
-                dx = max(dx, int(p.deg_x))
-                dy = max(dy, int(p.deg_y))
+            dy = max(dy, len(p.coords) - 1)
+            for f in p.coords:
+                dx = max(dx, len(f._z[0]) - 1)
         self.deg_x = dx
         self.deg_y = dy
         cells = [(i, n) for n in range(dy + 1) for i in range(dx + 1)]

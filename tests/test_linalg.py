@@ -226,6 +226,35 @@ def test_rank_polls_and_cancels_cleanly():
         assert len(eliminate(rows, _CountingToken(fire_at=token.calls + 1))[1]) == want
 
 
+def test_eliminate_polls_once_per_unit_of_kept_row_work(monkeypatch):
+    # a unit is one cross-cancellation against a kept row, its lazy rescale
+    # included, or one _combine of a kept row at a new pivot; on a dense
+    # system every kept row is combined at each new pivot, so per-row polls
+    # alone would leave up to n - 1 _combine calls between two polls
+    since, worst = [0], []  # _combine calls since the last poll; the most seen per system
+    real = linalg._combine
+
+    def spy(*args):
+        since[0] += 1
+        return real(*args)
+
+    class _Token:
+        def check(self):
+            worst[-1] = max(worst[-1], since[0])
+            since[0] = 0
+
+    monkeypatch.setattr(linalg, "_combine", spy)
+    rng = random.Random(0x18)
+    for n in (8, 16, 32):
+        m = [[CoeffQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+        want = eliminate(_numerators(m))
+        since[0] = 0
+        worst.append(0)
+        assert eliminate(_numerators(m), _Token()) == want and want[1] == list(range(n))
+        worst[-1] = max(worst[-1], since[0])
+    assert worst == [1, 1, 1]
+
+
 def test_product_polls_once_per_row_and_cancels_cleanly():
     for m in _cancel_corpus():
         # m @ m^T, one output row per row of m

@@ -18,7 +18,15 @@ answers alike on both:
   slots, or ``NotAnLModule`` on both, with a witness on both or on neither,
   and ``order_of_module`` gives the same order.
 
-No relation here needs an oracle: each compares two answers of the library.
+``v_space(M, s)`` spans the seed prefixes of the members of M below its
+x-degree bound, so each sampled member's prefix must lie in that span:
+
+- R5: phi(F, s) is in the span of ``v_space(M, s).tuples`` for every member
+  F with deg_x F below the bound.
+
+R1-R4 need no oracle: each compares two answers of the library. R5 tests
+span membership with the sympy oracle, which shares no code with
+``polymod.linalg``.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import pytest
 
 from polymod import (
     BiPoly,
+    CoeffQ,
     FiniteGen,
     Md,
     MGamma,
@@ -41,8 +50,11 @@ from polymod import (
     generate,
     infer_L,
     order_of_module,
+    phi,
+    v_space,
 )
 
+import sympy_oracle as sym
 from conftest import rand_bipoly, rand_gamma, rand_scalar, rand_unipoly
 
 KINDS = ("MGamma", "Sum(Md, MGamma)", "Sum(MGamma, MGamma)", "Sum(FiniteGen, MGamma)", "FiniteGen")
@@ -158,3 +170,57 @@ def test_r4_a_translated_basis_answers_like_the_basis(gaussian):
         seen.add(want[0] if want[0] != "not-an-L-module" else want[2])
     # every outcome, and NotAnLModule with and without a witness
     assert seen == {"table", "free", True, False}
+
+
+def _r5_case(kind, gaussian, draw):
+    """(M, s, V, members): V = v_space(M, s), with its default bound half the
+    time, and members of M of x-degree below V's bound. A FiniteGen basis
+    holds P + Q and P; when the bound is drawn, deg_x P is at it or past
+    it, so the member Q is reached only through a combination that cancels P."""
+    rng = random.Random(f"metamorphic-r5-{kind}-{gaussian}-{draw}")
+    s = rng.randint(1, 3)
+    bound = rng.randint(1, 4) if draw % 2 else None
+    g = rand_gamma(rng, max_s=2, max_j=3)
+    if kind == "FiniteGen":
+        cut = bound or 3
+        P = rand_bipoly(rng, 2, 2, gaussian) + BiPoly.monomial(cut + rng.randint(0, 1), rng.randint(0, 2), rng.randint(1, 3))
+        Q, R = rand_bipoly(rng, cut - 1, 2, gaussian), rand_bipoly(rng, 3, 2, gaussian)
+        M = FiniteGen([P + Q, P, R])
+    elif kind == "MGamma":
+        M = MGamma(g)
+    else:
+        d = rng.randint(1, 3)
+        M = Sum(Md(d), MGamma(g)) if draw % 4 < 2 else Sum(MGamma(g), Md(d))
+    V = v_space(M, s, bound)
+    cut = V.deg_bound
+    if kind == "FiniteGen":
+        low = [F for F in (Q, R, P + Q, P) if F.deg_x < cut]
+        members = low + [_combination(rng, low, gaussian)]
+    else:
+        members = [generate(g, [rand_unipoly(rng, cut - 1, gaussian) for _ in range(g.s)]) for _ in range(2)]
+        if kind != "MGamma":
+            members.append(members[0] + rand_bipoly(rng, min(d, cut) - 1, 3, gaussian))
+    assert all(F.deg_x < cut for F in members)
+    return M, s, V, members
+
+
+def _prefix_row(prefix, width):
+    return [c for f in prefix for c in list(f.coeffs) + [CoeffQ(0)] * (width - len(f.coeffs))]
+
+
+@pytest.mark.parametrize("gaussian", (False, True))
+@pytest.mark.parametrize("kind", ("MGamma", "Sum(Md, MGamma)", "FiniteGen"))
+def test_r5_v_space_holds_the_prefix_of_every_member_below_its_bound(kind, gaussian):
+    nonzero = 0
+    for draw in range(40):
+        M, s, V, members = _r5_case(kind, gaussian, draw)
+        prefixes = [phi(F, s) for F in members]
+        width = max([1] + [len(f.coeffs) for t in list(V.tuples) + prefixes for f in t])
+        rows = [_prefix_row(t, width) for t in V.tuples]
+        rank = sym.rank(rows) if rows else 0
+        for F, prefix in zip(members, prefixes):
+            row = _prefix_row(prefix, width)
+            assert sym.rank(rows + [row]) == rank if rows else not any(row), (draw, M, s, F)
+            nonzero += any(row)
+    # most sampled prefixes are nonzero, so the relation is not vacuous
+    assert nonzero >= 60
