@@ -14,13 +14,14 @@ n >= s * (1 + max seed degree). The bound is sharp. For s >= 2 it lies past
 the naive cutoff s + max seed degree, because a width-s window can carry each
 degree for s - 1 more steps.
 
-One generator, _recur, runs every recursion: generate, apply_L (one step),
-mgamma_contains and the Md + M_g residual test. It reads the window as the
-canonical Z[i] triples (re, im, den) that UniPoly stores (see ``poly``), so
-equal polynomials give equal triples, and the table as integer terms that
-the table caches (see ``_terms``): the many runs of a monomial-seed basis
-convert one table a few times, and ``infer_L`` converts the table it infers
-once, at the widest window of its check. A step sums
+One step, _step, runs every recursion, streamed by _recur: generate,
+mgamma_contains and the Md + M_g residual test read its stream, while
+apply_L and infer_L's check call the step once per window. It reads the
+window as the canonical Z[i] triples (re, im, den) that UniPoly stores (see
+``poly``), so equal polynomials give equal triples, and the table as integer
+terms that the table caches (see ``_terms``): the many runs of a
+monomial-seed basis convert one table a few times, and ``infer_L`` converts
+the table it infers once, at the widest window of its check. A step sums
 out_m = sum A_ij * perm(m + j, j) * N_i[m + j] on integers and divides out
 the content, and its output is a UniPoly on that triple: the recursion,
 membership and generate's output build no Fraction.
@@ -112,47 +113,64 @@ def _terms(g: GammaTable, width: int):
     return cache
 
 
+def _step(win, Q, terms) -> UniPoly:
+    """f_s as a UniPoly, from the window's triples win (f_0..f_{s-1}) and a
+    table's integer terms Q, terms from _terms, read at a width >= the
+    window's. A first pass over the terms finds the lcm D of the live
+    windows' denominators and the output length, a second sums on integers."""
+    D, n = 1, 0
+    for i, j, _prow, _irow in terms:
+        re, _im, den = win[i]
+        if len(re) - j > n:
+            n = len(re) - j
+        if len(re) > j and D % den:
+            D = lcm(D, den)
+    if not n:
+        return _ZERO_POLY
+    re, im = [0] * n, [0] * n
+    for i, j, prow, irow in terms:
+        cre, cim, den = win[i]
+        if len(cre) <= j:
+            continue
+        if den != D:
+            cre, cim = [c * (D // den) for c in cre], [c * (D // den) for c in cim]
+        for m in range(len(cre) - j):
+            cr, cm = cre[m + j], cim[m + j]
+            if cr:
+                re[m] += prow[m] * cr
+                if irow:
+                    im[m] += irow[m] * cr
+            if cm:
+                im[m] += prow[m] * cm
+                if irow:
+                    re[m] -= irow[m] * cm
+    return _canon(re, im, Q * D)
+
+
 def _recur(g: GammaTable, window, cancel=None):
     """Yield f_s, f_{s+1}, ... as UniPoly, from the window f_0..f_{s-1},
-    until the window is all zero; polls cancel once per coordinate. It
-    reads the table's integer terms from _terms."""
+    until the window is all zero: one _step per coordinate, on the table's
+    integer terms from _terms; polls cancel once per coordinate."""
     win = [f._z for f in window]
     _width, Q, terms = _terms(g, max(len(re) for re, _im, _den in win))
     stop = [_ZERO_POLY._z] * len(win)
     while win != stop:
         if cancel is not None:
             cancel.check()
-        live = [(win[i], j, prow, irow) for i, j, prow, irow in terms if len(win[i][0]) > j]
-        out = _ZERO_POLY
-        if live:
-            D = lcm(*[w[2] for w, _j, _prow, _irow in live])
-            n = max([len(w[0]) - j for w, j, _prow, _irow in live])
-            re, im = [0] * n, [0] * n
-            for (cre, cim, den), j, prow, irow in live:
-                if den != D:
-                    cre, cim = [c * (D // den) for c in cre], [c * (D // den) for c in cim]
-                for m in range(len(cre) - j):
-                    cr, cm = cre[m + j], cim[m + j]
-                    if cr:
-                        re[m] += prow[m] * cr
-                        if irow:
-                            im[m] += irow[m] * cr
-                    if cm:
-                        im[m] += prow[m] * cm
-                        if irow:
-                            re[m] -= irow[m] * cm
-            out = _canon(re, im, Q * D)
+        out = _step(win, Q, terms)
         yield out
         win.append(out._z)
         del win[0]
 
 
 def apply_L(g: GammaTable, window) -> UniPoly:
-    """Apply the table's operator to a window of s univariate polynomials."""
-    window = list(window)
-    if len(window) != g.s:
-        raise ArityMismatch(f"window has {len(window)} entries, table width is {g.s}")
-    return next(_recur(g, window), _ZERO_POLY)
+    """Apply the table's operator to a window of s univariate polynomials
+    (UniPoly or coefficient lists, coerced as generate coerces its seeds)."""
+    win = [(f if isinstance(f, UniPoly) else UniPoly(f))._z for f in window]
+    if len(win) != g.s:
+        raise ArityMismatch(f"window has {len(win)} entries, table width is {g.s}")
+    _width, Q, terms = _terms(g, max(len(re) for re, _im, _den in win))
+    return _step(win, Q, terms)
 
 
 def generate(g: GammaTable, seeds, cancel=None) -> BiPoly:

@@ -27,10 +27,10 @@ from operator import itemgetter
 
 from .cancel import CancelToken, _polled
 from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
-from .gamma import GammaTable, _recur, _terms, monomial_seed_elements
+from .gamma import GammaTable, _step, _terms, monomial_seed_elements
 from .linalg import _dense, _kernel, _numerators, eliminate, product, rref
 from .modules import _Value, _md_gamma
-from .poly import _ZERO_POLY, _bipoly
+from .poly import _bipoly
 from .scalars import ZERO, CoeffQ, _entry
 from .spans import PolyFrame, span_rows
 
@@ -131,9 +131,9 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
         red, pivots = system([G.d_dx(m) for G in tops for m in range(G.deg_x + 1)])
     if pivots == list(range(rhs)):  # unique: row c holds j! * a_ij of slots[c] in column rhs
         g = GammaTable(s, {(i, j): row[rhs] / factorial(j) for (i, j), row in zip(slots, red) if row[rhs] is not ZERO})
-        _terms(g, max(len(f._z[0]) for F in basis for f in F.coords[:s]))  # convert g once, at the widest window
+        _width, Q, terms = _terms(g, max(len(f._z[0]) for F in basis for f in F.coords[:s]))  # g converted once
         # the step gives coordinate s iff every equation of F holds, as always after the full solve
-        if all(next(_recur(g, [F.coord(n) for n in range(s)], cancel), _ZERO_POLY) == F.coord(s) for F in basis):
+        if all(_step([F.coord(n)._z for n in range(s)], Q, terms)._z == F.coord(s)._z for F in _polled(basis, cancel)):
             return g
     elif rhs not in pivots:
         free = [slot for c, slot in enumerate(slots) if c not in pivots]

@@ -94,6 +94,19 @@ def _over(parts) -> tuple:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _monomial(k: int, c, f: int = 1) -> "UniPoly":
+    """c * f * x^k for an operand c and an int f >= 1: a plain int c gives
+    its canonical triple directly, any other operand is coerced."""
+    if type(c) is int:
+        if not c:
+            return _ZERO_POLY
+        p = _new(UniPoly)
+        p._z = ((0,) * k + (c * f,), (0,) * (k + 1), 1)
+        return p
+    (cr, ci), q = _over(_operand(c))
+    return _canon([0] * k + [cr * f], [0] * k + [ci * f], q)
+
+
 def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
     """The coordinates of F(x + a, y + b) as UniPoly, F given by its
     coordinates' triples cols (see the module doc for the kernel); polls
@@ -184,9 +197,7 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "UniPoly":
-        _natural(k, "power")
-        (cr, ci), q = _over(_operand(c))
-        return _canon([0] * k + [cr], [0] * k + [ci], q)
+        return _monomial(_natural(k, "power"), c)
 
     @property
     def coeffs(self) -> tuple:
@@ -302,10 +313,7 @@ class BiPoly:
     def monomial(cls, i: int, j: int, c=1) -> "BiPoly":
         """c * x^i * y^j; coordinate j holds c * j! * x^i under the convention."""
         _natural(i, "power")
-        _natural(j, "power")
-        (cr, ci), q = _over(_operand(c))
-        f = factorial(j)
-        return _bipoly([_ZERO_POLY] * j + [_canon([0] * i + [cr * f], [0] * i + [ci * f], q)])
+        return _bipoly([_ZERO_POLY] * _natural(j, "power") + [_monomial(i, c, factorial(j))])
 
     def coord(self, n: int) -> UniPoly:
         if 0 <= n < len(self.coords):

@@ -70,14 +70,6 @@ def nullspace(rows, ncols):
     return from_domain(to_domain(rows, ncols=ncols).nullspace(divide_last=True))
 
 
-def residual(vec, red, pivots):
-    """vec minus its combination over the RREF rows red: zero iff vec is in their span."""
-    if not red:
-        return list(vec)
-    combo = to_domain([[vec[p] for p in pivots]])
-    return from_domain(to_domain([vec]) - combo * to_domain(red))[0]
-
-
 def inverse(rows):
     return from_domain(to_domain(rows).inv())
 

@@ -76,6 +76,19 @@ def test_apply_l_arity():
         generate(_table(2, a11=1), [UniPoly.monomial(1)])
 
 
+def test_apply_l_coerces_its_window_as_generate_coerces_seeds():
+    g = _table(2, a11=1, a22=3)
+    assert apply_L(g, [[0, 0, 0, 1], [0, 0, 1]]) == apply_L(g, [UniPoly.monomial(3), UniPoly.monomial(2)])
+    gS = shift_invariance_table()
+    assert apply_L(gS, [[0, 0, 1]]) == generate(gS, [[0, 0, 1]]).coord(1) == UniPoly([0, 2])
+    for bad in ([object()], [["x"]], [5], [[Fraction(1, 2), 1.5]]):
+        with pytest.raises(TypeError) as got:
+            apply_L(gS, bad)
+        with pytest.raises(TypeError) as want:
+            generate(gS, bad)
+        assert str(got.value) == str(want.value)
+
+
 def test_generate_taylor_square():
     F = generate(shift_invariance_table(), [UniPoly.monomial(2)])
     assert F == BiPoly([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
@@ -401,6 +414,99 @@ def test_stream_yields_canonical_triples():
         for f in _recur(g, phi(F, g.s)):
             assert _canonical(f._z)
             assert UniPoly(f.coeffs)._z == f._z
+
+
+def _step_cases():
+    """(g, window): the kernel cases, then 160 seeded draws over widths 1-3,
+    real tables and windows on even draws and Gaussian ones on odd draws,
+    with zero slots, windows of degree below every term's order, and the
+    all-zero window of each table."""
+    rng = random.Random(0x57E9)
+    cases = [(g, window) for _name, g, window, _zero in KERNEL_CASES]
+    for k in range(160):
+        gaussian = bool(k % 2)
+        s = 1 + k % 3
+        entries = {(i, j): rand_scalar(rng, gaussian) for i in range(1, s + 1) for j in range(1, 5) if rng.random() < 0.5}
+        g = GammaTable(s, entries or {(s, 1): CoeffQ(Fraction(1, 3), Fraction(-2, 5) if gaussian else 0)})
+        deg = rng.choice((0, 1, 3, 7))  # degree 0 and 1 windows fall short of most terms' orders
+        cases.append((g, [rand_unipoly(rng, deg, gaussian) if rng.random() < 0.8 else UniPoly.zero() for _ in range(s)]))
+        cases.append((g, [UniPoly.zero()] * s))
+    return cases
+
+
+def test_step_is_the_first_coordinate_of_the_stream():
+    zero = 0
+    for g, window in _step_cases():
+        _width, Q, terms = gamma._terms(g, max(len(f._z[0]) for f in window))
+        out = gamma._step([f._z for f in window], Q, terms)
+        assert out._z == next(_recur(g, window), UniPoly.zero())._z == ref_apply_l(g, window)._z
+        zero += out.is_zero()
+    assert 160 < zero < 300  # every all-zero window, and the short ones
+
+
+def _unique_table_cases():
+    """(g, basis): monomial-seed bases of seeded tables, real and Gaussian,
+    of degree past every entry's order, so that infer_L pins each slot, with
+    zero elements that infer_L drops."""
+    rng = random.Random(0x1FE)
+    for k in range(12):
+        g = rand_gamma(rng, s_exact=1 + k % 3, max_j=3)
+        if k % 2:
+            g = GammaTable(g.s, {key: a * rand_scalar(rng) + CoeffQ(0, 1) for key, a in g.entries.items()})
+        yield g, [BiPoly.zero()] + monomial_seed_elements(g, 5) + [BiPoly.zero()]
+
+
+def test_infer_l_checks_a_unique_table_with_one_step_and_one_poll_per_element(monkeypatch):
+    from polymod import infer_L, operators
+
+    assert not hasattr(operators, "_recur")
+    events = []
+    step, terms, recur = operators._step, operators._terms, gamma._recur
+    monkeypatch.setattr(operators, "_step", lambda *a: events.append("step") or step(*a))
+    monkeypatch.setattr(operators, "_terms", lambda *a: events.append("terms") or terms(*a))
+    monkeypatch.setattr(gamma, "_recur", lambda *a: events.append("recur") or recur(*a))
+
+    class _Token:
+        def check(self):
+            events.append("poll")
+
+    for g, basis in _unique_table_cases():
+        events.clear()
+        assert infer_L(basis, g.s, 3, _Token()) == g
+        # the check follows the one conversion of the inferred table
+        nonzero = sum(not F.is_zero() for F in basis)
+        assert events.count("terms") == 1 and "recur" not in events
+        assert events[events.index("terms") + 1 :] == ["poll", "step"] * nonzero
+
+
+def test_recur_polls_once_per_step_at_every_size(monkeypatch):
+    # a unit is one _step; generate and mgamma_contains read the stream, and
+    # at every seed degree at most one step runs between two polls
+    since, worst = [0], []
+    real = gamma._step
+
+    def spy(*args):
+        since[0] += 1
+        return real(*args)
+
+    class _Token:
+        def check(self):
+            worst[-1] = max(worst[-1], since[0])
+            since[0] = 0
+
+    monkeypatch.setattr(gamma, "_step", spy)
+    rng = random.Random(0x18B)
+    g = GammaTable(2, {(1, 1): CoeffQ(Fraction(1, 3), 1), (2, 1): 1, (2, 2): Fraction(-2, 5)})
+    for n in (4, 8, 16):
+        seeds = [UniPoly.monomial(n) + rand_unipoly(rng, n - 1) for _ in range(2)]
+        F = generate(g, seeds)
+        for run in (lambda tok: generate(g, seeds, tok), lambda tok: mgamma_contains(g, F, tok)):
+            want = run(None)
+            since[0] = 0
+            worst.append(0)
+            assert run(_Token()) == want
+            worst[-1] = max(worst[-1], since[0])
+    assert worst == [1] * 6
 
 
 def test_recursion_path_builds_no_fraction(monkeypatch):

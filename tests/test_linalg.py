@@ -255,6 +255,32 @@ def test_eliminate_polls_once_per_unit_of_kept_row_work(monkeypatch):
     assert worst == [1, 1, 1]
 
 
+def test_product_polls_once_per_output_row_at_every_size():
+    # a unit is one output row, begun when product takes its row of a; at
+    # every size at most one row is taken between two polls, and none after the last
+    since, worst = [0], []
+
+    def rows(a):
+        for row in a:
+            since[0] += 1
+            yield row
+
+    class _Token:
+        def check(self):
+            worst[-1] = max(worst[-1], since[0])
+            since[0] = 0
+
+    rng = random.Random(0x19)
+    for n in (8, 16, 32):
+        m = [[CoeffQ(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+        a, b = _numerators(m), _numerators(zip(*m))
+        since[0] = 0
+        worst.append(0)
+        assert product(rows(a), b, _Token()) == product(a, b)
+        worst[-1] = max(worst[-1], since[0])
+    assert worst == [1, 1, 1]
+
+
 def test_product_polls_once_per_row_and_cancels_cleanly():
     for m in _cancel_corpus():
         # m @ m^T, one output row per row of m

@@ -10,6 +10,13 @@ The modules are MGamma, Sum(Md, MGamma), Sum(MGamma, MGamma),
 Sum(FiniteGen, MGamma) and FiniteGen. Each draw tests one element built to lie
 in the module and one that most often does not.
 
+Membership is linear, so on a draw of two members F, G and a candidate H:
+
+- R3: F + c G is in M for a random c and for the c that cancels F's top
+  x-power in its first coordinate of that degree, and G + H is not in M when
+  H is not. The truncated sum of two recursion spaces gives false negatives
+  there (ROADMAP item 8), so R3 is a strict xfail on that kind.
+
 A span closed under both partials is translation invariant too, so a basis
 and its translate span one space, and every question asked of the space
 answers alike on both:
@@ -72,26 +79,31 @@ def _combination(rng, basis, gaussian):
     return out
 
 
+def _module(rng, kind, gaussian, draw):
+    """(M, member): a module of the kind, and a function that draws an
+    element of M from rng by construction."""
+    g = rand_gamma(rng, max_s=2, max_j=3)
+    if kind == "MGamma":
+        return MGamma(g), lambda: _generated(rng, g, gaussian)
+    if kind == "Sum(Md, MGamma)":
+        d = rng.randint(1, 3)
+        M = Sum(Md(d), MGamma(g)) if draw % 2 else Sum(MGamma(g), Md(d))
+        return M, lambda: _generated(rng, g, gaussian) + rand_bipoly(rng, d - 1, 3, gaussian)
+    if kind == "Sum(MGamma, MGamma)":
+        h = rand_gamma(rng, max_s=2, max_j=3)
+        return Sum(MGamma(g), MGamma(h)), lambda: _generated(rng, g, gaussian) + _generated(rng, h, gaussian)
+    fin = FiniteGen([rand_bipoly(rng, 2, 2, gaussian) for _ in range(rng.randint(1, 2))])
+    if kind == "FiniteGen":
+        return fin, lambda: _combination(rng, fin.basis, gaussian)
+    return Sum(fin, MGamma(g)), lambda: _combination(rng, fin.basis, gaussian) + _generated(rng, g, gaussian)
+
+
 def _case(kind, gaussian, draw):
     """(M, [member, candidate]): the first lies in M by construction, the
     second is it plus a random BiPoly."""
     rng = random.Random(f"metamorphic-{kind}-{gaussian}-{draw}")
-    g = rand_gamma(rng, max_s=2, max_j=3)
-    if kind == "MGamma":
-        M, F = MGamma(g), _generated(rng, g, gaussian)
-    elif kind == "Sum(Md, MGamma)":
-        d = rng.randint(1, 3)
-        M = Sum(Md(d), MGamma(g)) if draw % 2 else Sum(MGamma(g), Md(d))
-        F = _generated(rng, g, gaussian) + rand_bipoly(rng, d - 1, 3, gaussian)
-    elif kind == "Sum(MGamma, MGamma)":
-        h = rand_gamma(rng, max_s=2, max_j=3)
-        M, F = Sum(MGamma(g), MGamma(h)), _generated(rng, g, gaussian) + _generated(rng, h, gaussian)
-    else:
-        fin = FiniteGen([rand_bipoly(rng, 2, 2, gaussian) for _ in range(rng.randint(1, 2))])
-        if kind == "FiniteGen":
-            M, F = fin, _combination(rng, fin.basis, gaussian)
-        else:
-            M, F = Sum(fin, MGamma(g)), _combination(rng, fin.basis, gaussian) + _generated(rng, g, gaussian)
+    M, member = _module(rng, kind, gaussian, draw)
+    F = member()
     return M, [F, F + rand_bipoly(rng, 2, 3, gaussian)]
 
 
@@ -130,6 +142,56 @@ def test_r2_members_stay_members_under_both_partials():
             assert contains(M, F.d_dx()).contains, (kind, gaussian, F, "d/dx")
             assert contains(M, F.d_dy()).contains, (kind, gaussian, F, "d/dy")
     assert members >= len(KINDS) * 2 * DRAWS
+
+
+R3_DRAWS = 30
+
+
+def _cancelling(F, G):
+    """The c for which F + c G drops F's x^e, e = deg_x F, from the first
+    coordinate where F has it, or None when F is zero or G has no x^e there."""
+    if F.is_zero():
+        return None
+    n = next(n for n, f in enumerate(F.coords) if f.degree == F.deg_x)
+    b = G.coord(n).coeff(int(F.deg_x))
+    return None if b.is_zero() else -(F.coord(n).coeff(int(F.deg_x)) / b)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        pytest.param(
+            kind,
+            marks=pytest.mark.xfail(
+                kind == "Sum(MGamma, MGamma)",
+                reason="ROADMAP item 8: the truncated sum-span test gives false negatives",
+                raises=AssertionError,
+                strict=True,
+            ),
+        )
+        for kind in KINDS
+    ],
+)
+def test_r3_membership_is_linear(kind):
+    cancelled = outside = 0
+    for gaussian in (False, True):
+        for draw in range(R3_DRAWS):
+            rng = random.Random(f"metamorphic-r3-{kind}-{gaussian}-{draw}")
+            M, member = _module(rng, kind, gaussian, draw)
+            F, G = member(), member()
+            H = F + rand_bipoly(rng, 2, 3, gaussian)
+            c = rand_scalar(rng, gaussian)
+            assert contains(M, F).contains and contains(M, G).contains, (gaussian, draw)
+            assert contains(M, F + G.scale(c)).contains, (gaussian, draw, c)
+            c = _cancelling(F, G)
+            if c is not None:
+                cancelled += 1
+                assert contains(M, F + G.scale(c)).contains, (gaussian, draw, c)
+            if not contains(M, H).contains:
+                outside += 1
+                assert not contains(M, G + H).contains, (gaussian, draw)
+    # both halves of the relation are exercised
+    assert cancelled >= R3_DRAWS // 2 and outside >= R3_DRAWS // 2
 
 
 def _closed_span(rng, gaussian):

@@ -37,6 +37,9 @@ from polymod.operators import ChainDecomposition, _witness
 from polymod.modules import derivative_closure, phi
 from polymod.spans import span_rows
 
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
 import sympy_oracle as sym
 from conftest import dense_product, identity, invert, rand_bipoly, rand_gamma, rand_nilpotent, rand_scalar, rand_unipoly
 from test_linalg import _CountingToken
@@ -576,43 +579,52 @@ def test_nilpotent_chains_random_corpus(rng):
         assert _reconstruct(dec) == D
 
 
-def is_zero_matrix(rows):
-    return all(c.is_zero() for r in rows for c in r)
-
-
 def ref_nilpotent_chains(mat):
     """The earlier greedy selection, kept as a reference: one residual per
     kernel candidate, one rref per chain added, and one product per chain
-    image and per basis vector, each on sympy."""
+    image and per basis vector, each on sympy. Its matrices stay sparse
+    DomainMatrix, over QQ when D is real and QQ_I otherwise, from D's
+    conversion to the answer's; the powers are those of D's numerator matrix
+    over ZZ or ZZ_I, which have D^k's kernels, and a chain's image at each
+    height is its image one height up times D."""
     D = [[CoeffQ.of(c) for c in row] for row in mat]
     n = len(D)
     if n == 0:
         return ChainDecomposition(dim=0, chains=(), basis_vectors=())
+    Dm = sym.to_domain(D, QQ if all(c.im == 0 for row in D for c in row) else QQ_I).to_sparse()
+    K, Dt = Dm.domain, Dm.transpose()  # rows: v D^T is (D v)^T
 
-    def apply(P, v):
-        return [r[0] for r in sym.product(P, [[x] for x in v])]
+    def rows(vecs):
+        return DomainMatrix([list(v) for v in vecs], (len(vecs), n), K).to_sparse()
 
-    powers = [D]  # powers[t] = D^(t+1)
-    while not is_zero_matrix(powers[-1]):
-        powers.append(sym.product(powers[-1], D))
-    kernels = [[]] + [sym.nullspace(P, n) for P in powers]
-    chains = []
+    def reduce(vecs):  # the nonzero RREF rows of vecs, and their pivots
+        red, pivots = rows(vecs).rref()
+        return red[: len(pivots), :], list(pivots)
+
+    _den, N = Dm.clear_denoms(convert=True)
+    powers = [N]  # powers[t] = N^(t+1)
+    while not powers[-1].is_zero_matrix:
+        powers.append(powers[-1] * N)
+    kernels = [[]] + [P.convert_to(K).nullspace(divide_last=True).to_list() for P in powers]
+    chains = []  # (u, length), u a list of K elements
+    images = []  # D^(length - k) u of each chain at the current height k
     for k in range(len(powers), 0, -1):
-        U = [list(v) for v in kernels[k - 1]]
-        U += [apply(powers[length - k - 1], list(u)) for u, length in chains]
-        red, pivots = sym.rref(U, n)
+        red, pivots = reduce(kernels[k - 1] + images)
         for cand in kernels[k]:
-            residual = sym.residual(list(cand), red, pivots)
-            if any(not c.is_zero() for c in residual):
-                chains.append((tuple(cand), k))
-                red, pivots = sym.rref(red + [list(cand)], n)
+            c = rows([cand])
+            if not (c - c.extract([0], pivots) * red).is_zero_matrix:
+                chains.append((cand, k))
+                images.append(cand)
+                red, pivots = reduce(red.to_list() + [cand])
+        images = (rows(images) * Dt).to_list() if images else []
     basis_vectors = []
     for u, length in chains:
-        v = list(u)
+        v = rows([u])
         for _ in range(length):
-            basis_vectors.append(tuple(v))
-            v = apply(D, v)
-    return ChainDecomposition(dim=n, chains=tuple(chains), basis_vectors=tuple(basis_vectors))
+            basis_vectors.append(tuple(sym.from_domain(v)[0]))
+            v = v * Dt
+    chains = tuple((tuple(sym.from_domain(rows([u]))[0]), k) for u, k in chains)
+    return ChainDecomposition(dim=n, chains=chains, basis_vectors=tuple(basis_vectors))
 
 
 def _conjugate(rng, D, gaussian=True):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.rings import ring
 
-from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, apply_L, generate, shift_invariance_table
+from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, apply_L, generate, poly, shift_invariance_table
 from polymod.poly import NEG_INF
 from polymod.scalars import ZERO
 from polymod.serialize import unipoly_from_json
@@ -85,6 +86,27 @@ def test_bipoly_monomial_convention():
     assert F.coord(0).is_zero() and F.coord(2).is_zero()
     assert F.deg_x == 2 and F.deg_y == 3
     assert F.evaluate(2, 1) == CoeffQ(4)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, -7, 2**200 + 3, -(2**200) - 1])
+def test_int_monomials_build_the_coercing_path_triple(c):
+    # a plain int coefficient builds its triple directly; Fraction(c) takes
+    # the coercing path, and a dense coefficient list takes the constructor's
+    for k, j in ((0, 0), (3, 0), (2, 3), (5, 1)):
+        assert UniPoly.monomial(k, c)._z == UniPoly.monomial(k, Fraction(c))._z == UniPoly([0] * k + [c])._z
+        want = BiPoly.monomial(k, j, Fraction(c))
+        assert tuple(f._z for f in BiPoly.monomial(k, j, c).coords) == tuple(f._z for f in want.coords)
+        assert BiPoly.monomial(k, j, c) == BiPoly([[]] * j + [[0] * k + [c * factorial(j)]])
+    assert (UniPoly.monomial(2, c) is UniPoly.zero()) == (c == 0)
+
+
+def test_a_bool_monomial_coefficient_takes_the_coercing_path(monkeypatch):
+    coerced = []
+    real = poly._operand
+    monkeypatch.setattr(poly, "_operand", lambda c: coerced.append(c) or real(c))
+    assert UniPoly.monomial(2, 1) == UniPoly.monomial(2, True) and BiPoly.monomial(1, 2, True) == BiPoly.monomial(1, 2)
+    assert UniPoly.monomial(2, False).is_zero() and BiPoly.monomial(1, 2, False).is_zero()
+    assert coerced == [True, True, False, False]
 
 
 def test_bipoly_trailing_zero_coords_dropped():
@@ -191,6 +213,29 @@ def test_bipoly_shift_polls_once_per_coordinate_of_each_pass():
             with pytest.raises(Cancelled):
                 F.shift(x, y, stub)
             assert stub.calls == m
+
+
+def test_shift_polls_once_per_coordinate_of_each_pass_at_every_size():
+    # read off the kernel's frame at each poll: the x-pass stands at the
+    # coordinate r of its list re, the y-pass at coordinate k; so the polls
+    # of each pass must step through the coordinates one at a time
+    seen = []
+
+    class _Token:
+        def check(self):
+            f = sys._getframe(1).f_locals
+            if "gre" in f:
+                seen.append(("y", f["k"]))
+            else:
+                seen.append(("x", next(k for k, r in enumerate(f["re"]) if r is f["r"])))
+
+    rng = random.Random(0x5418)
+    a, b = CoeffQ(Fraction(1, 2), 3), CoeffQ(Fraction(-2, 3), 1)
+    for n in (4, 8, 16, 32):
+        F = BiPoly([rand_unipoly(rng, n, True) + UniPoly.monomial(n) for _ in range(n)])
+        seen.clear()
+        assert F.shift(a, b, _Token()) == F.shift(a, b)
+        assert seen == [("x", k) for k in range(n)] + [("y", k) for k in range(n)]
 
 
 def test_evaluate_polls_once_per_coordinate_and_per_coefficient():
