@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .cancel import CancelToken
 from .errors import NotAnLModule, ParseError, PolymodError, ThresholdUnmet
@@ -238,6 +239,7 @@ def _cmd_e14(args, tok) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@cache  # one parser per process: building it costs more than most runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polymod",

@@ -22,19 +22,21 @@ Degrees of the zero polynomial are NEG_INF, which orders below every int.
 Both Taylor shifts run on one exact integer kernel, ``_shift``, in the
 fraction-free manner of von zur Gathen and Gerhard (ISSAC 1997). The
 coordinates' triples are put over one common denominator D, so the
-coefficients are numerators in Z[i] (two int lists, re and im). For the
-x-shift, a = A/q with A in Z[i]: c_j is scaled by q^(N-j), N the largest
-x-degree, the Horner loop c[j] += A * c[j + 1] runs on integers, and output
-k is multiplied by q^k; the denominator is now D * q^N. For the y-shift,
-b = B/q': the weights w_j = b^j / j! are integers over
-W = q'^(n-1) * (n-1)!, and each G_k = sum_j f_{k+j} * w_j is accumulated on
-integers. Zero parts are skipped throughout. Each output coordinate is made
-canonical with one gcd.
+coefficients are numerators in Z[i]. The y-pass runs first: for b = B/q'
+the weights w_j = b^j / j! are integers over W = q'^(n-1) * (n-1)!, each
+f_i's nonzero cells are read once, scaled to D, and each G_k =
+sum_j f_{k+j} * w_j, as long as the longest f_m with m >= k, is summed on
+integers over those cells alone. The x-pass then shifts each G_k (each f_k
+when b = 0) by a = A/q: c_j is scaled by q^(N-j), N the largest x-degree,
+the Horner loop c[j] += A * c[j + 1] skips zero parts, and output k is
+multiplied by q^k. Each pass polls cancel at each coordinate in turn, and
+each output coordinate, over D * W * q^N, is made canonical with one gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm, perm
 
 from .cancel import _polled
@@ -110,16 +112,52 @@ def _monomial(k: int, c, f: int = 1) -> "UniPoly":
 def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
     """The coordinates of F(x + a, y + b) as UniPoly, F given by its
     coordinates' triples cols (see the module doc for the kernel); polls
-    cancel once per coordinate of each pass."""
+    cancel once per coordinate of each pass, the y-pass first."""
     den = lcm(*[d for _re, _im, d in cols])
     ks = [den // d for _re, _im, d in cols]
-    re = [[c * k for c in r] for (r, _m, _d), k in zip(cols, ks)]
-    im = [[c * k for c in m] for (_r, m, _d), k in zip(cols, ks)]
-    width = max(map(len, re), default=0)
+    if b:
+        # b = B/q: w_j = b^j / j! is B^j q^(n-1-j) (n-1)!/j! over W = q^(n-1) (n-1)!
+        (br, bi), q = _over((b.re, b.im))
+        s = [1] * len(cols)
+        for j in range(len(cols) - 2, -1, -1):
+            s[j] = s[j + 1] * q * (j + 1)
+        wr, wi = [], []
+        pr, pi = 1, 0
+        for sj in s:
+            wr.append(pr * sj)
+            wi.append(pi * sj)
+            pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        den *= s[0]
+        # each f_i's nonzero cells over the common denominator, read once
+        cells = [([(t, c * k) for t, c in enumerate(r) if c], [(t, c * k) for t, c in enumerate(m) if c])
+                 for (r, m, _d), k in zip(cols, ks)]
+        # G_k = sum_j w_j f_(k+j) is as long as the longest f_m with m >= k
+        widths = list(accumulate([len(r) for r, _m, _d in reversed(cols)], max))[::-1]
+        re, im = [], []
+        for k, width in enumerate(widths):
+            if cancel is not None:
+                cancel.check()
+            gr, gi = [0] * width, [0] * width
+            for (rc, mc), vr, vi in zip(cells[k:], wr, wi):
+                if vr:
+                    for t, c in rc:
+                        gr[t] += c * vr
+                    for t, c in mc:
+                        gi[t] += c * vr
+                if vi:
+                    for t, c in rc:
+                        gi[t] += c * vi
+                    for t, c in mc:
+                        gr[t] -= c * vi
+            re.append(gr)
+            im.append(gi)
+    else:
+        re = [[c * k for c in r] for (r, _m, _d), k in zip(cols, ks)]
+        im = [[c * k for c in m] for (_r, m, _d), k in zip(cols, ks)]
     if a:
         # a = A/q: shift q^N f(z/q) by A on integers, then z^k carries q^k
         (ar, ai), q = _over((a.re, a.im))
-        qk = [q**k for k in range(width)]
+        qk = [q**k for k in range(max(map(len, re)))]
         for r, m in zip(re, im):
             if cancel is not None:
                 cancel.check()
@@ -144,42 +182,6 @@ def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
                 r[:] = [c * k for c, k in zip(r, qk)]
                 m[:] = [c * k for c, k in zip(m, qk)]
         den *= qk[-1]
-    if b:
-        # b = B/q: w_j = b^j / j! is B^j q^(n-1-j) (n-1)!/j! over W = q^(n-1) (n-1)!
-        (br, bi), q = _over((b.re, b.im))
-        n = len(cols)
-        s = [1] * n
-        for j in range(n - 2, -1, -1):
-            s[j] = s[j + 1] * q * (j + 1)
-        wr, wi = [], []
-        pr, pi = 1, 0
-        for sj in s:
-            wr.append(pr * sj)
-            wi.append(pi * sj)
-            pr, pi = pr * br - pi * bi, pr * bi + pi * br
-        den *= s[0]
-        gre, gim = [], []
-        for k in range(n):
-            if cancel is not None:
-                cancel.check()
-            gr = [0] * width
-            gi = [0] * width
-            for j in range(n - k):
-                vr, vi = wr[j], wi[j]
-                for t, (cr, cm) in enumerate(zip(re[k + j], im[k + j])):
-                    if cr:
-                        if vr:
-                            gr[t] += cr * vr
-                        if vi:
-                            gi[t] += cr * vi
-                    if cm:
-                        if vr:
-                            gi[t] += cm * vr
-                        if vi:
-                            gr[t] -= cm * vi
-            gre.append(gr)
-            gim.append(gi)
-        re, im = gre, gim
     return [_canon(r, m, den) for r, m in zip(re, im)]
 
 
@@ -349,10 +351,10 @@ class BiPoly:
     def shift(self, a, b, cancel=None) -> "BiPoly":
         """Returns G with G(x, y) = F(x + a, y + b), exactly.
 
-        Coordinates of G are G_k = sum_j f_{k+j}(x + a) * w_j with weights
-        w_j = b^j / j!, the y-direction Taylor expansion written in
-        coordinate form; both directions run on the integer kernel, which
-        polls cancel once per coordinate of each direction.
+        Coordinates of G are G_k(x + a) with G_k = sum_j f_{k+j} * w_j and
+        weights w_j = b^j / j!, the y-direction Taylor expansion written in
+        coordinate form. The integer kernel forms every G_k first, then
+        shifts each in x; it polls cancel once per coordinate of each pass.
         """
         a, b = CoeffQ.of(a), CoeffQ.of(b)
         if self.is_zero() or not (a or b):

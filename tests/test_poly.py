@@ -1,10 +1,9 @@
 import random
-import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 import pytest
-from conftest import rand_scalar, rand_unipoly
+from conftest import rand_gamma, rand_scalar, rand_unipoly
 from hypothesis import given
 from hypothesis import strategies as st
 from sympy import QQ, QQ_I
@@ -12,7 +11,7 @@ from sympy.polys.rings import ring
 
 from polymod import BiPoly, Cancelled, CoeffQ, UniPoly, apply_L, generate, poly, shift_invariance_table
 from polymod.poly import NEG_INF
-from polymod.scalars import ZERO
+from polymod.scalars import ZERO, _make
 from polymod.serialize import unipoly_from_json
 from polymod.spans import PolyFrame, span_reduce
 
@@ -215,27 +214,95 @@ def test_bipoly_shift_polls_once_per_coordinate_of_each_pass():
             assert stub.calls == m
 
 
+class _Cell(int):
+    """An int that knows which inputs of a shift it was computed from, as
+    bits of origin: 1 for the x-shift a, 2 << k for coordinate k of F. Each
+    product with it notes that origin in the last list of log, which each
+    poll opens; each product with a cell of F itself (raw) is noted in reads."""
+
+    log: list = [[]]
+    reads: list = []
+
+    def __new__(cls, value, origin, raw=False):
+        cell = int.__new__(cls, value)
+        cell.origin, cell.raw = origin, raw
+        return cell
+
+
+def _cell_op(name):
+    op = getattr(int, name)
+
+    def apply(self, other):
+        origin = self.origin | getattr(other, "origin", 0)
+        if name in ("__mul__", "__rmul__"):
+            _Cell.log[-1].append(origin)
+            if self.raw:
+                _Cell.reads.append(self)
+        return _Cell(op(self, other), origin)
+
+    return apply
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+    setattr(_Cell, _name, _cell_op(_name))
+
+
+class _MarkedFraction(Fraction):
+    """A Fraction whose integer ratio has its numerator marked as coming from a."""
+
+    def as_integer_ratio(self):
+        n, d = super().as_integer_ratio()
+        return _Cell(n, 1), d
+
+
+class _CellToken:
+    def check(self):
+        _Cell.log.append([])
+
+
+def _tagged(F: BiPoly) -> BiPoly:
+    """F with each cell of coordinate k a raw _Cell from k alone."""
+    coords = []
+    for k, f in enumerate(F.coords):
+        re, im, den = f._z
+        g = object.__new__(UniPoly)
+        g._z = tuple(tuple(_Cell(c, 2 << k, True) for c in part) for part in (re, im)) + (den,)
+        coords.append(g)
+    return BiPoly(coords)
+
+
+def _pass_at(products) -> tuple:
+    """(pass, least coordinate, greatest coordinate) of the products made
+    between two polls: x-pass products involve both a and F."""
+    coords = 0
+    for origin in products:
+        coords |= origin >> 1
+    x = any(origin & 1 and origin > 1 for origin in products)
+    return ("x" if x else "y", (coords & -coords).bit_length() - 1, coords.bit_length() - 1)
+
+
 def test_shift_polls_once_per_coordinate_of_each_pass_at_every_size():
-    # read off the kernel's frame at each poll: the x-pass stands at the
-    # coordinate r of its list re, the y-pass at coordinate k; so the polls
-    # of each pass must step through the coordinates one at a time
-    seen = []
-
-    class _Token:
-        def check(self):
-            f = sys._getframe(1).f_locals
-            if "gre" in f:
-                seen.append(("y", f["k"]))
-            else:
-                seen.append(("x", next(k for k, r in enumerate(f["re"]) if r is f["r"])))
-
+    # every coordinate ends in x^n, so G_k draws on f_k .. f_(n-1): a y-pass
+    # poll is followed by G_k's sums, an x-pass poll by the Horner loop on
+    # G_k (on f_k when b = 0); each pass must step through the coordinates
+    # one at a time, the y-pass first, and read no cell of F twice
     rng = random.Random(0x5418)
-    a, b = CoeffQ(Fraction(1, 2), 3), CoeffQ(Fraction(-2, 3), 1)
+    a = _make(_MarkedFraction(1, 2), _MarkedFraction(3))
+    b = CoeffQ(Fraction(-2, 3), 1)
     for n in (4, 8, 16, 32):
         F = BiPoly([rand_unipoly(rng, n, True) + UniPoly.monomial(n) for _ in range(n)])
-        seen.clear()
-        assert F.shift(a, b, _Token()) == F.shift(a, b)
-        assert seen == [("x", k) for k in range(n)] + [("y", k) for k in range(n)]
+        T = _tagged(F)
+        nonzero = {id(c) for f in T.coords for part in f._z[:2] for c in part if c}
+        y = [("y", k, n - 1) for k in range(n)]
+        x = [("x", k, n - 1) for k in range(n)]
+        x_alone = [("x", k, k) for k in range(n)]
+        for shift, want in (((a, b), y + x), ((a, 0), x_alone), ((0, b), y)):
+            G = F.shift(*shift)
+            _Cell.log, _Cell.reads = [[]], []
+            assert T.shift(*shift, _CellToken()) == G
+            assert [_pass_at(products) for products in _Cell.log[1:]] == want, (n, shift)
+            read = [id(c) for c in _Cell.reads]
+            assert len(read) == len(set(read)) and nonzero <= set(read), (n, shift)
 
 
 def test_evaluate_polls_once_per_coordinate_and_per_coefficient():
@@ -402,13 +469,40 @@ def _kernel_polys():
     ])
 
 
+def _exact_degree(rng: random.Random, deg: int) -> UniPoly:
+    return UniPoly([rand_scalar(rng) for _ in range(deg)] + [CoeffQ(rng.randint(1, 5), rng.choice([0, 0, 2]))])
+
+
+def _pass_order_polys():
+    """Shapes for the y-pass run first over each coordinate's nonzero cells."""
+    rng = random.Random(0x5A55)
+    # generated elements, as recursion-probe builds them: real tables, seeds
+    # with sparse imaginary parts, coordinate lengths falling towards the end
+    for k in range(4):
+        g = rand_gamma(rng, s_exact=1 + k % 3)
+        yield f"generated-{k}", generate(g, [_exact_degree(rng, rng.randint(2, 7)) for _ in range(g.s)])
+    yield "short-between-long", BiPoly([_exact_degree(rng, d) for d in (8, 1, 9, 0, 7, 6)])
+    z = UniPoly.zero()
+    yield "zero-interior", BiPoly([_exact_degree(rng, 5), z, z, _exact_degree(rng, 3), z, _exact_degree(rng, 6)])
+
+
 KERNEL_SHIFTS = [
     ("coprime-parts", CoeffQ(Fraction(1, 6), Fraction(5, 7)), CoeffQ(Fraction(-3, 5), Fraction(2, 11))),
     ("imaginary", CoeffQ(0, Fraction(3, 4)), CoeffQ(0, Fraction(-2, 9))),
     ("large-dens", CoeffQ(Fraction(-1, 997), Fraction(1, P61)), CoeffQ(Fraction(P61, 997))),
 ]
+PASS_ORDER_SHIFTS = {
+    "0": CoeffQ(0),
+    "real": CoeffQ(Fraction(-5, 3)),
+    "imag": CoeffQ(0, Fraction(7, 4)),
+    "gauss": CoeffQ(Fraction(3, 2), Fraction(-2, 5)),
+}
 KERNEL_CASES = [
     (f"{fname}-{sname}", F, a, b) for fname, F in _kernel_polys() for sname, a, b in KERNEL_SHIFTS
+] + [
+    (f"{fname}-a_{ak}-b_{bk}", F, PASS_ORDER_SHIFTS[ak], PASS_ORDER_SHIFTS[bk])
+    for fname, F in _pass_order_polys()
+    for ak, bk in (("real", "imag"), ("imag", "real"), ("gauss", "gauss"), ("0", "imag"), ("gauss", "0"), ("imag", "imag"))
 ]
 
 
@@ -420,11 +514,15 @@ def _lowest_terms(x) -> bool:
 def test_integer_kernel_matches_reference_and_sympy(name, F, a, b):
     G = F.shift(a, b)
     assert G == ref_bipoly_shift(F, a, b)
+    # one pass at a time, in either order, gives the same triples
+    assert G == F.shift(a, 0).shift(0, b) == F.shift(0, b).shift(a, 0)
     for f in F.coords:
         g = f.shift(a)
         assert g == ref_unipoly_shift(f, a)
         assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for c in g.coeffs)
     assert all(_lowest_terms(c.re) and _lowest_terms(c.im) for g in G.coords for c in g.coeffs)
+    for re, im, den in (g._z for g in G.coords):
+        assert den > 0 and gcd(den, *re, *im) == 1 and (not re or re[-1] or im[-1])
     want, ring_vars = _sympy_shift(F, a, b)
     assert _to_ring(G, *ring_vars) == want
 
