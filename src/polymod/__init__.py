@@ -14,10 +14,10 @@ makes a subspace translation invariant. Around that core it provides:
   recursion module with doubly-exponential coefficients is not closed
 """
 
-from .cancel import CancelToken
 from .errors import (
     ArityMismatch,
     Cancelled,
+    CancelToken,
     NotAnLModule,
     NotNilpotent,
     ParseError,

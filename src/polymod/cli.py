@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache
 
-from .cancel import CancelToken
-from .errors import NotAnLModule, ParseError, PolymodError, ThresholdUnmet
+from .errors import CancelToken, NotAnLModule, ParseError, PolymodError, ThresholdUnmet
 from .gamma import generate
 from .modules import contains, derivative_closure, v_space
 from .nonclosed import sup_bound, verify_e14
@@ -34,7 +32,7 @@ from .operators import (
 from .scalars import CoeffQ
 from . import serialize as ser
 
-FALLBACK_DEG_BOUND = 6  # used only when neither --deg-bound nor the env var is set
+FALLBACK_DEG_BOUND = 6  # infer-l, order and order-sum use it when --deg-bound is not given
 _SCALAR_FLAGS = ("--x", "--y", "--a", "--b")
 
 
@@ -87,15 +85,7 @@ def _poly_list(arg: str, parse_one, tok) -> list:
 
 
 def _deg_bound(args, fallback=None) -> int | None:
-    if args.deg_bound is not None:
-        return args.deg_bound
-    env = os.environ.get("POLYMOD_DEG_BOUND")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"POLYMOD_DEG_BOUND must be an int, got {env!r}") from exc
-    return fallback
+    return fallback if args.deg_bound is None else args.deg_bound
 
 
 def _emit(args, payload, human_lines) -> int:
@@ -255,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deg-bound",
         type=int,
         default=None,
-        help="truncation degree for span-based probes (default: POLYMOD_DEG_BOUND or per-operation)",
+        help="truncation degree for span-based probes (default: per-operation)",
     )
 
     p = sub.add_parser("poly-eval", parents=[common], help="evaluate F(x0, y0) exactly")

@@ -1,6 +1,13 @@
-"""Error taxonomy shared by the library and the CLI."""
+"""Every way a library call stops early: the error taxonomy shared by the
+library and the CLI, cooperative cancellation, and the integer-argument rules.
+
+Kernel loops poll a CancelToken; no partial results escape once it fires.
+"""
 
 from __future__ import annotations
+
+import math
+import time
 
 
 class PolymodError(Exception):
@@ -74,3 +81,40 @@ class ThresholdUnmet(PolymodError):
 
 class Cancelled(PolymodError):
     code = "cancelled"
+
+
+class CancelToken:
+    __slots__ = ("deadline",)
+
+    def __init__(self, timeout: float | None = None):
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout must be a number of seconds, not nan")
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise Cancelled("computation cancelled by timeout")
+
+
+def _polled(items, cancel):
+    """items, with cancel (if given) polled before each one."""
+    for item in items:
+        if cancel is not None:
+            cancel.check()
+        yield item
+
+
+def _natural(k, what: str) -> int:
+    """k when it is an int >= 0, a bool not counting as one; otherwise ValueError naming what."""
+    if type(k) is not int:
+        raise ValueError(f"{what} must be an int, not {type(k).__name__}")
+    if k < 0:
+        raise ValueError(f"negative {what}")
+    return k
+
+
+def _at_least(value, low: int, message: str) -> int:
+    """value when it is an int >= low, a bool not counting as one; otherwise ValueError(message)."""
+    if type(value) is not int or value < low:
+        raise ValueError(message)
+    return value

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from math import lcm, perm
 from types import MappingProxyType
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, _at_least
 from .poly import _ZERO_POLY, BiPoly, UniPoly, _bipoly, _canon, _over
 from .scalars import CoeffQ
 
@@ -46,8 +46,7 @@ class GammaTable:
     __slots__ = ("s", "entries", "_terms")
 
     def __init__(self, s: int, entries=None):
-        if type(s) is not int or s < 1:
-            raise ValueError("table width s must be a positive int")
+        _at_least(s, 1, "table width s must be a positive int")
         table = {}
         for (i, j), a in dict(entries or {}).items():
             if type(i) is not int or not 1 <= i <= s:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cancel import _polled
+from .errors import _polled
 from .scalars import ONE, ZERO, _entry
 
 _ZZ = (0, 0)

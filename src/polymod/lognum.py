@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RangeExceeded
+from .errors import RangeExceeded, _at_least
 
 PRECISION = 128
 # per-op additive pad on ln|x|; ln(1+2^-40) < 2^-40 (a dyadic float, which
@@ -141,8 +141,7 @@ def log_pow(a: LogNum, k: int) -> LogNum:
 
 def e_tower_log(k: int, n):
     """ln(e_k(n)) for tower levels k = 1, 2, 3."""
-    if type(k) is not int or k < 1:
-        raise ValueError("tower level k must be a positive int")
+    _at_least(k, 1, "tower level k must be a positive int")
     if k > 3:
         raise RangeExceeded("tower levels above 3 are not representable here")
     if k >= 2 and n > TOWER_CAP:

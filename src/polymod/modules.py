@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .cancel import CancelToken
-from .errors import UnsupportedExpr
+from .errors import CancelToken, UnsupportedExpr, _at_least
 from .gamma import GammaTable, _recur, mgamma_contains, monomial_seed_elements
 from .linalg import rref
 from .poly import _ZERO_POLY, NEG_INF, BiPoly, UniPoly
@@ -94,9 +93,7 @@ class Md(_Value):
     __slots__ = ("d",)
 
     def __init__(self, d):
-        if type(d) is not int or d < 0:
-            raise ValueError("Md degree bound must be an int >= 0")
-        self._fill(d)
+        self._fill(_at_least(d, 0, "Md degree bound must be an int >= 0"))
 
 
 class MGamma(_Value):
@@ -249,9 +246,7 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
         if shape is not None:
             return _contains_md_plus_gamma(*shape, F, cancel)
         if all(isinstance(p, (FiniteGen, MGamma)) for p in M.parts):
-            if deg_bound is not None and (type(deg_bound) is not int or deg_bound < 1):
-                raise ValueError("deg_bound must be >= 1")
-            bound = deg_bound if deg_bound is not None else default_deg_bound(M, F)
+            bound = default_deg_bound(M, F) if deg_bound is None else _at_least(deg_bound, 1, "deg_bound must be >= 1")
             cands, truncated = _sum_candidates(M.parts, None, bound, cancel)
             ok, combo = in_span(F, cands, cancel)
             cert = {
@@ -268,11 +263,8 @@ def contains(M, F: BiPoly, deg_bound: int | None = None, cancel: CancelToken | N
 
 def v_space(M, s: int, deg_bound: int | None = None, cancel: CancelToken | None = None) -> VSpaceBasis:
     """Row-reduced basis of the seed prefixes {phi(F, s) : F in M, deg_x F < bound}."""
-    if type(s) is not int or s < 1:
-        raise ValueError("s must be a positive int")
-    if deg_bound is not None and (type(deg_bound) is not int or deg_bound < 1):
-        raise ValueError("deg_bound must be >= 1")
-    bound = deg_bound if deg_bound is not None else default_deg_bound(M)
+    _at_least(s, 1, "s must be a positive int")
+    bound = default_deg_bound(M) if deg_bound is None else _at_least(deg_bound, 1, "deg_bound must be >= 1")
     parts = M.parts if isinstance(M, Sum) else (M,)
     if not all(isinstance(p, (Md, MGamma, FiniteGen)) for p in parts):
         raise UnsupportedExpr("v_space supports Md, MGamma, FiniteGen and their sums")

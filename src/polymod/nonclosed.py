@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import RangeExceeded, ThresholdUnmet
+from .errors import RangeExceeded, ThresholdUnmet, _at_least
 from .gamma import GammaTable, apply_L
 from .lognum import (
     PRECISION,
@@ -57,12 +57,6 @@ def _up(log_mag) -> LogNum:
     from mpmath import mpf
 
     return LogNum(1, mpf(log_mag) + SLACK_LOG)
-
-
-def _fmt(v) -> str:
-    from mpmath import nstr
-
-    return nstr(v, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +115,7 @@ def verify_e14(n_max: int, cancel=None):
     e_3(n-1)^e(n) / e_3(n). Postconditions checked here: the sequence is
     strictly decreasing, and once negative it stays negative.
     """
-    if type(n_max) is not int or n_max < 2:
-        raise ValueError("n_max must be an int >= 2")
+    _at_least(n_max, 2, "n_max must be an int >= 2")
     if n_max > TOWER_CAP:
         raise RangeExceeded(f"n_max = {n_max} exceeds the tower cap {TOWER_CAP}")
     from mpmath import mp
@@ -153,11 +146,10 @@ def side_conditions(n: int):
     integer checks). Comparisons demand a margin so a borderline pass within
     rounding distance is reported as a failure instead.
     """
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be a positive int")
+    _at_least(n, 1, "n must be a positive int")
     if n > TOWER_CAP:
         raise RangeExceeded(f"n = {n} exceeds the tower cap {TOWER_CAP}")
-    from mpmath import log, mp, mpf
+    from mpmath import log, mp, mpf, nstr
 
     conds = []
     with mp.workprec(PRECISION):
@@ -169,8 +161,8 @@ def side_conditions(n: int):
                 {
                     "name": name,
                     "holds": bool(lhs + CONDITION_MARGIN < rhs),
-                    "lhs_log": _fmt(lhs),
-                    "rhs_log": _fmt(rhs),
+                    "lhs_log": nstr(lhs, 12),
+                    "rhs_log": nstr(rhs, 12),
                     "note": note,
                 }
             )
@@ -276,8 +268,7 @@ def coeff_norm_chain(n: int, k: int) -> LogNum:
     the operator on a degree-< n polynomial multiplies the norm by at most
     e_3(n-1)^2, giving e_3(n-1)^(2k-1)/e_3(n) overall.
     """
-    if type(n) is not int or n < 2:
-        raise ValueError("n must be an int >= 2")
+    _at_least(n, 2, "n must be an int >= 2")
     if type(k) is not int or not 1 <= k <= n:
         raise ValueError("k must be an int with 1 <= k <= n")
     from mpmath import log, mp, mpf

@@ -25,8 +25,7 @@ from itertools import accumulate
 from math import factorial, lcm
 from operator import itemgetter
 
-from .cancel import CancelToken, _polled
-from .errors import NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr
+from .errors import CancelToken, NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr, _at_least, _polled
 from .gamma import GammaTable, _step, _terms, monomial_seed_elements
 from .linalg import _dense, _kernel, _numerators, eliminate, product, rref
 from .modules import _Value, _md_gamma
@@ -64,8 +63,7 @@ def _witness(frame, vecs, K, cancel=None):
 def order_of_module(basis, deg_bound: int, cancel: CancelToken | None = None) -> int | None:
     """Smallest s <= deg_bound with no nonzero span element vanishing on the
     first s coordinates; None if every s up to the bound fails."""
-    if type(deg_bound) is not int or deg_bound < 1:
-        raise ValueError("deg_bound must be >= 1")
+    _at_least(deg_bound, 1, "deg_bound must be >= 1")
     basis = list(basis)
     frame = PolyFrame(basis, key=itemgetter(1, 0))
     K, _ = _order(frame, [frame.to_vec(p) for p in basis], cancel)
@@ -93,10 +91,8 @@ def infer_L(basis, s: int, deg_bound: int, cancel: CancelToken | None = None) ->
     Underdetermined when the span is too small to pin every coefficient slot;
     the error lists the free (i, j) slots.
     """
-    if type(s) is not int or s < 1:
-        raise ValueError("s must be a positive int")
-    if type(deg_bound) is not int or deg_bound < 1:
-        raise ValueError("deg_bound must be >= 1")
+    _at_least(s, 1, "s must be a positive int")
+    _at_least(deg_bound, 1, "deg_bound must be >= 1")
     basis = [F for F in basis if not F.is_zero()]
     if len(span_rows([_bipoly(list(F.coords[:s])) for F in basis], cancel)[1]) < len(basis):
         witness = _witness(*span_rows(basis, cancel=cancel), s, cancel)
@@ -154,8 +150,7 @@ def order_of_sum_report(g1: GammaTable, g2: GammaTable, deg_bound: int, cancel: 
     Coordinates are compared exactly on the fully generated polynomials; only
     the seed degree is truncated, and the report records that bound.
     """
-    if type(deg_bound) is not int or deg_bound < 1:
-        raise ValueError("deg_bound must be >= 1")
+    _at_least(deg_bound, 1, "deg_bound must be >= 1")
     gens = monomial_seed_elements(g1, deg_bound, cancel) + monomial_seed_elements(g2, deg_bound, cancel)
     frame = PolyFrame(gens, key=itemgetter(1, 0))
     vecs = [frame.to_vec(p) for p in gens]
@@ -252,8 +247,7 @@ def quotient_derivation(s: int, k: int, d: int):
     Basis cosets are x^m in slot i, ordered slot-major with m ascending.
     The result is nilpotent of index k - d.
     """
-    if type(s) is not int or s < 1:
-        raise ValueError("s must be a positive int")
+    _at_least(s, 1, "s must be a positive int")
     if not (type(k) is int and type(d) is int and k > d >= 0):
         raise ValueError("need k > d >= 0")
     width = k - d

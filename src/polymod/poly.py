@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm, perm
 
-from .cancel import _polled
+from .errors import _natural, _polled
 from .scalars import ONE, ZERO, CoeffQ, _entry, _operand
 
 NEG_INF = float("-inf")
@@ -78,15 +78,6 @@ def _bipoly(coords: list) -> "BiPoly":
     p = _new(BiPoly)
     p.coords = tuple(coords)
     return p
-
-
-def _natural(k, what: str) -> int:
-    """k when it is an int >= 0, a bool not counting as one; otherwise ValueError naming what."""
-    if type(k) is not int:
-        raise ValueError(f"{what} must be an int, not {type(k).__name__}")
-    if k < 0:
-        raise ValueError(f"negative {what}")
-    return k
 
 
 def _over(parts) -> tuple:

@@ -23,8 +23,7 @@ import json
 import re
 from fractions import Fraction
 
-from .cancel import _polled
-from .errors import ParseError
+from .errors import ParseError, _polled
 from .gamma import GammaTable
 from .lognum import LogNum
 from .modules import FiniteGen, MembershipResult, Md, MGamma, Sum, VSpaceBasis
@@ -172,31 +171,21 @@ def lognum_to_json(x: LogNum) -> dict:
 
 
 def jsonable(value):
-    """Recursive conversion of library values into JSON-ready structures."""
+    """Recursive conversion of a certificate or an error payload, which hold
+    only plain values, scalars, polynomials, dicts, lists and tuples, into
+    JSON-ready structures."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return fmt_rational(value)
     if isinstance(value, CoeffQ):
         return scalar_to_json(value)
     if isinstance(value, UniPoly):
         return unipoly_to_json(value)
     if isinstance(value, BiPoly):
         return bipoly_to_json(value)
-    if isinstance(value, GammaTable):
-        return gamma_to_json(value)
-    if isinstance(value, LogNum):
-        return lognum_to_json(value)
-    if isinstance(value, MembershipResult):
-        return membership_to_json(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if type(value).__module__.startswith("mpmath"):
-        from mpmath import nstr
-
-        return nstr(value, LOG_DIGITS)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -16,7 +16,7 @@ into BiPoly values, each coordinate with ``_unipoly`` and no coercion.
 
 from __future__ import annotations
 
-from .cancel import _polled
+from .errors import _polled
 from .linalg import _numerators, eliminate, product, rref
 from .poly import BiPoly, _bipoly, _unipoly
 from .scalars import ONE, ZERO, _entry

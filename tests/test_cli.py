@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from polymod import BiPoly, UniPoly, generate, shift_invariance_table
+from polymod import BiPoly, CancelToken, UniPoly, generate, shift_invariance_table
 from polymod import serialize as ser
 from polymod import cli
-from polymod.cancel import CancelToken
 from polymod.cli import run
 
 from conftest import rand_bipoly
@@ -341,32 +340,6 @@ def test_at_file_input(tmp_path, capsys):
     )
     assert code == 1
     assert payload["error"]["type"] == "parse-error"
-
-
-def test_env_deg_bound(monkeypatch, capsys):
-    basis = ser.dumps([ser.bipoly_to_json(BiPoly.monomial(2, 1))])
-    monkeypatch.setenv("POLYMOD_DEG_BOUND", "1")
-    code, payload = _json_out(capsys, ["order", "--json", "--basis", basis])
-    assert code == 0 and payload == {"order": None}
-    monkeypatch.setenv("POLYMOD_DEG_BOUND", "4")
-    code, payload = _json_out(capsys, ["order", "--json", "--basis", basis])
-    assert code == 0 and payload == {"order": 2}
-    # a malformed env var is an error even where the command has a fallback bound
-    monkeypatch.setenv("POLYMOD_DEG_BOUND", "soon")
-    for argv in (
-        ["order", "--json", "--basis", basis],
-        ["infer-l", "--json", "--s", "1", "--basis", basis],
-        ["order-sum", "--json", "--gamma1", GS_JSON, "--gamma2", GS_JSON],
-    ):
-        code, payload = _json_out(capsys, argv)
-        assert code == 1 and payload["error"]["type"] == "parse-error", argv
-
-
-def test_flag_beats_env(monkeypatch, capsys):
-    basis = ser.dumps([ser.bipoly_to_json(BiPoly.monomial(2, 1))])
-    monkeypatch.setenv("POLYMOD_DEG_BOUND", "1")
-    code, payload = _json_out(capsys, ["order", "--json", "--deg-bound", "4", "--basis", basis])
-    assert code == 0 and payload == {"order": 2}
 
 
 def test_timeout_cancels(capsys):

@@ -26,7 +26,6 @@ DATA = Path(__file__).parent / "data" / "demo_stdout.json"
 
 def _run(demo: Path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("POLYMOD_DEG_BOUND", None)
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )

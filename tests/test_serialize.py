@@ -331,12 +331,8 @@ def test_lognum_to_json():
 
 
 def test_jsonable_dispatch():
-    assert ser.jsonable(Fraction(2, 4)) == "1/2"
     assert ser.jsonable((1, "a", None)) == [1, "a", None]
     assert ser.jsonable({"k": UniPoly.monomial(1)}) == {"k": [{"re": "0", "im": "0"}, {"re": "1", "im": "0"}]}
-    from mpmath import mpf
-
-    assert isinstance(ser.jsonable(mpf(2) ** 100), str)
     with pytest.raises(TypeError):
         ser.jsonable(object())
 
