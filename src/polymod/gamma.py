@@ -38,7 +38,51 @@ from .poly import _ZERO_POLY, BiPoly, UniPoly, _bipoly, _canon, _over
 from .scalars import CoeffQ
 
 
-class GammaTable:
+class _Value:
+    """Base of the immutable values: GammaTable and the nine result classes
+    (Md, MGamma, FiniteGen, Sum, MembershipResult, VSpaceBasis,
+    SumOrderReport, ChainDecomposition, BoundReport). From a subclass's
+    __slots__ it derives the __init__, repr, per-class equality and hashing
+    on _key (FiniteGen's basis and GammaTable's cache left out), and copy
+    and pickle."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _fill(self, <fields>), generated as a dataclass's __init__ is and as fast,
+        # stores each field through its slot descriptor, past the frozen __setattr__
+        env = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in cls.__slots__)
+        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", env)
+        cls._fill = env["__init__"]
+        cls._fill.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = vars(cls).get("__init__", cls._fill)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        self._fill(*state)
+
+    _key = __getstate__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GammaTable(_Value):
     """Immutable sparse table {(i, j): a_ij} with 1 <= i <= s and j >= 1;
     entries is a read-only view, because the private slot _terms caches the
     integer terms (see _terms). Equality, hash, repr and pickles ignore it."""
@@ -56,25 +100,13 @@ class GammaTable:
             a = CoeffQ.of(a)
             if not a.is_zero():
                 table[(i, j)] = a
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(table.items()))))
-        object.__setattr__(self, "_terms", None)
+        self._fill(s, MappingProxyType(dict(sorted(table.items()))), None)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
+    def _key(self):
+        return self.s, tuple(self.entries.items())
 
     def __reduce__(self):
         return GammaTable, (self.s, dict(self.entries))
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaTable):
-            return NotImplemented
-        return self.s == other.s and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.s, tuple(self.entries.items())))
 
     def __repr__(self):
         body = ", ".join(f"a[{i},{j}]={a}" for (i, j), a in self.entries.items())

@@ -30,6 +30,7 @@ PRECISION = 128
 # mpmath converts exactly)
 SLACK_LOG = 2.0 ** -40
 TOWER_CAP = 700
+LOG_DIGITS = 12  # significant digits for labeled log-scale strings
 
 MODE_UPPER = "upper-bound"
 

@@ -10,11 +10,6 @@ differentiation-closed linear subspace. Module expressions:
                   at construction time
     Sum(parts)    pointwise sum of spaces
 
-The nine result classes (these four, MembershipResult, VSpaceBasis,
-SumOrderReport, ChainDecomposition, BoundReport) are immutable values whose
-base _Value derives from their __slots__ the __init__, repr, per-class
-equality and hashing (FiniteGen's basis left out), and copy and pickle.
-
 Membership decisions are exact except where noted: sums that mix several
 FiniteGen/MGamma parts are decided against seeds of degree < deg_bound and
 the certificate records that truncation. The special shape Md + MGamma,
@@ -29,7 +24,7 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .errors import CancelToken, UnsupportedExpr, _at_least
-from .gamma import GammaTable, _recur, mgamma_contains, monomial_seed_elements
+from .gamma import GammaTable, _Value, _recur, mgamma_contains, monomial_seed_elements
 from .linalg import rref
 from .poly import _ZERO_POLY, NEG_INF, BiPoly, UniPoly
 from .spans import PolyFrame, in_span, span_reduce
@@ -50,43 +45,6 @@ def derivative_closure(gens, cancel: CancelToken | None = None):
                 f = f.d_dx()
             g = g.d_dy()
     return span_reduce(partials, cancel=cancel)
-
-
-class _Value:
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        # _fill(self, <fields>), generated as a dataclass's __init__ is and as fast,
-        # stores each field through its slot descriptor, past the frozen __setattr__
-        env = {f"_set_{n}": vars(cls)[n].__set__ for n in cls.__slots__}
-        body = "".join(f"\n    _set_{n}(self, {n})" for n in cls.__slots__)
-        exec(f"def __init__(self, {', '.join(cls.__slots__)}):{body}", env)
-        cls._fill = env["__init__"]
-        cls._fill.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = vars(cls).get("__init__", cls._fill)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        self._fill(*state)
-
-    _key = __getstate__
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Md(_Value):

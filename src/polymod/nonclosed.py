@@ -28,8 +28,9 @@ import math
 from fractions import Fraction
 
 from .errors import RangeExceeded, ThresholdUnmet, _at_least
-from .gamma import GammaTable, apply_L
+from .gamma import GammaTable, _Value, apply_L
 from .lognum import (
+    LOG_DIGITS,
     PRECISION,
     SLACK_LOG,
     TOWER_CAP,
@@ -39,7 +40,7 @@ from .lognum import (
     log_mul,
     log_pow,
 )
-from .modules import MembershipResult, _Value
+from .modules import MembershipResult
 from .poly import UniPoly
 from .scalars import CoeffQ
 
@@ -161,8 +162,8 @@ def side_conditions(n: int):
                 {
                     "name": name,
                     "holds": bool(lhs + CONDITION_MARGIN < rhs),
-                    "lhs_log": nstr(lhs, 12),
-                    "rhs_log": nstr(rhs, 12),
+                    "lhs_log": nstr(lhs, LOG_DIGITS),
+                    "rhs_log": nstr(rhs, LOG_DIGITS),
                     "note": note,
                 }
             )
@@ -293,8 +294,7 @@ def coeff_norm_chain(n: int, k: int) -> LogNum:
 def _real_norm(f: UniPoly) -> Fraction:
     """Max absolute coefficient; the surrogate tables stay real-rational."""
     best = Fraction(0)
-    for k in range(int(f.degree) + 1 if not f.is_zero() else 0):
-        c = f.coeff(k)
+    for c in f.coeffs:
         if c.im != 0:
             raise ValueError("surrogate bridge expects real coefficients")
         best = max(best, abs(c.re))

@@ -26,9 +26,9 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from .errors import CancelToken, NotAnLModule, NotNilpotent, Underdetermined, UnsupportedExpr, _at_least, _polled
-from .gamma import GammaTable, _step, _terms, monomial_seed_elements
+from .gamma import GammaTable, _Value, _step, _terms, monomial_seed_elements
 from .linalg import _dense, _kernel, _numerators, eliminate, product, rref
-from .modules import _Value, _md_gamma
+from .modules import _md_gamma
 from .poly import _bipoly
 from .scalars import ZERO, CoeffQ, _entry
 from .spans import PolyFrame, span_rows

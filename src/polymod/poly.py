@@ -273,21 +273,7 @@ class UniPoly:
         return f"UniPoly({[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        coeffs = self.coeffs
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x" if c != ONE else "x")
-            else:
-                parts.append(f"{c}*x^{k}" if c != ONE else f"x^{k}")
-        return " + ".join(parts)
+        return str(_bipoly([self]))
 
 
 class BiPoly:

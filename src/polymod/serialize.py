@@ -3,7 +3,8 @@
 Conventions (mirrored in the shipped schema files):
 
 * rational string: optional sign, decimal integer, optional "/" positive
-  integer, e.g. "3", "-1/2"
+  integer, e.g. "3", "-1/2"; parsed by and written as str(Fraction), so
+  output is always in lowest terms with no "+" and no "/1"
 * scalar: {"re": rational, "im": rational}; inputs may abbreviate a real
   scalar as a bare rational string or integer
 * univariate polynomial: array of scalars, index = power of x
@@ -25,14 +26,12 @@ from fractions import Fraction
 
 from .errors import ParseError, _polled
 from .gamma import GammaTable
-from .lognum import LogNum
+from .lognum import LOG_DIGITS, LogNum
 from .modules import FiniteGen, MembershipResult, Md, MGamma, Sum, VSpaceBasis
 from .poly import BiPoly, UniPoly
 from .scalars import CoeffQ
 
 RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-
-LOG_DIGITS = 12  # significant digits for labeled log-scale strings
 
 
 def parse_rational(value) -> Fraction:
@@ -43,14 +42,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if not RATIONAL_RE.fullmatch(value):
             raise ParseError(f"malformed rational {value!r}")
-        num, _, den = value.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return Fraction(value)
     raise ParseError(f"expected rational string or int, got {type(value).__name__}")
-
-
-def fmt_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def scalar_from_json(obj) -> CoeffQ:
@@ -63,7 +56,7 @@ def scalar_from_json(obj) -> CoeffQ:
 
 
 def scalar_to_json(c: CoeffQ) -> dict:
-    return {"re": fmt_rational(c.re), "im": fmt_rational(c.im)}
+    return {"re": str(c.re), "im": str(c.im)}
 
 
 def unipoly_from_json(obj, cancel=None) -> UniPoly:
@@ -73,9 +66,7 @@ def unipoly_from_json(obj, cancel=None) -> UniPoly:
 
 
 def unipoly_to_json(f: UniPoly) -> list:
-    if f.is_zero():
-        return []
-    return [scalar_to_json(f.coeff(k)) for k in range(int(f.degree) + 1)]
+    return [scalar_to_json(c) for c in f.coeffs]
 
 
 def bipoly_from_json(obj, cancel=None) -> BiPoly:

@@ -333,6 +333,21 @@ def test_monomial_terms_display_weights():
 def test_str_conventional_notation():
     g = BiPoly([UniPoly.monomial(2), UniPoly([0, 2]), UniPoly([2])])
     assert str(g) == "x^2 + 2*x*y + y^2"
+    # UniPoly prints as the one-coordinate BiPoly: falling powers, no zero terms
+    cases = [
+        ([], "0"),
+        ([7], "7"),
+        ([0, 1], "x"),
+        ([0, -1], "-1*x"),
+        ([0, 0, 0, 1], "x^3"),
+        ([0, 0, 0, -1], "-1*x^3"),
+        ([Fraction(-3, 4), Fraction(1, 2)], "1/2*x + -3/4"),
+        ([0, 0, CoeffQ(0, 2)], "2i*x^2"),
+        ([CoeffQ(1, -1), 0, CoeffQ(Fraction(1, 3), 5)], "(1/3+5i)*x^2 + (1-1i)"),
+        ([1, 0, 0, 2, 0, -5], "-5*x^5 + 2*x^3 + 1"),
+    ]
+    for coeffs, want in cases:
+        assert str(UniPoly(coeffs)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,16 @@ def test_rational_strings_parse_exactly_where_the_scalar_schema_accepts_them():
             with pytest.raises(ParseError):
                 ser.scalar_from_json(value)
         else:
-            assert ser.scalar_from_json(value) == CoeffQ(ser.parse_rational(value))
+            want = Fraction(*map(int, value.split("/")))
+            assert ser.parse_rational(value) == want
+            assert ser.scalar_from_json(value) == CoeffQ(want)
 
 
-def test_fmt_rational():
-    assert ser.fmt_rational(Fraction(3)) == "3"
-    assert ser.fmt_rational(Fraction(-4, 6)) == "-2/3"
-    assert ser.fmt_rational(Fraction(0)) == "0"
+def test_scalar_to_json_writes_rationals_in_lowest_terms():
+    assert ser.scalar_to_json(CoeffQ(Fraction(3))) == {"re": "3", "im": "0"}
+    assert ser.scalar_to_json(CoeffQ(Fraction(-4, 6))) == {"re": "-2/3", "im": "0"}
+    assert ser.scalar_to_json(CoeffQ(Fraction(0))) == {"re": "0", "im": "0"}
+    assert ser.scalar_to_json(CoeffQ(Fraction(6, 4), Fraction(-10, 15))) == {"re": "3/2", "im": "-2/3"}
 
 
 def test_scalar_roundtrip(rng):
