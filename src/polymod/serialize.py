@@ -3,8 +3,8 @@
 Conventions (mirrored in the shipped schema files):
 
 * rational string: optional sign, decimal integer, optional "/" positive
-  integer, e.g. "3", "-1/2"; parsed by and written as str(Fraction), so
-  output is always in lowest terms with no "+" and no "/1"
+  integer, e.g. "3", "-1/2"; written as str(Fraction), so output is
+  always in lowest terms with no "+" and no "/1"
 * scalar: {"re": rational, "im": rational}; inputs may abbreviate a real
   scalar as a bare rational string or integer
 * univariate polynomial: array of scalars, index = power of x
@@ -42,7 +42,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         if not RATIONAL_RE.fullmatch(value):
             raise ParseError(f"malformed rational {value!r}")
-        return Fraction(value)
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise ParseError(f"expected rational string or int, got {type(value).__name__}")
 
 
