@@ -18,7 +18,7 @@ import json
 import sys
 from functools import cache
 
-from .errors import CancelToken, NotAnLModule, ParseError, PolymodError, ThresholdUnmet
+from .errors import CancelToken, NotAnLModule, ParseError, PolymodError, ThresholdUnmet, _polled
 from .gamma import generate
 from .modules import contains, derivative_closure, v_space
 from .nonclosed import sup_bound, verify_e14
@@ -199,8 +199,7 @@ def _cmd_nonclosed_demo(args, tok) -> int:
     if args.n_min < 2 or args.n_min > args.n_max:
         raise ParseError("need 2 <= n-min <= n-max")
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        tok.check()
+    for n in _polled(range(args.n_min, args.n_max + 1), tok):
         try:
             rows.append(ser.bound_report_to_json(sup_bound(n)))
         except ThresholdUnmet as exc:

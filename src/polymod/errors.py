@@ -1,7 +1,9 @@
 """Every way a library call stops early: the error taxonomy shared by the
 library and the CLI, cooperative cancellation, and the integer-argument rules.
 
-Kernel loops poll a CancelToken; no partial results escape once it fires.
+Kernel loops over a sequence poll a CancelToken through ``_polled``; no
+partial results escape once it fires. With no token, ``_polled`` hands the
+loop its items unchanged, so an unpolled call pays nothing for the poll.
 """
 
 from __future__ import annotations
@@ -97,11 +99,10 @@ class CancelToken:
 
 
 def _polled(items, cancel):
-    """items, with cancel (if given) polled before each one."""
-    for item in items:
-        if cancel is not None:
-            cancel.check()
-        yield item
+    """items itself when cancel is None, so an unpolled loop pays nothing;
+    otherwise a generator over items that polls cancel before each one
+    (check returns None or raises, so the filter keeps every item)."""
+    return items if cancel is None else (item for item in items if cancel.check() is None)
 
 
 def _natural(k, what: str) -> int:

@@ -55,9 +55,7 @@ def _numerators(rows, cancel=None):
     """[(den, {column: (re, im)})]: each dense CoeffQ row as Z[i] numerators
     over den, the lcm of its part denominators; zero entries are left out."""
     out = []
-    for row in rows:
-        if cancel is not None:
-            cancel.check()
+    for row in _polled(rows, cancel):
         ents = [(j, c.re.as_integer_ratio(), c.im.as_integer_ratio()) for j, c in enumerate(row) if c is not ZERO]
         den = lcm(*[d for _j, (_a, r), (_b, i) in ents for d in (r, i)])
         out.append((den, {j: (a * (den // r), b * (den // i)) for j, (a, r), (b, i) in ents if a or b}))
@@ -107,16 +105,12 @@ def eliminate(rows, cancel=None):
         cancel.check()
     done = {}  # pivot column -> (pivot value d the row is stored at, rest of the row)
     den = (1, 0)  # the latest pivot value; each new row is scaled to it
-    for new in sorted(filter(None, (row for _den, row in rows)), key=len):
-        if cancel is not None:
-            cancel.check()
+    for new in _polled(sorted(filter(None, (row for _den, row in rows)), key=len), cancel):
         # new := den * new - sum of new[j] * done[j] over the pivot columns j,
         # each done[j] first brought from its own d to den
         dr, di = den
         acc = {k: (dr * vr - di * vi, dr * vi + di * vr) for k, (vr, vi) in new.items() if k not in done}
-        for j in done.keys() & new.keys():
-            if cancel is not None:
-                cancel.check()
+        for j in _polled(done.keys() & new.keys(), cancel):
             d, row = done[j]
             if row and d != den:
                 row = _combine(den, row, _ZZ, {}, d)
@@ -141,9 +135,7 @@ def eliminate(rows, cancel=None):
         den = p
     pivots = sorted(done)
     out = []
-    for col in pivots:
-        if cancel is not None:
-            cancel.check()
+    for col in _polled(pivots, cancel):
         d, row = done[col]
         (cr, ci), n = _inverse(d)
         out.append((n, {j: (vr * cr - vi * ci, vr * ci + vi * cr) for j, (vr, vi) in row.items()}))
@@ -155,9 +147,7 @@ def product(a, b, cancel=None):
     db = lcm(*[d for d, _row in b])  # row k of b is brought to db by a's column k
     scale = [db // d for d, _row in b]
     out = []
-    for da, row in a:
-        if cancel is not None:
-            cancel.check()
+    for da, row in _polled(a, cancel):
         acc = {}
         for k, (xr, xi) in row.items():
             xr, xi = xr * scale[k], xi * scale[k]

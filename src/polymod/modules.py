@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .errors import CancelToken, UnsupportedExpr, _at_least
+from .errors import CancelToken, UnsupportedExpr, _at_least, _polled
 from .gamma import GammaTable, _Value, _recur, mgamma_contains, monomial_seed_elements
 from .linalg import rref
 from .poly import _ZERO_POLY, NEG_INF, BiPoly, UniPoly
@@ -168,9 +168,7 @@ def _sum_candidates(parts, s_probe: int | None, bound: int, cancel) -> tuple[lis
     """
     cands: list[BiPoly] = []
     truncated = False
-    for part in parts:
-        if cancel is not None:
-            cancel.check()
+    for part in _polled(parts, cancel):
         if isinstance(part, FiniteGen):
             cands.extend(part.basis)
         elif isinstance(part, MGamma):

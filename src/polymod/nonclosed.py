@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import RangeExceeded, ThresholdUnmet, _at_least
+from .errors import RangeExceeded, ThresholdUnmet, _at_least, _polled
 from .gamma import GammaTable, _Value, apply_L
 from .lognum import (
     LOG_DIGITS,
@@ -123,9 +123,7 @@ def verify_e14(n_max: int, cancel=None):
 
     out = []
     with mp.workprec(PRECISION):
-        for n in range(2, n_max + 1):
-            if cancel is not None:
-                cancel.check()
+        for n in _polled(range(2, n_max + 1), cancel):
             en = e_tower_log(2, n)        # e(n)
             e2n = e_tower_log(3, n)       # e_2(n)
             e2nm1 = e_tower_log(3, n - 1)

@@ -233,7 +233,7 @@ def nilpotent_chains(mat, cancel: CancelToken | None = None) -> ChainDecompositi
     basis = [trail[p - length + t][c] for c, (_u, length) in enumerate(chains) for t in range(length)]
     if len(basis) != n or len(eliminate(basis, cancel)[1]) != n:
         raise AssertionError("chain vectors do not form a basis")
-    out = tuple(tuple(_dense(row, den, n)) for den, row in basis)
+    out = tuple(tuple(_dense(row, den, n)) for den, row in _polled(basis, cancel))
     # each chain's generator u = D^0 u is its first basis vector
     firsts = accumulate([length for _u, length in chains[:-1]], initial=0)
     chains = tuple((out[t], length) for t, (_u, length) in zip(firsts, chains))

@@ -29,8 +29,9 @@ sum_j f_{k+j} * w_j, as long as the longest f_m with m >= k, is summed on
 integers over those cells alone. The x-pass then shifts each G_k (each f_k
 when b = 0) by a = A/q: c_j is scaled by q^(N-j), N the largest x-degree,
 the Horner loop c[j] += A * c[j + 1] skips zero parts, and output k is
-multiplied by q^k. Each pass polls cancel at each coordinate in turn, and
-each output coordinate, over D * W * q^N, is made canonical with one gcd.
+multiplied by q^k. A closing pass makes each output coordinate, over
+D * W * q^N, canonical with one gcd. The three passes, y, then x, then the
+closing one, each poll cancel at each coordinate in turn.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def _monomial(k: int, c, f: int = 1) -> "UniPoly":
 def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
     """The coordinates of F(x + a, y + b) as UniPoly, F given by its
     coordinates' triples cols (see the module doc for the kernel); polls
-    cancel once per coordinate of each pass, the y-pass first."""
+    cancel once per coordinate of each pass: y, then x, then the closing
+    canonical pass."""
     den = lcm(*[d for _re, _im, d in cols])
     ks = [den // d for _re, _im, d in cols]
     if b:
@@ -125,9 +127,7 @@ def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
         # G_k = sum_j w_j f_(k+j) is as long as the longest f_m with m >= k
         widths = list(accumulate([len(r) for r, _m, _d in reversed(cols)], max))[::-1]
         re, im = [], []
-        for k, width in enumerate(widths):
-            if cancel is not None:
-                cancel.check()
+        for k, width in _polled(enumerate(widths), cancel):
             gr, gi = [0] * width, [0] * width
             for (rc, mc), vr, vi in zip(cells[k:], wr, wi):
                 if vr:
@@ -149,9 +149,7 @@ def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
         # a = A/q: shift q^N f(z/q) by A on integers, then z^k carries q^k
         (ar, ai), q = _over((a.re, a.im))
         qk = [q**k for k in range(max(map(len, re)))]
-        for r, m in zip(re, im):
-            if cancel is not None:
-                cancel.check()
+        for r, m in _polled(zip(re, im), cancel):
             n = len(r)
             if q != 1:
                 r[:] = [c * k for c, k in zip(r, reversed(qk))]
@@ -173,7 +171,7 @@ def _shift(cols, a: CoeffQ, b: CoeffQ, cancel=None) -> list:
                 r[:] = [c * k for c, k in zip(r, qk)]
                 m[:] = [c * k for c, k in zip(m, qk)]
         den *= qk[-1]
-    return [_canon(r, m, den) for r, m in zip(re, im)]
+    return [_canon(r, m, den) for r, m in _polled(zip(re, im), cancel)]
 
 
 class UniPoly:
@@ -331,7 +329,8 @@ class BiPoly:
         Coordinates of G are G_k(x + a) with G_k = sum_j f_{k+j} * w_j and
         weights w_j = b^j / j!, the y-direction Taylor expansion written in
         coordinate form. The integer kernel forms every G_k first, then
-        shifts each in x; it polls cancel once per coordinate of each pass.
+        shifts each in x, then makes each canonical; it polls cancel once
+        per coordinate of each of the three passes, y, x and the closing one.
         """
         a, b = CoeffQ.of(a), CoeffQ.of(b)
         if self.is_zero() or not (a or b):

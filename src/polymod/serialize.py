@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ParseError, _polled
 from .gamma import GammaTable
-from .lognum import LOG_DIGITS, LogNum
+from .lognum import LOG_DIGITS
 from .modules import FiniteGen, MembershipResult, Md, MGamma, Sum, VSpaceBasis
 from .poly import BiPoly, UniPoly
 from .scalars import CoeffQ
@@ -151,15 +151,6 @@ def module_to_json(M) -> dict:
     if isinstance(M, Sum):
         return {"type": "Sum", "parts": [module_to_json(p) for p in M.parts]}
     raise TypeError(f"not a module expression: {type(M).__name__}")
-
-
-def lognum_to_json(x: LogNum) -> dict:
-    from mpmath import nstr
-
-    out = {"sign": x.sign, "mode": x.mode}
-    if x.sign != 0:
-        out["log10_mag"] = nstr(x.log10() if x.sign > 0 else abs(x).log10(), LOG_DIGITS)
-    return out
 
 
 def jsonable(value):

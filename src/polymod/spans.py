@@ -11,7 +11,8 @@ each coordinate's stored Z[i] triple and builds a CoeffQ, with
 ``span_rows`` returns the graded frame with the rref rows, for callers that
 read the reduced basis in place (``infer_L`` reads its seed prefixes' rank,
 and a zero-prefix witness, off them); ``span_reduce`` builds those rows back
-into BiPoly values, each coordinate with ``_unipoly`` and no coercion.
+into BiPoly values, each coordinate with ``_unipoly`` and no coercion,
+and polls cancel once per row it rebuilds.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def span_rows(polys, cancel=None):
 def span_reduce(polys, cancel=None):
     """Deterministic reduced basis of the span of polys, pivots in graded order."""
     frame, rows = span_rows(polys, cancel)
-    return [frame.from_vec(r) for r in rows]
+    return [frame.from_vec(r) for r in _polled(rows, cancel)]
 
 
 def in_span(p: BiPoly, basis, cancel=None):

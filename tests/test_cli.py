@@ -439,16 +439,18 @@ def test_every_run_builds_one_clock(monkeypatch):
 
 
 def test_poly_shift_honours_the_timeout(capsys, monkeypatch):
-    # the parse polls once per coordinate and once per scalar, then the shift polls the same token
+    # the parse polls once per coordinate and once per scalar, then the shift
+    # polls the same token once per coordinate of each of its three passes
     F = BiPoly([UniPoly([1, 2, 3]), UniPoly([0, 1]), UniPoly([5])])
     argv = ["poly-shift", "--json", "--poly", ser.dumps(ser.bipoly_to_json(F)), "--a", "1/2", "--b", "-3"]
     parse = F.num_coords + sum(len(f.coeffs) for f in F.coords)
     want = _json_out(capsys, argv)
     assert want[0] == 0
-    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=parse + 1))
-    code, payload = _json_out(capsys, argv)
-    assert code == 1 and payload["error"]["type"] == "cancelled"
-    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=parse + 2 * F.num_coords + 1))
+    for n in (parse + 1, parse + 3 * F.num_coords):
+        monkeypatch.setattr(cli, "CancelToken", lambda timeout=None, n=n: _CountingToken(fire_at=n))
+        code, payload = _json_out(capsys, argv)
+        assert code == 1 and payload["error"]["type"] == "cancelled", n
+    monkeypatch.setattr(cli, "CancelToken", lambda timeout=None: _CountingToken(fire_at=parse + 3 * F.num_coords + 1))
     assert _json_out(capsys, argv) == want
 
 

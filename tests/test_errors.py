@@ -1,6 +1,7 @@
 """The integer-argument rules: every check routed through `errors._at_least`,
 and `errors._natural`, rejects a bool, a float and a value below its bound
-with a ValueError carrying the same message it always had."""
+with a ValueError carrying the same message it always had. And the one poll
+helper, `errors._polled`, hands back its items themselves without a token."""
 
 import pytest
 
@@ -24,6 +25,9 @@ from polymod import (
     v_space,
     verify_e14,
 )
+from polymod.errors import _polled
+
+from test_linalg import _CountingToken
 
 G = shift_invariance_table()
 SUM = Sum(FiniteGen([BiPoly.monomial(1, 0)]), MGamma(G))
@@ -69,3 +73,14 @@ def test_bad_integer_argument_keeps_its_message(call, bad, message):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == message
+
+
+def test_polled_hands_back_its_items_without_a_token():
+    # without a token a loop runs on its items themselves; with one, each
+    # item is taken after one poll of its own, falsy items included
+    for items in ([1, 2], range(3), iter("ab"), {}.keys()):
+        assert _polled(items, None) is items
+    token = _CountingToken()
+    it = _polled([0, None, ""], token)
+    assert token.calls == 0 and next(it) == 0 and token.calls == 1
+    assert list(it) == [None, ""] and token.calls == 3

@@ -5,7 +5,8 @@ start-up never loads dataclasses, inspect, ast, dis or tokenize, which cost
 every CLI run several milliseconds. Each such check runs in a fresh
 interpreter, because this test process has long since imported them through
 other modules. No module imports a name it never uses, which no linter
-checks here, and every private module-level name is used in src/. And the public surface is pinned: adding or removing a public
+checks here, every private module-level name is used in src/, and no loop
+in src/ polls by hand in place of errors._polled. And the public surface is pinned: adding or removing a public
 name (a new alias constructor, say) fails here until the list below is
 edited, so the change shows up in review.
 """
@@ -13,6 +14,7 @@ edited, so the change shows up in review.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -108,6 +110,18 @@ def test_no_module_has_an_assert_statement():
         tree = ast.parse(path.read_text(), str(path))
         asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def test_no_for_loop_opens_with_a_hand_written_poll():
+    # a loop polls through errors._polled, which costs nothing without a
+    # token; `if x is not None: x.check()` or a bare `x.check()` is the other way
+    poll = re.compile(r"(if (\w+) is not None:\n    \2|\w+)\.check\(\)")
+    loops = []
+    for path in sorted((Path(SRC) / "polymod").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loops += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.For, ast.AsyncFor)) and poll.fullmatch(ast.unparse(node.body[0]))]
+    assert loops == []
 
 
 PUBLIC = [

@@ -82,6 +82,30 @@ def test_derivative_closure_polls_once_per_partial_before_it_reduces(monkeypatch
         assert seen == []
 
 
+def test_derivative_closure_rebuilds_one_element_per_poll(monkeypatch):
+    # span_reduce rebuilds each reduced row with PolyFrame.from_vec after
+    # its rref's last poll; each rebuild must follow a poll of its own
+    since, worst, calls = [0], [0], []  # from_vec calls since the last poll; the most seen; all
+    real = spans.PolyFrame.from_vec
+
+    def spy(frame, v):
+        since[0] += 1
+        calls.append(1)
+        return real(frame, v)
+
+    class _Token:
+        def check(self):
+            worst[0] = max(worst[0], since[0])
+            since[0] = 0
+
+    rng = random.Random(0x38)
+    gens = [rand_bipoly(rng, 5, 4) for _ in range(2)]
+    want = derivative_closure(gens)
+    monkeypatch.setattr(spans.PolyFrame, "from_vec", spy)
+    assert derivative_closure(gens, _Token()) == want and len(calls) == len(want) > 1
+    assert max(worst[0], since[0]) == 1
+
+
 def test_derivative_closure_idempotent(rng):
     for _ in range(15):
         gens = [rand_bipoly(rng, 3, 2) for _ in range(2)]

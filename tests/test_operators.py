@@ -827,6 +827,33 @@ def test_nilpotent_chains_polls_in_its_closing_rank_check(rng, monkeypatch):
     assert polls
 
 
+def test_nilpotent_chains_polls_once_per_basis_vector_it_makes_dense(monkeypatch):
+    # after its last elimination nilpotent_chains makes each of the n basis
+    # vectors dense; each conversion must follow a poll of its own
+    since, worst = [0], []  # _dense calls since the last poll; the most seen per matrix
+    real = operators._dense
+
+    def spy(*args):
+        since[0] += 1
+        return real(*args)
+
+    class _Token:
+        def check(self):
+            worst[-1] = max(worst[-1], since[0])
+            since[0] = 0
+
+    monkeypatch.setattr(operators, "_dense", spy)
+    rng = random.Random(0x38)
+    for n in (8, 16, 24):
+        D = rand_nilpotent(rng, n)
+        want = nilpotent_chains(D)
+        since[0] = 0
+        worst.append(0)
+        assert nilpotent_chains(D, _Token()) == want
+        worst[-1] = max(worst[-1], since[0])
+    assert worst == [1, 1, 1]
+
+
 def test_kernel_reads_poll_the_callers_token(monkeypatch):
     # nilpotent_chains and _witness pass their token to _kernel, which polls
     # once per free column: a zero matrix's kernel has every column free

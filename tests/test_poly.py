@@ -202,7 +202,8 @@ def test_bipoly_shift_polls_once_per_coordinate_of_each_pass():
     F = BiPoly([rand_unipoly(rng, 4, True) for _ in range(5)])
     n = F.num_coords
     a, b = CoeffQ(Fraction(1, 2), 3), CoeffQ(Fraction(-2, 3))
-    for x, y, polls in ((a, 0, n), (0, b, n), (a, b, 2 * n), (0, 0, 0)):
+    # the closing canonical pass polls once per coordinate after the y- and x-passes
+    for x, y, polls in ((a, 0, 2 * n), (0, b, 2 * n), (a, b, 3 * n), (0, 0, 0)):
         token = _CountingToken()
         want = F.shift(x, y)
         assert F.shift(x, y, token) == want and token.calls == polls
@@ -273,7 +274,10 @@ def _tagged(F: BiPoly) -> BiPoly:
 
 def _pass_at(products) -> tuple:
     """(pass, least coordinate, greatest coordinate) of the products made
-    between two polls: x-pass products involve both a and F."""
+    between two polls: x-pass products involve both a and F, and the closing
+    canonical pass makes none."""
+    if not products:
+        return ("canon",)
     coords = 0
     for origin in products:
         coords |= origin >> 1
@@ -284,8 +288,9 @@ def _pass_at(products) -> tuple:
 def test_shift_polls_once_per_coordinate_of_each_pass_at_every_size():
     # every coordinate ends in x^n, so G_k draws on f_k .. f_(n-1): a y-pass
     # poll is followed by G_k's sums, an x-pass poll by the Horner loop on
-    # G_k (on f_k when b = 0); each pass must step through the coordinates
-    # one at a time, the y-pass first, and read no cell of F twice
+    # G_k (on f_k when b = 0), and a closing poll by one coordinate's gcd,
+    # with no product; each pass must step through the coordinates one at a
+    # time, y, then x, then the closing pass, and read no cell of F twice
     rng = random.Random(0x5418)
     a = _make(_MarkedFraction(1, 2), _MarkedFraction(3))
     b = CoeffQ(Fraction(-2, 3), 1)
@@ -296,7 +301,8 @@ def test_shift_polls_once_per_coordinate_of_each_pass_at_every_size():
         y = [("y", k, n - 1) for k in range(n)]
         x = [("x", k, n - 1) for k in range(n)]
         x_alone = [("x", k, k) for k in range(n)]
-        for shift, want in (((a, b), y + x), ((a, 0), x_alone), ((0, b), y)):
+        canon = [("canon",)] * n
+        for shift, want in (((a, b), y + x + canon), ((a, 0), x_alone + canon), ((0, b), y + canon)):
             G = F.shift(*shift)
             _Cell.log, _Cell.reads = [[]], []
             assert T.shift(*shift, _CellToken()) == G

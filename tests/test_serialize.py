@@ -13,7 +13,6 @@ from polymod import (
     Cancelled,
     CoeffQ,
     GammaTable,
-    LogNum,
     MGamma,
     Md,
     ParseError,
@@ -321,16 +320,6 @@ def test_matrix_from_json():
     with pytest.raises(ParseError):
         ser.matrix_from_json("matrix")
     assert ser.matrix_from_json([]) == []
-
-
-def test_lognum_to_json():
-    z = ser.lognum_to_json(LogNum.zero())
-    assert z == {"sign": 0, "mode": "upper-bound"}
-    check_schema(z, "urn:polymod:results#/$defs/lognum")
-    neg = ser.lognum_to_json(LogNum.from_rational(-1000))
-    assert neg["sign"] == -1
-    assert float(neg["log10_mag"]) == pytest.approx(3.0)
-    check_schema(neg, "urn:polymod:results#/$defs/lognum")
 
 
 def test_jsonable_dispatch():
